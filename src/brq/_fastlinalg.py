@@ -8,12 +8,10 @@ moduli small enough that intermediate products fit in int64.
 
 from __future__ import annotations
 
-from math import gcd
-
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import howell_rows, stab_unit
+from .linalg import howell_rows, stab_unit, xgcd
 
 _MAX_MODULUS = 1 << 20
 
@@ -46,8 +44,7 @@ class HowellAccumulator:
             if vp % cp == 0:
                 vec = (vec - (vp // cp) * cur) % n
             else:
-                g = gcd(cp, vp)
-                s, t = _bezout(cp, vp, g)
+                g, s, t = xgcd(cp, vp)
                 new_cur = (s * cur + t * vec) % n
                 vec = ((-(vp // g)) * cur + (cp // g) * vec) % n
                 u = stab_unit(int(new_cur[p]), n)
@@ -82,17 +79,6 @@ class HowellAccumulator:
         """Exact canonical Howell form of everything ingested so far."""
         rows = [self.rows[p].tolist() for p in sorted(self.rows)]
         return howell_rows(rows, self.n)
-
-
-def _bezout(a, b, g):
-    # returns (s, t) with s*a + t*b == g
-    s0, s1, t0, t1 = 1, 0, 0, 1
-    while b:
-        q = a // b
-        a, b = b, a - q * b
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    return s0, t0
 
 
 def reduce_rows_mod(rows_chunks, width, modulus):

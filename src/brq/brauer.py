@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -39,10 +39,6 @@ from .linalg import direct_sum_structure, quotient_of_structure, subquotient_str
 from .reports import BrauerReport
 
 
-def _lcm(a, b):
-    return a * b // gcd(a, b)
-
-
 # ---------------------------------------------------------------------------
 # projective actions and scalar-defect classes
 
@@ -63,7 +59,7 @@ class ProjectiveAction:
         d = 1
         for row in self.frac_table:
             for v in row:
-                d = _lcm(d, v.denominator)
+                d = lcm(d, v.denominator)
         return d
 
     def int_table(self, modulus):
@@ -75,8 +71,8 @@ class ProjectiveAction:
                 out[a, b, 0] = (v.numerator * (modulus // v.denominator)) % modulus
         return out
 
-    def gamma_coords(self, modulus):
-        coh = h2_qz_cached(self.group, modulus)
+    def gamma_coords(self, modulus, max_order=None):
+        coh = h2_qz_cached(self.group, modulus, max_order)
         return coh.reduce(self.int_table(modulus))
 
 
@@ -86,8 +82,8 @@ def _tree_matrices(group, gen_matrices):
     dim = next(iter(gen_matrices.values())).nrows
     conductor = 1
     for m in gen_matrices.values():
-        conductor = _lcm(conductor, m.m)
-    conductor = _lcm(conductor, group.exponent())
+        conductor = lcm(conductor, m.m)
+    conductor = lcm(conductor, group.exponent())
     ident = CycloMatrix.identity(dim, conductor)
     mats[0] = ident
     given = {g: m.promote(conductor) for g, m in gen_matrices.items()}
@@ -96,13 +92,15 @@ def _tree_matrices(group, gen_matrices):
     return mats, conductor
 
 
-def gamma_from_projective_action(group, matrices):
+def gamma_from_projective_action(group, matrices, max_order=None):
     """Extract the scalar 2-cocycle of a projective matrix action.
 
     `matrices` maps each group generator to an invertible CycloMatrix.  The
     defect c(g, h) with M_g M_h = c(g, h) M_{gh} must be a scalar and a root
     of unity at the working conductor (the lcm of the input conductors and
     the group exponent); anything else is rejected with the witness pair.
+    `max_order` is the finite-coefficient order limit of the H^2 used to
+    check the class.
     """
     gen_matrices = {int(g): m for g, m in dict(matrices).items()}
     if set(gen_matrices) != set(group.generators):
@@ -136,9 +134,9 @@ def gamma_from_projective_action(group, matrices):
                               {g: m.promote(conductor) for g, m in gen_matrices.items()},
                               mats, tuple(tuple(r) for r in table), conductor)
     # torsion bound: the class is killed by the matrix dimension
-    N = _lcm(group.order, action.cocycle_denominator())
-    coh = h2_qz_cached(group, N)
-    coords = action.gamma_coords(N)
+    N = lcm(group.order, action.cocycle_denominator())
+    coh = h2_qz_cached(group, N, max_order)
+    coords = action.gamma_coords(N, max_order)
     killed = tuple((action.dimension * c) % f
                    for c, f in zip(coords, coh.invariant_factors))
     if any(killed):
@@ -227,8 +225,8 @@ def correlation_action(group, collineation_matrices, phi, coset_witness):
                     witness=s)
     conductor = phi.m
     for m in coll.values():
-        conductor = _lcm(conductor, m.m)
-    conductor = _lcm(conductor, group.exponent())
+        conductor = lcm(conductor, m.m)
+    conductor = lcm(conductor, group.exponent())
     gen_pairs = {g: (0, m.promote(conductor)) for g, m in coll.items()}
     gen_pairs[w] = (1, phi.promote(conductor))
     pairs = [None] * group.order
@@ -266,18 +264,18 @@ def _plucker_generator_matrices(action, r):
     return out
 
 
-def plucker_beta(action, r):
+def plucker_beta(action, r, max_order=None):
     """The class of the induced projective-linear action on Plucker
     coordinates, as a ProjectiveAction on the wedge space."""
     n = action.dimension
     if not 1 <= r <= n - 1:
         raise DomainError(f"wedge degree {r} out of range 1..{n - 1}")
     mats = _plucker_generator_matrices(action, r)
-    beta_action = gamma_from_projective_action(action.group, mats)
+    beta_action = gamma_from_projective_action(action.group, mats, max_order)
     if isinstance(action, CorrelationAction):
-        N = _lcm(action.group.order, beta_action.cocycle_denominator())
-        coh = h2_qz_cached(action.group, N)
-        coords = beta_action.gamma_coords(N)
+        N = lcm(action.group.order, beta_action.cocycle_denominator())
+        coh = h2_qz_cached(action.group, N, max_order)
+        coords = beta_action.gamma_coords(N, max_order)
         doubled = tuple((2 * c) % f for c, f in zip(coords, coh.invariant_factors))
         if any(doubled):
             raise DomainError("correlation class is not 2-torsion")
@@ -303,14 +301,15 @@ class ToricAction:
 
 
 class _QZBlock:
-    def __init__(self, group, modulus):
-        self.coh = h2_qz_cached(group, modulus)
+    def __init__(self, group, modulus, max_order=None):
+        self.coh = h2_qz_cached(group, modulus, max_order)
         self.modulus = modulus
+        self.max_order = max_order
         self.factors = list(self.coh.invariant_factors)
         self._cache = {}
 
     def _sub_side(self, sub):
-        coh_a, _grp, embed = subgroup_h2_qz(sub, self.modulus)
+        coh_a, _grp, embed = subgroup_h2_qz(sub, self.modulus, self.max_order)
         return coh_a, embed
 
     def restrict(self, sub):
@@ -334,9 +333,9 @@ class _QZBlock:
 
 
 class _LatticeBlock:
-    def __init__(self, module):
+    def __init__(self, module, max_order=None):
         self.module = module
-        self.coh = h2(module)
+        self.coh = h2(module, max_order=max_order)
         self.factors = list(self.coh.invariant_factors)
         self._sub_cache = {}
         self._cache = {}
@@ -496,21 +495,15 @@ def _nonzero_mod_relations(coords, factors, rel_vectors):
     """True when coords is nonzero in the quotient by the relation span."""
     if not factors:
         return False
+    big = lcm(*factors)
     base = subquotient_structure(
-        len(factors), _lcm_list(factors),
-        [[(_lcm_list(factors) // f) if i == j else 0 for j in range(len(factors))]
+        len(factors), big,
+        [[(big // f) if i == j else 0 for j in range(len(factors))]
          for i, f in enumerate(factors)], [])
     quot = quotient_of_structure(base, [tuple(int(x) % f for x, f in zip(rv, factors))
                                         for rv in rel_vectors])
     reduced = quot.coords(tuple(int(x) % f for x, f in zip(coords, factors)))
     return any(reduced)
-
-
-def _lcm_list(xs):
-    out = 1
-    for x in xs:
-        out = _lcm(out, x)
-    return out
 
 
 def _check_report_soundness(report, blocks, subs, am_coords, unram):
@@ -557,15 +550,15 @@ def bogomolov_multiplier(group, subgroup_mode="conj", max_order=None):
     """Kernel of H^2(G, Q/Z) -> product of H^2 over bicyclic subgroups."""
     n = group.order
     modulus = n if n > 1 else 2
-    block = _QZBlock(group, modulus)
+    block = _QZBlock(group, modulus, max_order)
     return _kernel_report("bogomolov_multiplier", group, [block], [], modulus,
                           subgroup_mode=subgroup_mode)
 
 
-def br_nr_linear(group, subgroup_mode="conj"):
+def br_nr_linear(group, subgroup_mode="conj", max_order=None):
     """Unramified Brauer group of a faithful linear action: equals the
     Bogomolov multiplier, relabelled for the report."""
-    report = bogomolov_multiplier(group, subgroup_mode=subgroup_mode)
+    report = bogomolov_multiplier(group, subgroup_mode=subgroup_mode, max_order=max_order)
     report.kind = "br_nr_linear"
     return report
 
@@ -580,40 +573,40 @@ def br_stack_quotient(group, coh, am_coords):
                                  gauge + [list(a) for a in am_coords])
 
 
-def br_nr_projective(action, subgroup_mode="conj"):
+def br_nr_projective(action, subgroup_mode="conj", max_order=None):
     """Unramified Brauer group of a faithful action on projective space."""
     group = action.group
-    modulus = _lcm(max(group.order, 2), action.cocycle_denominator())
-    block = _QZBlock(group, modulus)
-    gamma = list(action.gamma_coords(modulus))
+    modulus = lcm(max(group.order, 2), action.cocycle_denominator())
+    block = _QZBlock(group, modulus, max_order)
+    gamma = list(action.gamma_coords(modulus, max_order))
     return _kernel_report("br_nr_projective", group, [block], [gamma], modulus,
                           subgroup_mode=subgroup_mode,
                           notes=[f"projective class coordinates {gamma}"])
 
 
-def br_nr_grassmannian(action, r, subgroup_mode="conj"):
+def br_nr_grassmannian(action, r, subgroup_mode="conj", max_order=None):
     """Unramified Brauer group of the induced Grassmannian action."""
     group = action.group
     n = action.dimension
     if not 1 <= r <= n - 1:
         raise DomainError(f"wedge degree {r} out of range 1..{n - 1}")
     if isinstance(action, CorrelationAction):
-        beta_action = plucker_beta(action, r)
-        modulus = _lcm(max(group.order, 2), beta_action.cocycle_denominator())
-        beta = list(beta_action.gamma_coords(modulus))
+        beta_action = plucker_beta(action, r, max_order)
+        modulus = lcm(max(group.order, 2), beta_action.cocycle_denominator())
+        beta = list(beta_action.gamma_coords(modulus, max_order))
         note = f"correlation Plucker class coordinates {beta}"
     else:
-        modulus = _lcm(max(group.order, 2), action.cocycle_denominator())
-        coh = h2_qz_cached(group, modulus)
-        gamma = action.gamma_coords(modulus)
+        modulus = lcm(max(group.order, 2), action.cocycle_denominator())
+        coh = h2_qz_cached(group, modulus, max_order)
+        gamma = action.gamma_coords(modulus, max_order)
         beta = [(r * c) % f for c, f in zip(gamma, coh.invariant_factors)]
         note = f"collineation class: {r} times gamma = {beta}"
-    block = _QZBlock(group, modulus)
+    block = _QZBlock(group, modulus, max_order)
     return _kernel_report("br_nr_grassmannian", group, [block], [beta], modulus,
                           subgroup_mode=subgroup_mode, notes=[note])
 
 
-def br_nr_flag(action, r_list, subgroup_mode="conj"):
+def br_nr_flag(action, r_list, subgroup_mode="conj", max_order=None):
     """Unramified Brauer group of the induced flag-variety action."""
     r_list = [int(r) for r in r_list]
     if any(b <= a for a, b in zip(r_list, r_list[1:])):
@@ -623,7 +616,8 @@ def br_nr_flag(action, r_list, subgroup_mode="conj"):
         raise DomainError("flag dimensions out of range")
     m = len(r_list)
     if m == 1:
-        report = br_nr_grassmannian(action, r_list[0], subgroup_mode=subgroup_mode)
+        report = br_nr_grassmannian(action, r_list[0], subgroup_mode=subgroup_mode,
+                                    max_order=max_order)
         report.kind = "br_nr_flag"
         return report
     group = action.group
@@ -631,12 +625,12 @@ def br_nr_flag(action, r_list, subgroup_mode="conj"):
         q = 0
         for r in r_list:
             q = gcd(q, r)
-        modulus = _lcm(max(group.order, 2), action.cocycle_denominator())
-        coh = h2_qz_cached(group, modulus)
-        gamma = action.gamma_coords(modulus)
+        modulus = lcm(max(group.order, 2), action.cocycle_denominator())
+        coh = h2_qz_cached(group, modulus, max_order)
+        gamma = action.gamma_coords(modulus, max_order)
         am = [[(q * c) % f for c, f in zip(gamma, coh.invariant_factors)]]
         notes = [f"collineation flag relation: q={q} times gamma"]
-        block = _QZBlock(group, modulus)
+        block = _QZBlock(group, modulus, max_order)
         return _kernel_report("br_nr_flag", group, [block], am, modulus,
                               subgroup_mode=subgroup_mode, notes=notes)
     # correlations: symmetry condition and the corestriction relation
@@ -656,25 +650,25 @@ def br_nr_flag(action, r_list, subgroup_mode="conj"):
         if eps != 0:
             raise DomainError("collineation subgroup carries a correlation matrix")
         prime_gen_mats[gidx] = mat
-    base_action = gamma_from_projective_action(grp_prime, prime_gen_mats)
+    base_action = gamma_from_projective_action(grp_prime, prime_gen_mats, max_order)
     denom = base_action.cocycle_denominator()
     if m % 2 == 1:
-        beta_action = plucker_beta(action, r_list[m // 2])
-        denom = _lcm(denom, beta_action.cocycle_denominator())
-    modulus = _lcm(max(group.order, 2), denom)
-    coh = h2_qz_cached(group, modulus)
-    coh_prime = h2_qz_cached(grp_prime, modulus)
-    gamma_prime = base_action.gamma_coords(modulus)
+        beta_action = plucker_beta(action, r_list[m // 2], max_order)
+        denom = lcm(denom, beta_action.cocycle_denominator())
+    modulus = lcm(max(group.order, 2), denom)
+    coh = h2_qz_cached(group, modulus, max_order)
+    coh_prime = h2_qz_cached(grp_prime, modulus, max_order)
+    gamma_prime = base_action.gamma_coords(modulus, max_order)
     q_gamma = tuple((q * c) % f for c, f in
                     zip(gamma_prime, coh_prime.invariant_factors))
     cores = corestrict_qz_class(coh_prime, q_gamma, sub, coh)
     am = [list(cores)]
     notes = [f"corestriction relation from the collineation subgroup, q={q}"]
     if m % 2 == 1:
-        beta = list(beta_action.gamma_coords(modulus))
+        beta = list(beta_action.gamma_coords(modulus, max_order))
         am.append(beta)
         notes.append(f"middle Plucker class coordinates {beta}")
-    block = _QZBlock(group, modulus)
+    block = _QZBlock(group, modulus, max_order)
     return _kernel_report("br_nr_flag", group, [block], am, modulus,
                           subgroup_mode=subgroup_mode, notes=notes)
 
@@ -683,11 +677,12 @@ def br_nr_toric(action, subgroup_mode="conj", max_order=None):
     """Unramified Brauer group of a faithful torus action via the character
     lattice: kernel over bicyclic subgroups with Q/Z + lattice coefficients."""
     group = action.group
-    if group.order > (max_order or 24):
-        raise SizeLimitError("toric computations are limited to group order 24")
+    limit = max_order or 24
+    if group.order > limit:
+        raise SizeLimitError(f"toric computations are limited to group order {limit}")
     modulus = max(group.order, 2)
-    qz_block = _QZBlock(group, modulus)
-    lat_block = _LatticeBlock(action.lattice)
+    qz_block = _QZBlock(group, modulus, max_order)
+    lat_block = _LatticeBlock(action.lattice, max_order)
     report = _kernel_report("br_nr_toric", group, [qz_block, lat_block], [],
                             modulus, subgroup_mode=subgroup_mode)
     report.flags["lattice_rank"] = action.lattice.rank
@@ -701,31 +696,32 @@ def br_stack_fixed_point(group, pic_module, has_fixed_point):
     The geometric hypothesis is caller-supplied; the non-split case without
     a fixed point is rejected rather than guessed.
     """
+    return direct_sum_structure(*_fixed_point_parts(group, pic_module, has_fixed_point))
+
+
+def _fixed_point_parts(group, pic_module, has_fixed_point):
+    """The summands H^2(G, Q/Z) and H^1(G, Pic) of the fixed-point case."""
     if not has_fixed_point:
         raise UnsupportedCaseError(
             "only the fixed-point case is computable; supply has_fixed_point=True "
             "when the geometric hypothesis holds")
-    modulus = max(group.order, 2)
-    qz = h2_qz_cached(group, modulus)
-    pic_h1 = h1(pic_module)
-    return direct_sum_structure(qz.structure, pic_h1.structure)
+    qz = h2_qz_cached(group, max(group.order, 2))
+    return qz.structure, h1(pic_module).structure
 
 
 def stack_fixed_point_report(group, pic_module, has_fixed_point):
     """Report wrapper around `br_stack_fixed_point` for the CLI."""
-    modulus = max(group.order, 2)
-    qz = h2_qz_cached(group, modulus)
-    pic_h1 = h1(pic_module)
-    total = br_stack_fixed_point(group, pic_module, has_fixed_point)
+    h2_part, pic_part = _fixed_point_parts(group, pic_module, has_fixed_point)
+    total = direct_sum_structure(h2_part, pic_part)
     return BrauerReport(
         kind="br_stack_fixed_point",
         group_order=group.order,
-        modulus=modulus,
+        modulus=max(group.order, 2),
         stack_group=total,
         unramified_group=total,
         generator_descriptions=[
-            f"H2 part {list(qz.structure.invariant_factors)}, "
-            f"H1(Pic) part {list(pic_h1.structure.invariant_factors)}"],
+            f"H2 part {list(h2_part.invariant_factors)}, "
+            f"H1(Pic) part {list(pic_part.invariant_factors)}"],
         subgroup_diagnostics=[],
         flags={"fixed_point": True, "pic_rank": pic_module.rank},
         notes=["stack Brauer group splits as H2(G) + H1(G, Pic) at a fixed point",

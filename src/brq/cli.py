@@ -44,25 +44,23 @@ def _structure_doc(kind, structure, extra=None):
 
 
 def _render(doc_or_report, options):
-    if isinstance(doc_or_report, BrauerReport):
-        if options.json:
-            payload = doc_or_report.to_json_dict(include_witnesses=options.witness)
-            if options.stamp:
-                payload["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-            return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-        text = doc_or_report.to_text()
-        if options.stamp:
-            text += f"generated at {time.strftime('%Y-%m-%dT%H:%M:%SZ', time.gmtime())}\n"
-        return text
+    stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()) if options.stamp else None
+    is_report = isinstance(doc_or_report, BrauerReport)
     if options.json:
-        payload = dict(doc_or_report)
-        if options.stamp:
-            payload["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+        if is_report:
+            payload = doc_or_report.to_json_dict(include_witnesses=options.witness)
+        else:
+            payload = dict(doc_or_report)
+        if stamp:
+            payload["generated_at"] = stamp
         return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-    lines = [f"{k}: {v}" for k, v in doc_or_report.items()]
-    if options.stamp:
-        lines.append(f"generated at {time.strftime('%Y-%m-%dT%H:%M:%SZ', time.gmtime())}")
-    return "\n".join(lines) + "\n"
+    if is_report:
+        text = doc_or_report.to_text()
+    else:
+        text = "".join(f"{k}: {v}\n" for k, v in doc_or_report.items())
+    if stamp:
+        text += f"generated at {stamp}\n"
+    return text
 
 
 def cmd_group_info(doc, options):
@@ -111,31 +109,34 @@ def cmd_h(doc, options, degree):
 def cmd_b0(doc, options):
     group = parse_group(doc["group"] if "group" in doc else doc)
     mode = "conj" if options.subgroups == "conj" else "all"
-    return bogomolov_multiplier(group, subgroup_mode=mode)
+    return bogomolov_multiplier(group, subgroup_mode=mode, max_order=options.max_order)
 
 
 def cmd_brnr(doc, options, variant=None):
-    payload = parse_action_document(doc if "group" in doc else {"group": doc})
+    limit = options.max_order
+    payload = parse_action_document(doc if "group" in doc else {"group": doc}, limit)
     mode = "conj" if options.subgroups == "conj" else "all"
     action = payload.get("correlation") or payload.get("projective")
     if variant == "toric" or (variant is None and "toric" in payload):
         if "toric" not in payload:
             raise ValidationError("no toric block in the input document")
-        return br_nr_toric(payload["toric"], subgroup_mode=mode)
+        return br_nr_toric(payload["toric"], subgroup_mode=mode, max_order=limit)
     if variant == "flag" or (variant is None and "flag_r_list" in payload):
         if "flag_r_list" not in payload or action is None:
             raise ValidationError("flag computations need a flag block and an action")
-        return br_nr_flag(action, payload["flag_r_list"], subgroup_mode=mode)
+        return br_nr_flag(action, payload["flag_r_list"], subgroup_mode=mode,
+                          max_order=limit)
     if variant == "grassmannian" or (variant is None and "grassmannian_r" in payload):
         if "grassmannian_r" not in payload or action is None:
             raise ValidationError("grassmannian computations need the wedge degree")
-        return br_nr_grassmannian(action, payload["grassmannian_r"], subgroup_mode=mode)
+        return br_nr_grassmannian(action, payload["grassmannian_r"], subgroup_mode=mode,
+                                  max_order=limit)
     if variant == "projective" or (variant is None and action is not None):
         if action is None:
             raise ValidationError("no projective matrices in the input document")
-        return br_nr_projective(action, subgroup_mode=mode)
+        return br_nr_projective(action, subgroup_mode=mode, max_order=limit)
     if variant in (None, "linear"):
-        return br_nr_linear(payload["group"], subgroup_mode=mode)
+        return br_nr_linear(payload["group"], subgroup_mode=mode, max_order=limit)
     raise ValidationError(f"unknown brnr variant {variant!r}")
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 import numpy as np
 
@@ -84,9 +84,9 @@ class GModule:
                 bad = np.argwhere((prod != self.mats[t]).any(axis=(2, 3)))[0]
                 raise ValidationError("action is not a homomorphism",
                                       witness=(int(bad[0]), int(bad[1])))
-            dets = np.linalg.det(self.mats.astype(float))
-            if not np.allclose(np.abs(dets), 1.0):
-                raise ValidationError("lattice action matrices must be invertible over Z")
+            # No determinant test is needed: with M_0 = I and M_g M_h = M_gh
+            # checked exactly, M_g M_{g^-1} = I over Z, so every M_g is
+            # unimodular.
         else:
             f = np.array(self.factors, dtype=np.int64)
             diff = prod - self.mats[t]
@@ -210,9 +210,7 @@ class _BarH2Solver:
         self.factors = tuple(int(f) for f in factors)
         self.mats = mats  # (n, r, r) int64
         self.r = len(self.factors)
-        self.L = 1
-        for f in self.factors:
-            self.L = self.L * f // gcd(self.L, f)
+        self.L = lcm(*self.factors)
         n = group.order
         self.n = n
         self.gens = list(group.generators)
@@ -326,13 +324,7 @@ class _BarH1Solver:
         self.r = rank
         self.mats = mats
         self.factors = tuple(factors) if factors else None
-        if self.factors:
-            L = 1
-            for f in self.factors:
-                L = L * f // gcd(L, f)
-            self.L = L
-        else:
-            self.L = None
+        self.L = lcm(*self.factors) if self.factors else None
         self.n = group.order
         self.gens = list(group.generators)
         self.slots = len(self.gens) * rank
@@ -492,12 +484,18 @@ class CohomologyGroup:
         return tuple([0] * len(self.structure.invariant_factors))
 
 
-def _finite_limit_check(group, max_order):
+def _finite_limit_check(group, max_order, unknowns):
+    """Reject a finite-coefficient solve over the order limit; the witness
+    gives the bar-solver unknowns that the solve would have built."""
     limit = max_order or int(os.environ.get("BRQ_MAX_ORDER", DEFAULT_FINITE_LIMIT))
     if group.order > limit:
         raise SizeLimitError(
             f"group order {group.order} exceeds the finite-coefficient limit {limit}",
-            witness={"order": group.order, "unknowns": (group.order - 1) ** 2})
+            witness={"order": group.order, "unknowns": unknowns})
+
+
+def _h2_unknowns(group, rank):
+    return len(group.generators) * (group.order - 1) * rank
 
 
 def _trivial_cohomology(group, module, degree, modulus, denominator=1):
@@ -518,7 +516,7 @@ def h2(module, max_order=None, extra_image_tables=None, denominator=1):
     group = module.group
     if module.kind == "lattice":
         return _h2_lattice(module, max_order=max_order)
-    _finite_limit_check(group, max_order)
+    _finite_limit_check(group, max_order, _h2_unknowns(group, module.rank))
     if group.order == 1:
         return _trivial_cohomology(group, module, 2, 2, denominator=denominator)
     factors = module.factors
@@ -556,7 +554,7 @@ def h1(module, max_order=None):
         structure = subquotient_structure(solver.slots, None, solver.kernel_gens, image)
         modulus = None
     else:
-        _finite_limit_check(group, max_order)
+        _finite_limit_check(group, max_order, len(group.generators) * module.rank)
         factors = module.factors
         solver = _BarH1Solver(group, module.rank, module.mats, factors=factors)
         image = solver.coboundary_gens() + solver.gauge_gens()
@@ -572,13 +570,6 @@ def h1(module, max_order=None):
 
     return CohomologyGroup(group, module, 1, structure, solver, modulus,
                            rep_tables, reducer)
-
-
-def solver_l(factors):
-    out = 1
-    for f in factors:
-        out = out * f // gcd(out, f)
-    return out
 
 
 def connecting_bockstein(group, chi, modulus):
@@ -763,22 +754,25 @@ def _h2_lattice(module, max_order=None):
 _COHOMOLOGY_CACHE = {}
 
 
-def _cached(key, build):
+def _cached_h2_qz(group, modulus, max_order):
+    # The order limit is checked before the lookup, so a class computed
+    # under a higher limit is not handed to a caller with a lower one.
+    _finite_limit_check(group, max_order, _h2_unknowns(group, 1))
+    key = ("h2qz", group.cayley_key(), modulus)
     if key not in _COHOMOLOGY_CACHE:
-        _COHOMOLOGY_CACHE[key] = build()
+        _COHOMOLOGY_CACHE[key] = h2_qz(group, modulus, max_order=max_order)
     return _COHOMOLOGY_CACHE[key]
 
 
-def h2_qz_cached(group, modulus):
-    key = ("h2qz", group.cayley_key(), modulus)
-    return _cached(key, lambda: h2_qz(group, modulus))
+def h2_qz_cached(group, modulus, max_order=None):
+    """`h2_qz` through the process-wide cache."""
+    return _cached_h2_qz(group, modulus, max_order)
 
 
-def subgroup_h2_qz(sub, modulus):
+def subgroup_h2_qz(sub, modulus, max_order=None):
     """H^2 of a subgroup (relabelled) at the ambient modulus, with embedding."""
     grp, embed = sub.as_group()
-    key = ("h2qz", grp.cayley_key(), modulus)
-    return _cached(key, lambda: h2_qz(grp, modulus)), grp, embed
+    return _cached_h2_qz(grp, modulus, max_order), grp, embed
 
 
 def restrict_table(table, elements):
@@ -920,7 +914,7 @@ def small_complex_h(group, gen_pair, module, degree, qz_modulus=None):
     dim = sizes[degree] * r
 
     if factors is not None:
-        L = solver_l(factors) if module.kind == "finite" else factors[0]
+        L = lcm(*factors) if module.kind == "finite" else factors[0]
         full_factors = factors * sizes[degree] if module.kind == "finite" else [L] * dim
         scale = np.array([L // f for f in full_factors], dtype=np.int64)
         if dout is not None:

@@ -17,7 +17,7 @@ from math import gcd
 import numpy as np
 
 from .errors import DomainError, SizeLimitError, ValidationError
-from .linalg import smith_normal_form, _mat_inverse_exact
+from .linalg import invariant_presentation
 
 MAX_ORDER = 4096
 
@@ -587,14 +587,9 @@ def abelian_structure(s):
     for i, s_i in enumerate(gens):
         o = grp.element_order(s_i)
         rels.append([o if j == i else 0 for j in range(k)])
-    rel_cols = [list(c) for c in zip(*rels)]
-    u, d, _ = smith_normal_form(rel_cols)
-    u = u.to_lists()
-    dm = d.to_lists()
-    factors_all = [dm[i][i] if i < len(dm[0]) else 0 for i in range(k)]
+    factors_all, _, uinv = invariant_presentation([list(c) for c in zip(*rels)])
     if any(f == 0 for f in factors_all):
         raise DomainError("abelian structure relations are incomplete")
-    uinv = _mat_inverse_exact(u)
     factors, witnesses = [], []
     for i, f in enumerate(factors_all):
         if f <= 1:

@@ -107,12 +107,13 @@ def parse_module(group, doc):
     raise ValidationError(f"unknown module kind {kind!r}")
 
 
-def parse_action_document(doc):
+def parse_action_document(doc, max_order=None):
     """Full action document -> (group, payload dict).
 
     The payload may contain: 'projective' (a ProjectiveAction), 'correlation'
     (a CorrelationAction), 'toric' (a ToricAction), 'pic' (a GModule),
-    'grassmannian_r', 'flag_r_list', and 'flags'.
+    'grassmannian_r', 'flag_r_list', and 'flags'.  `max_order` is the
+    finite-coefficient order limit of the H^2 that checks a projective class.
     """
     group = parse_group(doc["group"])
     payload = {"group": group, "flags": dict(doc.get("flags", {}))}
@@ -131,7 +132,7 @@ def parse_action_document(doc):
         payload["correlation"] = correlation_action(group, coll, phi, witness)
     elif proj is not None:
         mats = _gen_by_position(group, proj.get("matrices", {}), parse_cyclo_matrix)
-        payload["projective"] = gamma_from_projective_action(group, mats)
+        payload["projective"] = gamma_from_projective_action(group, mats, max_order)
         if "dimension" in proj and payload["projective"].dimension != int(proj["dimension"]):
             raise ValidationError("declared dimension does not match the matrices")
     toric = doc.get("toric")

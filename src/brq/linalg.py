@@ -10,8 +10,7 @@ floating point anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 from .errors import ContainmentError, DomainError, ValidationError
 
@@ -119,23 +118,18 @@ def _identity(k):
     return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
 
 
-def _mat_mul(a, b):
-    if not a or not b:
-        return [[0] * (len(b[0]) if b else 0) for _ in a]
-    bw = len(b[0])
-    return [[sum(ra[k] * b[k][j] for k in range(len(ra))) for j in range(bw)] for ra in a]
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form
 
 
-def smith_normal_form(matrix):
-    """Smith normal form with transforms.
+def smith_transforms(matrix):
+    """Smith normal form core: (U, D, V, W) as lists of rows.
 
-    Returns (U, D, V) as IntMatrix with U*M*V = D, U and V unimodular, D
-    diagonal with d1 | d2 | ... >= 0.  Pivot choice: smallest nonzero
-    absolute value, ties broken row-major.
+    U*M*V = D with U and V unimodular and D diagonal with d1 | d2 | ... >= 0.
+    W = U^-1 is carried through the reduction: every row operation applied
+    to U is matched by the inverse column operation on W, so no inverse is
+    ever computed.  Pivot choice: smallest nonzero absolute value, ties
+    broken row-major.
     """
     if isinstance(matrix, IntMatrix):
         a = matrix.to_lists()
@@ -144,11 +138,14 @@ def smith_normal_form(matrix):
     m = len(a)
     n = len(a[0]) if a else 0
     u = _identity(m)
+    w = _identity(m)
     v = _identity(n)
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
         u[i], u[j] = u[j], u[i]
+        for r in w:
+            r[i], r[j] = r[j], r[i]
 
     def swap_cols(i, j):
         for r in a:
@@ -164,6 +161,9 @@ def smith_normal_form(matrix):
         ud, usr = u[dst], u[src]
         for k in range(m):
             ud[k] += q * usr[k]
+        # (I + q e_dst e_src^T)^-1 = I - q e_dst e_src^T, applied on the right
+        for r in w:
+            r[src] -= q * r[dst]
 
     def add_col(dst, src, q):
         for r in a:
@@ -174,6 +174,8 @@ def smith_normal_form(matrix):
     def negate_row(i):
         a[i] = [-x for x in a[i]]
         u[i] = [-x for x in u[i]]
+        for r in w:
+            r[i] = -r[i]
 
     def find_pivot(t):
         best = None
@@ -236,7 +238,31 @@ def smith_normal_form(matrix):
             negate_row(t)
         t += 1
 
-    return IntMatrix.from_rows(u), IntMatrix.from_rows(a), IntMatrix.from_rows(v)
+    return u, a, v, w
+
+
+def smith_normal_form(matrix):
+    """Smith normal form with transforms.
+
+    Returns (U, D, V) as IntMatrix with U*M*V = D, U and V unimodular, D
+    diagonal with d1 | d2 | ... >= 0.  U^-1 is carried through the same
+    reduction, not computed afterwards; `smith_transforms` returns it too.
+    """
+    u, d, v, _ = smith_transforms(matrix)
+    return IntMatrix.from_rows(u), IntMatrix.from_rows(d), IntMatrix.from_rows(v)
+
+
+def invariant_presentation(relation_cols):
+    """Invariant factors of Z^k / (column span of a k-row relation matrix).
+
+    Returns (factors, U, W): `factors` lists all k SNF diagonal entries
+    (0 for a free direction), U sends ambient coordinates to factor
+    coordinates and its inverse W sends factor generator i to column i.
+    """
+    k = len(relation_cols)
+    u, d, _, w = smith_transforms(relation_cols)
+    width = len(d[0]) if d else 0
+    return [d[i][i] if i < width else 0 for i in range(k)], u, w
 
 
 def invariant_factors_of(matrix):
@@ -250,35 +276,6 @@ def invariant_factors_of(matrix):
         elif x == 0:
             out.append(0)
     return out
-
-
-def _mat_inverse_exact(m):
-    """Inverse of a unimodular integer matrix via exact Gaussian elimination."""
-    k = len(m)
-    aug = [[Fraction(m[i][j]) for j in range(k)] + [Fraction(int(i == j)) for j in range(k)]
-           for i in range(k)]
-    for col in range(k):
-        piv = next((r for r in range(col, k) if aug[r][col] != 0), None)
-        if piv is None:
-            raise DomainError("matrix not invertible")
-        if piv != col:
-            aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(k):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    out = [[aug[i][k + j] for j in range(k)] for i in range(k)]
-    res = []
-    for row in out:
-        ints = []
-        for x in row:
-            if x.denominator != 1:
-                raise DomainError("matrix not unimodular")
-            ints.append(int(x))
-        res.append(ints)
-    return res
 
 
 # ---------------------------------------------------------------------------
@@ -581,37 +578,6 @@ def _trivial_structure():
     return AbelianStructure((), (), lambda v: ())
 
 
-class _ModReducer:
-    def __init__(self, kernel_basis, n, umat, factors_all, kept):
-        self.kernel_basis = kernel_basis
-        self.n = n
-        self.umat = umat
-        self.factors_all = factors_all
-        self.kept = kept
-
-    def __call__(self, vector):
-        c = howell_solve(self.kernel_basis, list(vector), self.n)
-        if c is None:
-            raise ContainmentError("vector not in the kernel span", witness=list(vector))
-        y = [sum(self.umat[i][j] * c[j] for j in range(len(c))) for i in range(len(self.umat))]
-        return tuple(y[i] % self.factors_all[i] for i in self.kept)
-
-
-class _IntReducer:
-    def __init__(self, kernel_basis, umat, factors_all, kept):
-        self.kernel_basis = kernel_basis
-        self.umat = umat
-        self.factors_all = factors_all
-        self.kept = kept
-
-    def __call__(self, vector):
-        c = hnf_solve(self.kernel_basis, list(vector))
-        if c is None:
-            raise ContainmentError("vector not in the kernel lattice", witness=list(vector))
-        y = [sum(self.umat[i][j] * c[j] for j in range(len(c))) for i in range(len(self.umat))]
-        return tuple(y[i] % self.factors_all[i] for i in self.kept)
-
-
 def subquotient_structure(ambient_dim, modulus, kernel_gens, image_gens):
     """Invariant factors of span(kernel_gens)/span(image_gens) with witnesses.
 
@@ -629,68 +595,44 @@ def subquotient_structure(ambient_dim, modulus, kernel_gens, image_gens):
         n = int(modulus)
         if n == 1:
             return _trivial_structure()
+        span = "kernel span"
         basis = howell_rows(kernel_gens, n)
-        if not basis:
-            for v in image_gens:
-                if any(x % n for x in v):
-                    raise ContainmentError("image generator outside kernel span", witness=v)
-            return _trivial_structure()
-        k = len(basis)
-        img_coords = []
-        for v in image_gens:
-            c = howell_solve(basis, v, n)
-            if c is None:
-                raise ContainmentError("image generator outside kernel span", witness=v)
-            img_coords.append(c)
-        # relation lattice in kernel coordinates: combinations that vanish
-        rel = [list(r) for r in kernel_mod(basis, n)]
-        rel += [[n if i == j else 0 for j in range(k)] for i in range(k)]
-        rel += img_coords
-        rel_cols = [list(c) for c in zip(*rel)]  # k x (#rel) relation matrix
-        u, d, _ = smith_normal_form(rel_cols)
-        u = u.to_lists()
-        dm = d.to_lists()
-        factors_all = [dm[i][i] if i < len(dm[0]) else 0 for i in range(k)]
-        if any(f == 0 for f in factors_all):
-            raise DomainError("subquotient is not finite")
-        kept = [i for i, f in enumerate(factors_all) if f > 1]
-        uinv = _mat_inverse_exact(u)
-        witnesses = []
-        for i in kept:
-            w = [0] * ambient_dim
-            for j in range(k):
-                cij = uinv[j][i]
-                if cij:
-                    w = [(x + cij * y) % n for x, y in zip(w, basis[j])]
-            witnesses.append(tuple(w))
-        reducer = _ModReducer(basis, n, u, factors_all, kept)
-        return AbelianStructure(tuple(factors_all[i] for i in kept), tuple(witnesses), reducer)
 
-    # integer ambient
-    basis = hnf_rows(kernel_gens) if kernel_gens else []
+        def solve_in_basis(v):
+            return howell_solve(basis, v, n)
+    else:
+        n = None
+        span = "kernel lattice"
+        basis = hnf_rows(kernel_gens) if kernel_gens else []
+
+        def solve_in_basis(v):
+            return hnf_solve(basis, v)
+
     if not basis:
         for v in image_gens:
-            if any(v):
-                raise ContainmentError("image generator outside kernel lattice", witness=v)
+            if any(x % n for x in v) if n else any(v):
+                raise ContainmentError(f"image generator outside {span}", witness=v)
         return _trivial_structure()
     k = len(basis)
     img_coords = []
     for v in image_gens:
-        c = hnf_solve(basis, v)
+        c = solve_in_basis(v)
         if c is None:
-            raise ContainmentError("image generator outside kernel lattice", witness=v)
+            raise ContainmentError(f"image generator outside {span}", witness=v)
         img_coords.append(c)
-    if not img_coords:
+    if n:
+        # relation lattice in kernel coordinates: combinations that vanish
+        rel = [list(r) for r in kernel_mod(basis, n)]
+        rel += [[n if i == j else 0 for j in range(k)] for i in range(k)]
+        rel += img_coords
+    elif img_coords:
+        rel = img_coords
+    else:
         raise DomainError("subquotient is not finite")
-    rel_cols = [list(c) for c in zip(*img_coords)]  # k x (#img)
-    u, d, _ = smith_normal_form(rel_cols)
-    u = u.to_lists()
-    dm = d.to_lists()
-    factors_all = [dm[i][i] if i < len(dm[0]) else 0 for i in range(k)]
+    factors_all, u, uinv = invariant_presentation([list(c) for c in zip(*rel)])
     if any(f == 0 for f in factors_all):
         raise DomainError("subquotient is not finite")
     kept = [i for i, f in enumerate(factors_all) if f > 1]
-    uinv = _mat_inverse_exact(u)
     witnesses = []
     for i in kept:
         w = [0] * ambient_dim
@@ -698,9 +640,40 @@ def subquotient_structure(ambient_dim, modulus, kernel_gens, image_gens):
             cij = uinv[j][i]
             if cij:
                 w = [x + cij * y for x, y in zip(w, basis[j])]
-        witnesses.append(tuple(w))
-    reducer = _IntReducer(basis, u, factors_all, kept)
-    return AbelianStructure(tuple(factors_all[i] for i in kept), tuple(witnesses), reducer)
+        witnesses.append(tuple(x % n for x in w) if n else tuple(w))
+    factor_rows = [(u[i], factors_all[i]) for i in kept]
+
+    def class_map(vector):
+        c = solve_in_basis(list(vector))
+        if c is None:
+            raise ContainmentError(f"vector not in the {span}", witness=list(vector))
+        return tuple(sum(x * y for x, y in zip(row, c)) % f for row, f in factor_rows)
+
+    return AbelianStructure(tuple(factors_all[i] for i in kept), tuple(witnesses), class_map)
+
+
+def _scaled_unit_structure(factors, relation_coord_vectors):
+    """Z/f_1 + ... + Z/f_k modulo relations, in canonical form.
+
+    The sum sits in (Z/lcm)^k as the span of the scaled units lcm/f_i;
+    witnesses and the class map use the unscaled factor coordinates.
+    """
+    k = len(factors)
+    if k == 0:
+        return _trivial_structure()
+    big = lcm(*factors)
+    scale = [big // f for f in factors]
+
+    def embed(coord_vec):
+        return [(s * int(x)) % big for s, x in zip(scale, coord_vec)]
+
+    units = [[s if i == j else 0 for j in range(k)] for i, s in enumerate(scale)]
+    inner = subquotient_structure(k, big, units, [embed(r) for r in relation_coord_vectors])
+    witnesses = tuple(tuple((x // s) % f for x, s, f in zip(w, scale, factors))
+                      for w in inner.witness_generators)
+    inner_map = inner.class_map
+    return AbelianStructure(inner.invariant_factors, witnesses,
+                            lambda coord_vec: inner_map(embed(coord_vec)))
 
 
 def quotient_of_structure(structure, relation_coord_vectors):
@@ -710,30 +683,7 @@ def quotient_of_structure(structure, relation_coord_vectors):
     Returns a new AbelianStructure whose ambient space is the old coordinate
     space (witnesses are coordinate vectors of the old structure).
     """
-    factors = list(structure.invariant_factors)
-    k = len(factors)
-    if k == 0:
-        return _trivial_structure()
-    big = 1
-    for f in factors:
-        big = big * f // gcd(big, f)
-    scaled_units = [[(big // factors[i]) if i == j else 0 for j in range(k)] for i in range(k)]
-    image = []
-    for rel in relation_coord_vectors:
-        image.append([((big // factors[i]) * int(rel[i])) % big for i in range(k)])
-    inner = subquotient_structure(k, big, scaled_units, image)
-
-    def unscale(vec):
-        return tuple((vec[i] // (big // factors[i])) % factors[i] for i in range(k))
-
-    witnesses = tuple(unscale(w) for w in inner.witness_generators)
-    inner_map = inner.class_map
-
-    def cmap(coord_vec):
-        scaled = [((big // factors[i]) * int(coord_vec[i])) % big for i in range(k)]
-        return inner_map(scaled)
-
-    return AbelianStructure(inner.invariant_factors, witnesses, cmap)
+    return _scaled_unit_structure(list(structure.invariant_factors), relation_coord_vectors)
 
 
 def direct_sum_structure(a, b):
@@ -741,24 +691,4 @@ def direct_sum_structure(a, b):
 
     Witnesses live in the concatenated coordinate space (len(a) + len(b)).
     """
-    factors = list(a.invariant_factors) + list(b.invariant_factors)
-    k = len(factors)
-    if k == 0:
-        return _trivial_structure()
-    big = 1
-    for f in factors:
-        big = big * f // gcd(big, f)
-    scaled_units = [[(big // factors[i]) if i == j else 0 for j in range(k)] for i in range(k)]
-    inner = subquotient_structure(k, big, scaled_units, [])
-
-    def unscale(vec):
-        return tuple((vec[i] // (big // factors[i])) % factors[i] for i in range(k))
-
-    witnesses = tuple(unscale(w) for w in inner.witness_generators)
-    inner_map = inner.class_map
-
-    def cmap(coord_vec):
-        scaled = [((big // factors[i]) * int(coord_vec[i])) % big for i in range(k)]
-        return inner_map(scaled)
-
-    return AbelianStructure(inner.invariant_factors, witnesses, cmap)
+    return _scaled_unit_structure(list(a.invariant_factors) + list(b.invariant_factors), [])

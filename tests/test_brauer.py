@@ -24,7 +24,7 @@ from brq.brauer import (
 )
 from brq.cohomology import GModule, h2_qz_cached
 from brq.cyclotomic import CycloMatrix, CycloNumber, plucker_vector
-from brq.errors import DomainError, UnsupportedCaseError, ValidationError
+from brq.errors import DomainError, SizeLimitError, UnsupportedCaseError, ValidationError
 from brq.groups import cyclic_group, from_permutation_generators
 
 
@@ -396,3 +396,12 @@ def test_report_rendering_deterministic():
     assert rep1.to_json() == rep2.to_json()
     assert rep1.to_text() == rep2.to_text()
     assert "unramified" in rep1.to_text()
+
+
+def test_max_order_is_checked_before_a_cache_hit():
+    g = from_permutation_generators(4, [[1, 0, 3, 2], [1, 2, 0, 3]])
+    h2_qz_cached(g, 12)
+    with pytest.raises(SizeLimitError) as info:
+        bogomolov_multiplier(g, max_order=8)
+    assert info.value.witness["order"] == 12
+    assert bogomolov_multiplier(g, max_order=12).unramified_group.invariant_factors == ()

@@ -107,3 +107,36 @@ def test_stamp_changes_output(tmp_path, capsys):
     assert main(["b0", path, "--stamp"]) == 0
     out = capsys.readouterr().out
     assert "generated at" in out
+
+
+A4 = {"kind": "permutation", "degree": 4, "generators": [[1, 0, 3, 2], [1, 2, 0, 3]]}
+PAULI = str(Path(__file__).resolve().parent.parent / "src" / "brq" / "fixtures" / "inputs"
+            / "pauli_brnr.json")
+
+
+@pytest.mark.parametrize("argv", [["b0"], ["brnr"], ["brnr", "linear"]])
+def test_max_order_limits_b0_and_brnr(tmp_path, capsys, argv):
+    path = write(tmp_path, "a4.json", {"group": A4})
+    assert main(argv + [path, "--json"]) == 0
+    capsys.readouterr()
+    assert main(argv + [path, "--json", "--max-order", "8"]) == 3
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "SizeLimitError"
+    # the bar solver for H^2 has generators x (|G| - 1) unknowns
+    assert err["witness"] == {"order": 12, "unknowns": 2 * 11}
+
+
+def test_max_order_limits_projective_brnr(capsys):
+    assert main(["brnr", PAULI, "--json", "--max-order", "2"]) == 3
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["witness"]["order"] == 4
+
+
+@pytest.mark.parametrize("matrix", [[[2]], [[0, 1], [2, 0]], [[1, 1], [0, 2]]])
+def test_non_unimodular_lattice_action_rejected(tmp_path, capsys, matrix):
+    doc = {"group": {"kind": "permutation", "degree": 2, "generators": [[1, 0]]},
+           "module": {"kind": "lattice", "rank": len(matrix), "action": {"0": matrix}}}
+    path = write(tmp_path, "lattice.json", doc)
+    assert main(["h1", path, "--json"]) in (2, 3)
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["witness"] is not None

@@ -7,6 +7,7 @@ from math import gcd, prod
 import pytest
 
 from brq.errors import ContainmentError, DomainError
+from brq.groups import abelian_structure, cyclic_group, direct_product, from_cayley_table
 from brq.linalg import (
     AbelianStructure,
     IntMatrix,
@@ -21,6 +22,7 @@ from brq.linalg import (
     kernel_mod_cols,
     quotient_of_structure,
     smith_normal_form,
+    smith_transforms,
     solve,
     subquotient_structure,
 )
@@ -293,3 +295,89 @@ def test_kernel_mod_cols_right_kernel():
     gens = kernel_mod_cols(rows, 4)
     got = span_set_mod(gens, 4, 2)
     assert got == {(0, 0), (2, 0), (0, 2), (2, 2)}
+
+
+def mul(a, b, cols):
+    """Product of an r x k and a k x cols matrix; empty shapes allowed."""
+    return [[sum(ra[t] * b[t][j] for t in range(len(b))) for j in range(cols)] for ra in a]
+
+
+def identity(k):
+    return [[int(i == j) for j in range(k)] for i in range(k)]
+
+
+def snf_cases(rng):
+    cases = [[], [[]], [[], [], []], [[0, 0, 0]], [[0], [0]], [[5]], [[0, 0], [0, 0]]]
+    for _ in range(60):
+        m, n = rng.randrange(1, 7), rng.randrange(1, 7)
+        cases.append([[rng.randrange(-30, 31) for _ in range(n)] for _ in range(m)])
+    for m, n in [(1, 5), (5, 1), (1, 1)]:
+        cases.append([[rng.randrange(-30, 31) for _ in range(n)] for _ in range(m)])
+    for _ in range(20):  # rank-deficient products of thin factors
+        m, n = rng.randrange(2, 7), rng.randrange(2, 7)
+        r = rng.randrange(1, min(m, n))
+        left = [[rng.randrange(-5, 6) for _ in range(r)] for _ in range(m)]
+        right = [[rng.randrange(-5, 6) for _ in range(n)] for _ in range(r)]
+        cases.append(mul(left, right, n))
+    return cases
+
+
+def test_snf_carries_inverse_transform():
+    rng = random.Random(20261018)
+    for rows in snf_cases(rng):
+        u, d, v, w = smith_transforms(rows)
+        m = len(rows)
+        n = len(rows[0]) if rows else 0
+        assert mul(mul(u, rows, n), v, n) == d
+        assert mul(u, w, m) == identity(m)
+        assert mul(w, u, m) == identity(m)
+        wrapped = smith_normal_form(IntMatrix.from_rows(rows))
+        assert [x.to_lists() for x in wrapped] == [u, d, v]
+
+
+def assert_witnesses_are_unit_classes(s):
+    k = len(s.invariant_factors)
+    for i, w in enumerate(s.witness_generators):
+        assert s.coords(list(w)) == tuple(int(j == i) for j in range(k))
+
+
+def test_subquotient_witnesses_map_to_unit_vectors_mod_n():
+    rng = random.Random(41)
+    for _ in range(40):
+        n = rng.choice([4, 6, 8, 12, 36, 96])
+        dim = rng.randrange(1, 5)
+        kgens = [[rng.randrange(n) for _ in range(dim)] for _ in range(rng.randrange(1, 5))]
+        mix = [[rng.randrange(n) for _ in kgens] for _ in range(rng.randrange(0, 3))]
+        igens = [[x % n for x in row] for row in mul(mix, kgens, dim)]
+        s = subquotient_structure(dim, n, kgens, igens)
+        assert_witnesses_are_unit_classes(s)
+        for v in igens:
+            assert not any(s.coords(v))
+
+
+def test_subquotient_witnesses_map_to_unit_vectors_over_z():
+    rng = random.Random(42)
+    for _ in range(40):
+        dim = rng.randrange(1, 4)
+        kgens = [[rng.randrange(-6, 7) for _ in range(dim)] for _ in range(dim)]
+        mix = [[rng.randrange(-4, 5) for _ in range(dim)] for _ in range(dim)]
+        if det(mix) == 0:
+            continue
+        igens = mul(mix, kgens, dim)  # same rank as kgens, so the quotient is finite
+        s = subquotient_structure(dim, None, kgens, igens)
+        assert_witnesses_are_unit_classes(s)
+        for v in igens:
+            assert not any(s.coords(v))
+
+
+def test_abelian_structure_witness_orders_on_relabelled_group():
+    g = direct_product(direct_product(cyclic_group(2), cyclic_group(4)), cyclic_group(8))
+    rng = random.Random(7)
+    perm = [0] + rng.sample(range(1, g.order), g.order - 1)
+    inv = {p: i for i, p in enumerate(perm)}
+    table = [[perm[g.table[inv[a]][inv[b]]] for b in range(g.order)] for a in range(g.order)]
+    h = from_cayley_table(table, [perm[x] for x in g.generators])
+    factors, witnesses = abelian_structure(h.subgroup(range(h.order)))
+    assert factors == [2, 4, 8]
+    assert [h.element_order(x) for x in witnesses] == factors
+    assert len(h.closure(witnesses)) == h.order

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Regenerate the stored expected outputs for the bundled input fixtures.
+"""Regenerate the stored expected output of every bundled input fixture
+(`src/brq/fixtures/inputs/*.json`, in sorted order).
 
 Run after any intentional change to report formats; the fixtures suite
 compares live output against these files byte-for-byte.
@@ -10,26 +11,19 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
 
 from brq.cli import run_document_for_fixture  # noqa: E402
 
-INPUTS = [
-    "klein4_b0.json",
-    "a4_h2.json",
-    "pauli_brnr.json",
-    "toric_s3.json",
-    "p3_klein_stack.json",
-    "gr24_correlation.json",
-]
+FIXTURES = SRC / "brq" / "fixtures"
 
 
 def main():
-    base = Path(__file__).resolve().parent.parent / "src" / "brq" / "fixtures"
-    (base / "expected").mkdir(exist_ok=True)
-    for name in INPUTS:
-        out = run_document_for_fixture(name)
-        dest = base / "expected" / name.replace(".json", ".out")
+    (FIXTURES / "expected").mkdir(exist_ok=True)
+    for path in sorted((FIXTURES / "inputs").glob("*.json")):
+        out = run_document_for_fixture(path.name)
+        dest = FIXTURES / "expected" / f"{path.stem}.out"
         dest.write_text(out, encoding="utf-8")
         print("wrote", dest.name, f"({len(out)} bytes)")
 
