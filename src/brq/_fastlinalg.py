@@ -19,10 +19,9 @@ _MAX_MODULUS = 1 << 20
 class HowellAccumulator:
     """Incrementally reduces a stream of rows mod N, keeping a small basis."""
 
-    def __init__(self, width, modulus):
+    def __init__(self, modulus):
         if modulus > _MAX_MODULUS:
             raise ValidationError(f"modulus {modulus} too large for the fast path")
-        self.width = width
         self.n = int(modulus)
         self.rows = {}  # pivot column -> np.int64 row
 
@@ -81,14 +80,6 @@ class HowellAccumulator:
         return howell_rows(rows, self.n)
 
 
-def reduce_rows_mod(rows_chunks, width, modulus):
-    """Canonical Howell form of all rows in the given chunks."""
-    acc = HowellAccumulator(width, modulus)
-    for chunk in rows_chunks:
-        acc.ingest(chunk)
-    return acc.canonical_rows()
-
-
 def kernel_mod_fast(rows, modulus):
     """Generators of the right kernel {x : M x = 0 over Z/N} (numpy path)."""
     if not rows:
@@ -96,7 +87,7 @@ def kernel_mod_fast(rows, modulus):
     mat = np.asarray(rows, dtype=np.int64)
     r, c = mat.shape
     aug = np.concatenate([mat.T, np.eye(c, dtype=np.int64)], axis=1)
-    acc = HowellAccumulator(r + c, modulus)
+    acc = HowellAccumulator(modulus)
     acc.ingest(aug)
     out = []
     for row in acc.canonical_rows():

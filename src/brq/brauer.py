@@ -35,7 +35,8 @@ from .errors import (
     ValidationError,
 )
 from .groups import Subgroup, bicyclic_subgroups
-from .linalg import direct_sum_structure, quotient_of_structure, subquotient_structure
+from ._fastlinalg import kernel_mod_fast
+from .linalg import _scaled_unit_structure, direct_sum_structure, subquotient_structure
 from .reports import BrauerReport
 
 
@@ -300,167 +301,132 @@ class ToricAction:
 # the kernel engine
 
 
-class _QZBlock:
-    def __init__(self, group, modulus, max_order=None):
-        self.coh = h2_qz_cached(group, modulus, max_order)
-        self.modulus = modulus
-        self.max_order = max_order
-        self.factors = list(self.coh.invariant_factors)
-        self._cache = {}
+class _Block:
+    """One coefficient block of the kernel engine.
 
-    def _sub_side(self, sub):
-        coh_a, _grp, embed = subgroup_h2_qz(sub, self.modulus, self.max_order)
+    `coh` is the parent H^2 and `sub_side(sub)` returns the subgroup's H^2
+    with the embedding of its elements into the parent; it is called once
+    per subgroup.
+    """
+
+    def __init__(self, coh, sub_side):
+        self.coh = coh
+        self.factors = list(coh.invariant_factors)
+        self._sub_side = sub_side
+        self._sides = {}
+
+    def _side(self, sub):
+        if sub.elements not in self._sides:
+            self._sides[sub.elements] = self._sub_side(sub)
+        return self._sides[sub.elements]
+
+    def restrict_class(self, sub, coords):
+        """Cocycle-level restriction of one class to the subgroup."""
+        coh_a, embed = self._side(sub)
+        return list(coh_a.reduce(restrict_table(self.coh.expand(coords), embed)))
+
+    def restrict(self, sub):
+        """(subgroup factors, restrictions of the unit classes)."""
+        k = len(self.factors)
+        cols = [self.restrict_class(sub, [int(i == j) for i in range(k)]) for j in range(k)]
+        return list(self._side(sub)[0].invariant_factors), cols
+
+
+def _qz_block(group, modulus, max_order):
+    def sub_side(sub):
+        coh_a, _grp, embed = subgroup_h2_qz(sub, modulus, max_order)
         return coh_a, embed
 
-    def restrict(self, sub):
-        """(subgroup factors, restriction matrix columns) for this block."""
-        key = sub.elements
-        if key not in self._cache:
-            coh_a, embed = self._sub_side(sub)
-            cols = []
-            for j in range(len(self.factors)):
-                coords = tuple(1 if i == j else 0 for i in range(len(self.factors)))
-                tab = restrict_table(self.coh.expand(coords), embed)
-                cols.append(list(coh_a.reduce(tab)))
-            self._cache[key] = (list(coh_a.invariant_factors), cols)
-        return self._cache[key]
-
-    def restrict_class(self, sub, coords):
-        """Direct cocycle-level restriction of one class (no matrix reuse)."""
-        coh_a, embed = self._sub_side(sub)
-        tab = restrict_table(self.coh.expand(coords), embed)
-        return list(coh_a.reduce(tab))
+    return _Block(h2_qz_cached(group, modulus, max_order), sub_side)
 
 
-class _LatticeBlock:
-    def __init__(self, module, max_order=None):
-        self.module = module
-        self.coh = h2(module, max_order=max_order)
-        self.factors = list(self.coh.invariant_factors)
-        self._sub_cache = {}
-        self._cache = {}
+def _lattice_block(module, max_order):
+    def sub_side(sub):
+        return h2(module.restricted(sub.elements), max_order=max_order), list(sub.elements)
 
-    def _sub_side(self, sub):
-        key = sub.elements
-        if key not in self._sub_cache:
-            restricted = self.module.restricted(sub.elements)
-            self._sub_cache[key] = (h2(restricted), list(sub.elements))
-        return self._sub_cache[key]
-
-    def restrict(self, sub):
-        key = sub.elements
-        if key not in self._cache:
-            coh_a, embed = self._sub_side(sub)
-            cols = []
-            for j in range(len(self.factors)):
-                coords = tuple(1 if i == j else 0 for i in range(len(self.factors)))
-                tab = restrict_table(self.coh.expand(coords), embed)
-                cols.append(list(coh_a.reduce(tab)))
-            self._cache[key] = (list(coh_a.invariant_factors), cols)
-        return self._cache[key]
-
-    def restrict_class(self, sub, coords):
-        coh_a, embed = self._sub_side(sub)
-        tab = restrict_table(self.coh.expand(coords), embed)
-        return list(coh_a.reduce(tab))
+    return _Block(h2(module, max_order=max_order), sub_side)
 
 
-def _stacked_kernel(blocks, subgroups, am_coords, modulus):
-    """Coordinates of classes whose restriction to every subgroup lies in
-    the span of the restricted relation classes.
-
-    Returns (kernel_gens, per_subgroup_data) where kernel_gens live in the
-    concatenated block coordinate space.
-    """
-    sizes = [len(b.factors) for b in blocks]
-    k = sum(sizes)
-    n_rel = len(am_coords)
-    rows = []
-    per_subgroup = []
-    for sub in subgroups:
-        sub_cols = [b.restrict(sub) for b in blocks]  # (a_factors, columns)
-        rel_res = []
-        for rel in am_coords:
-            parts = []
-            off = 0
-            for b in blocks:
-                parts.append(b.restrict_class(sub, tuple(rel[off:off + len(b.factors)])))
-                off += len(b.factors)
-            rel_res.append(parts)
-        per_subgroup.append((sub, sub_cols, rel_res))
-    # assemble rows: unknowns = k class coordinates + n_rel slacks per subgroup
-    total_cols = k + n_rel * len(subgroups)
-    for si, (sub, sub_cols, rel_res) in enumerate(per_subgroup):
-        col_base = 0
-        for bi, (b, (a_factors, cols)) in enumerate(zip(blocks, sub_cols)):
-            for i, d in enumerate(a_factors):
-                scale = modulus // d
-                row = [0] * total_cols
-                for j in range(len(b.factors)):
-                    row[col_base + j] = (scale * cols[j][i]) % modulus
-                for t in range(n_rel):
-                    row[k + si * n_rel + t] = (-scale * rel_res[t][bi][i]) % modulus
-                rows.append(row)
-            col_base += len(b.factors)
-    if rows:
-        from ._fastlinalg import kernel_mod_fast
-
-        sol = kernel_mod_fast(rows, modulus)
-    else:
-        sol = [[1 if i == j else 0 for j in range(total_cols)] for i in range(total_cols)]
-    kernel_gens = [list(v[:k]) for v in sol]
-    return kernel_gens, per_subgroup
-
-
-def _gauge(blocks):
-    out = []
-    off = 0
-    k = sum(len(b.factors) for b in blocks)
+def _restrict_direct(blocks, sub, vec):
+    """Restriction of a class, in concatenated coordinates, block by block."""
+    out, off = [], 0
     for b in blocks:
-        for i, d in enumerate(b.factors):
-            vec = [0] * k
-            vec[off + i] = d
-            out.append(vec)
+        out += b.restrict_class(sub, [int(x) for x in vec[off:off + len(b.factors)]])
         off += len(b.factors)
     return out
+
+
+def _restrictions(blocks, sub, am_coords):
+    """The subgroup's factors, the restriction of each unit class and the
+    restricted relations, all in the concatenated subgroup coordinates."""
+    parts = [b.restrict(sub) for b in blocks]
+    factors = [d for a_factors, _ in parts for d in a_factors]
+    cols, off = [], 0
+    for a_factors, b_cols in parts:
+        pad = len(factors) - off - len(a_factors)
+        cols += [[0] * off + c + [0] * pad for c in b_cols]
+        off += len(a_factors)
+    return factors, cols, [_restrict_direct(blocks, sub, rel) for rel in am_coords]
+
+
+def _kernel_gens(restricted, k, n_rel, modulus):
+    """Coordinates of the classes whose restriction to every subgroup lies
+    in the span of the restricted relations.
+
+    The unknowns are the k class coordinates and n_rel relation slacks per
+    subgroup; one row per subgroup invariant factor d, scaled by modulus/d.
+    """
+    total_cols = k + n_rel * len(restricted)
+    rows = []
+    for si, (factors, cols, rels) in enumerate(restricted):
+        for i, d in enumerate(factors):
+            scale = modulus // d
+            row = [(scale * cols[j][i]) % modulus for j in range(k)] + [0] * (total_cols - k)
+            for t in range(n_rel):
+                row[k + si * n_rel + t] = (-scale * rels[t][i]) % modulus
+            rows.append(row)
+    if not rows:
+        return [[int(i == j) for j in range(k)] for i in range(total_cols)]
+    return [list(v[:k]) for v in kernel_mod_fast(rows, modulus)]
+
+
+def _gauge(factors):
+    """The relations d * e_i that present each factor Z/d."""
+    return [[d if i == j else 0 for j in range(len(factors))] for i, d in enumerate(factors)]
 
 
 def _kernel_report(kind, group, blocks, am_coords, modulus, subgroup_mode="conj",
                    flags=None, notes=None):
     subs = bicyclic_subgroups(group, up_to_conjugacy=(subgroup_mode == "conj"))
-    k = sum(len(b.factors) for b in blocks)
-    units = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-    gauge = _gauge(blocks)
-    stack = subquotient_structure(k, modulus, units, gauge + [list(a) for a in am_coords])
-    kernel_gens, per_subgroup = _stacked_kernel(blocks, subs, am_coords, modulus)
-    unram = subquotient_structure(k, modulus, kernel_gens + gauge,
-                                  gauge + [list(a) for a in am_coords])
-    # diagnostics: which stack generators survive in each subgroup quotient
+    factors = [d for b in blocks for d in b.factors]
+    k = len(factors)
+    gauge = _gauge(factors)
+    relations = gauge + [list(a) for a in am_coords]
+    stack = subquotient_structure(k, modulus, _gauge([1] * k), relations)
+    restricted = [_restrictions(blocks, sub, am_coords) for sub in subs]
+    kernel_gens = _kernel_gens(restricted, k, len(am_coords), modulus)
+    unram = subquotient_structure(k, modulus, kernel_gens + gauge, relations)
+    # Diagnostics: which stack generators survive in each subgroup quotient.
+    # Soundness: every unramified witness, restricted directly and not
+    # through the columns or the kernel solver, vanishes there.
     diagnostics = []
     killer = {}
-    for sub, sub_cols, rel_res in per_subgroup:
+    for sub, (a_factors, cols, rels) in zip(subs, restricted):
         survivors = []
-        # quotient structure of the subgroup class space by the restricted relations
-        a_factors_all = []
-        for a_factors, _ in sub_cols:
-            a_factors_all.extend(a_factors)
-        rel_vectors = [sum((list(part) for part in parts), []) for parts in rel_res]
-        for wi, w in enumerate(stack.witness_generators):
-            res_parts = []
-            off = 0
-            for b, (a_factors, cols) in zip(blocks, sub_cols):
-                acc = [0] * len(a_factors)
-                for j in range(len(b.factors)):
-                    c = int(w[off + j])
-                    if c:
-                        for i in range(len(a_factors)):
-                            acc[i] += c * cols[j][i]
-                res_parts.extend(x % d for x, d in zip(acc, a_factors))
-                off += len(b.factors)
-            survives = _nonzero_mod_relations(res_parts, a_factors_all, rel_vectors)
-            survivors.append(survives)
-            if survives and wi not in killer:
-                killer[wi] = sub.elements
+        if stack.witness_generators:  # else the unramified group is zero too
+            quotient = _scaled_unit_structure(a_factors, rels)
+            for wi, w in enumerate(stack.witness_generators):
+                res = [sum(int(w[j]) * cols[j][i] for j in range(k)) % d
+                       for i, d in enumerate(a_factors)]
+                survives = any(quotient.coords(res))
+                survivors.append(survives)
+                if survives and wi not in killer:
+                    killer[wi] = sub.elements
+            for w in unram.witness_generators:
+                if any(quotient.coords(_restrict_direct(blocks, sub, w))):
+                    raise DomainError(
+                        "internal soundness failure: witness does not vanish on a subgroup",
+                        witness={"subgroup": list(sub.elements)})
         diagnostics.append({
             "elements": list(sub.elements),
             "order": sub.order,
@@ -474,7 +440,8 @@ def _kernel_report(kind, group, blocks, am_coords, modulus, subgroup_mode="conj"
     notes = list(notes or [])
     for wi, els in sorted(killer.items()):
         notes.append(f"stack generator {wi} first obstructed on subgroup {list(els)}")
-    report = BrauerReport(
+    notes.append("witness restrictions re-verified directly on every enumerated subgroup")
+    return BrauerReport(
         kind=kind,
         group_order=group.order,
         modulus=modulus,
@@ -487,59 +454,6 @@ def _kernel_report(kind, group, blocks, am_coords, modulus, subgroup_mode="conj"
         witnesses={"unramified": [list(map(int, w)) for w in unram.witness_generators],
                    "stack": [list(map(int, w)) for w in stack.witness_generators]},
     )
-    _check_report_soundness(report, blocks, subs, am_coords, unram)
-    return report
-
-
-def _nonzero_mod_relations(coords, factors, rel_vectors):
-    """True when coords is nonzero in the quotient by the relation span."""
-    if not factors:
-        return False
-    big = lcm(*factors)
-    base = subquotient_structure(
-        len(factors), big,
-        [[(big // f) if i == j else 0 for j in range(len(factors))]
-         for i, f in enumerate(factors)], [])
-    quot = quotient_of_structure(base, [tuple(int(x) % f for x, f in zip(rv, factors))
-                                        for rv in rel_vectors])
-    reduced = quot.coords(tuple(int(x) % f for x, f in zip(coords, factors)))
-    return any(reduced)
-
-
-def _check_report_soundness(report, blocks, subs, am_coords, unram):
-    """Re-check, directly and not through the kernel solver, that every
-    unramified witness restricts into the relation span on every subgroup."""
-    rel_cache = {}
-    for w in unram.witness_generators:
-        for sub in subs:
-            off = 0
-            res_parts = []
-            factors_all = []
-            for b in blocks:
-                coords = tuple(int(x) for x in w[off:off + len(b.factors)])
-                res_parts.extend(b.restrict_class(sub, coords))
-                a_factors, _ = b.restrict(sub)
-                factors_all.extend(a_factors)
-                off += len(b.factors)
-            key = sub.elements
-            if key not in rel_cache:
-                rels = []
-                for rel in am_coords:
-                    off2 = 0
-                    parts = []
-                    for b in blocks:
-                        parts.extend(b.restrict_class(
-                            sub, tuple(rel[off2:off2 + len(b.factors)])))
-                        off2 += len(b.factors)
-                    rels.append(parts)
-                rel_cache[key] = rels
-            ok = not _nonzero_mod_relations(res_parts, factors_all, rel_cache[key])
-            if not ok:
-                raise DomainError(
-                    "internal soundness failure: witness does not vanish on a subgroup",
-                    witness={"subgroup": list(sub.elements)})
-    report.notes.append("witness restrictions re-verified directly on every "
-                        "enumerated subgroup")
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +464,7 @@ def bogomolov_multiplier(group, subgroup_mode="conj", max_order=None):
     """Kernel of H^2(G, Q/Z) -> product of H^2 over bicyclic subgroups."""
     n = group.order
     modulus = n if n > 1 else 2
-    block = _QZBlock(group, modulus, max_order)
+    block = _qz_block(group, modulus, max_order)
     return _kernel_report("bogomolov_multiplier", group, [block], [], modulus,
                           subgroup_mode=subgroup_mode)
 
@@ -566,18 +480,15 @@ def br_nr_linear(group, subgroup_mode="conj", max_order=None):
 def br_stack_quotient(group, coh, am_coords):
     """H^2(G)/<relations> with induced witnesses."""
     k = len(coh.invariant_factors)
-    units = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-    gauge = [[coh.invariant_factors[i] if i == j else 0 for j in range(k)]
-             for i in range(k)]
-    return subquotient_structure(k, coh.modulus, units,
-                                 gauge + [list(a) for a in am_coords])
+    return subquotient_structure(k, coh.modulus, _gauge([1] * k),
+                                 _gauge(coh.invariant_factors) + [list(a) for a in am_coords])
 
 
 def br_nr_projective(action, subgroup_mode="conj", max_order=None):
     """Unramified Brauer group of a faithful action on projective space."""
     group = action.group
     modulus = lcm(max(group.order, 2), action.cocycle_denominator())
-    block = _QZBlock(group, modulus, max_order)
+    block = _qz_block(group, modulus, max_order)
     gamma = list(action.gamma_coords(modulus, max_order))
     return _kernel_report("br_nr_projective", group, [block], [gamma], modulus,
                           subgroup_mode=subgroup_mode,
@@ -601,7 +512,7 @@ def br_nr_grassmannian(action, r, subgroup_mode="conj", max_order=None):
         gamma = action.gamma_coords(modulus, max_order)
         beta = [(r * c) % f for c, f in zip(gamma, coh.invariant_factors)]
         note = f"collineation class: {r} times gamma = {beta}"
-    block = _QZBlock(group, modulus, max_order)
+    block = _qz_block(group, modulus, max_order)
     return _kernel_report("br_nr_grassmannian", group, [block], [beta], modulus,
                           subgroup_mode=subgroup_mode, notes=[note])
 
@@ -630,7 +541,7 @@ def br_nr_flag(action, r_list, subgroup_mode="conj", max_order=None):
         gamma = action.gamma_coords(modulus, max_order)
         am = [[(q * c) % f for c, f in zip(gamma, coh.invariant_factors)]]
         notes = [f"collineation flag relation: q={q} times gamma"]
-        block = _QZBlock(group, modulus, max_order)
+        block = _qz_block(group, modulus, max_order)
         return _kernel_report("br_nr_flag", group, [block], am, modulus,
                               subgroup_mode=subgroup_mode, notes=notes)
     # correlations: symmetry condition and the corestriction relation
@@ -668,7 +579,7 @@ def br_nr_flag(action, r_list, subgroup_mode="conj", max_order=None):
         beta = list(beta_action.gamma_coords(modulus, max_order))
         am.append(beta)
         notes.append(f"middle Plucker class coordinates {beta}")
-    block = _QZBlock(group, modulus, max_order)
+    block = _qz_block(group, modulus, max_order)
     return _kernel_report("br_nr_flag", group, [block], am, modulus,
                           subgroup_mode=subgroup_mode, notes=notes)
 
@@ -681,37 +592,38 @@ def br_nr_toric(action, subgroup_mode="conj", max_order=None):
     if group.order > limit:
         raise SizeLimitError(f"toric computations are limited to group order {limit}")
     modulus = max(group.order, 2)
-    qz_block = _QZBlock(group, modulus, max_order)
-    lat_block = _LatticeBlock(action.lattice, max_order)
+    qz_block = _qz_block(group, modulus, max_order)
+    lat_block = _lattice_block(action.lattice, max_order)
     report = _kernel_report("br_nr_toric", group, [qz_block, lat_block], [],
                             modulus, subgroup_mode=subgroup_mode)
     report.flags["lattice_rank"] = action.lattice.rank
     return report
 
 
-def br_stack_fixed_point(group, pic_module, has_fixed_point):
+def br_stack_fixed_point(group, pic_module, has_fixed_point, max_order=None):
     """Brauer group of the quotient stack when the action has a fixed point:
     the direct sum of H^2(G, Q/Z) and H^1(G, Pic) in canonical form.
 
     The geometric hypothesis is caller-supplied; the non-split case without
     a fixed point is rejected rather than guessed.
     """
-    return direct_sum_structure(*_fixed_point_parts(group, pic_module, has_fixed_point))
+    return direct_sum_structure(
+        *_fixed_point_parts(group, pic_module, has_fixed_point, max_order))
 
 
-def _fixed_point_parts(group, pic_module, has_fixed_point):
+def _fixed_point_parts(group, pic_module, has_fixed_point, max_order=None):
     """The summands H^2(G, Q/Z) and H^1(G, Pic) of the fixed-point case."""
     if not has_fixed_point:
         raise UnsupportedCaseError(
             "only the fixed-point case is computable; supply has_fixed_point=True "
             "when the geometric hypothesis holds")
-    qz = h2_qz_cached(group, max(group.order, 2))
-    return qz.structure, h1(pic_module).structure
+    qz = h2_qz_cached(group, max(group.order, 2), max_order)
+    return qz.structure, h1(pic_module, max_order).structure
 
 
-def stack_fixed_point_report(group, pic_module, has_fixed_point):
+def stack_fixed_point_report(group, pic_module, has_fixed_point, max_order=None):
     """Report wrapper around `br_stack_fixed_point` for the CLI."""
-    h2_part, pic_part = _fixed_point_parts(group, pic_module, has_fixed_point)
+    h2_part, pic_part = _fixed_point_parts(group, pic_module, has_fixed_point, max_order)
     total = direct_sum_structure(h2_part, pic_part)
     return BrauerReport(
         kind="br_stack_fixed_point",

@@ -13,6 +13,7 @@ import json
 import sys
 import time
 from importlib import resources
+from math import lcm
 
 from .brauer import (
     bogomolov_multiplier,
@@ -141,14 +142,15 @@ def cmd_brnr(doc, options, variant=None):
 
 
 def cmd_stack(doc, options):
-    payload = parse_action_document(doc if "group" in doc else {"group": doc})
+    limit = options.max_order
+    payload = parse_action_document(doc if "group" in doc else {"group": doc}, limit)
     group = payload["group"]
     if payload["flags"].get("fixed_point"):
         if "pic" not in payload:
             raise ValidationError("fixed-point stack computations need a pic module")
         return stack_fixed_point_report(group, payload["pic"],
-                                        payload["flags"]["fixed_point"])
-    coh = h2_qz_cached(group, max(group.order, 2))
+                                        payload["flags"]["fixed_point"], max_order=limit)
+    coh = h2_qz_cached(group, max(group.order, 2), limit)
     am = []
     note = "no relations: the stack group is all of H2(G)"
     if "projective" in payload:
@@ -156,11 +158,9 @@ def cmd_stack(doc, options):
         modulus = coh.modulus
         d = act.cocycle_denominator()
         if modulus % d:
-            from math import gcd
-
-            modulus = modulus * d // gcd(modulus, d)
-            coh = h2_qz_cached(group, modulus)
-        am = [list(act.gamma_coords(modulus))]
+            modulus = lcm(modulus, d)
+            coh = h2_qz_cached(group, modulus, limit)
+        am = [list(act.gamma_coords(modulus, limit))]
         note = f"relation: projective class {am[0]}"
     structure = br_stack_quotient(group, coh, am)
     return BrauerReport(
@@ -224,8 +224,6 @@ def build_parser():
                         help="include a timestamp (off by default for reproducibility)")
     parser.add_argument("--max-order", type=int, default=None,
                         help="override the computation size limit")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker threads for verify (default BRQ_JOBS or 1)")
     return parser
 
 
@@ -241,7 +239,7 @@ def main(argv=None):
             names = list(SUITES) if suite == "all" else [suite]
             failed = 0
             for name in names:
-                _, bad = run_suite(name, out=sys.stdout, jobs=options.jobs)
+                _, bad = run_suite(name, out=sys.stdout)
                 failed += bad
             return 1 if failed else 0
         variant = None

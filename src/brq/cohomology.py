@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 
 import numpy as np
@@ -29,7 +28,6 @@ from .errors import DomainError, SizeLimitError, ValidationError
 from .groups import FiniteGroup, Subgroup, coset_representatives, homs_to_cyclic
 from .linalg import (
     AbelianStructure,
-    howell_rows,
     howell_solve,
     kernel_int_cols,
     quotient_of_structure,
@@ -187,9 +185,6 @@ class Cochain2:
     def as_array(self):
         return np.asarray(self.values, dtype=np.int64)
 
-    def fraction_value(self, g, h):
-        return Fraction(int(self.values[g][h][0]), self.denominator)
-
 
 def _to_value_array(table, n, r):
     arr = np.asarray(table, dtype=np.int64)
@@ -239,7 +234,7 @@ class _BarH2Solver:
             w[g] = (acted + w[p][t[x]] - w[p, x][None, :, :]) % L
         self.w = w
         scale = np.array([L // f for f in self.factors], dtype=np.int64)
-        acc = HowellAccumulator(U, L)
+        acc = HowellAccumulator(L)
         for s in self.gens:
             acted = np.einsum("ij,hkjl->hkil", mats[s], w[1:, 1:]) % L
             f = acted + w[s][t[1:, 1:]] - w[t[s, 1:]][:, 1:] - w[s, 1:][:, None]
@@ -360,7 +355,7 @@ class _BarH1Solver:
         if self.L:
             scale = np.array([self.L // f for f in self.factors], dtype=np.int64)
             big = (big.reshape(-1, r, U) * scale[None, :, None]).reshape(-1, U) % self.L
-            acc = HowellAccumulator(U, self.L)
+            acc = HowellAccumulator(self.L)
             acc.ingest(big)
             self.constraints = acc.canonical_rows()
             self.kernel_gens = kernel_mod_fast(self.constraints, self.L) if self.constraints \
@@ -479,9 +474,6 @@ class CohomologyGroup:
         if self.modulus:
             out %= self.modulus
         return out
-
-    def zero(self):
-        return tuple([0] * len(self.structure.invariant_factors))
 
 
 def _finite_limit_check(group, max_order, unknowns):
@@ -687,7 +679,7 @@ class _LatticeH2Engine:
         mat = np.stack(rows, axis=0)
         nrows = mat.shape[0]
         aug = np.concatenate([mat.T % L2, np.eye(cols, dtype=np.int64)], axis=1)
-        acc = HowellAccumulator(nrows + cols, L2)
+        acc = HowellAccumulator(L2)
         acc.ingest(aug)
         pairs = []
         for row in acc.canonical_rows():
@@ -834,10 +826,6 @@ def corestrict_qz_class(sub_coh, coords, sub, parent_coh):
 # small cyclic / bicyclic complexes (independent oracle)
 
 
-def _module_endomorphism(mats, element, r):
-    return np.asarray(mats[element], dtype=np.int64)
-
-
 def small_complex_h(group, gen_pair, module, degree, qz_modulus=None):
     """Cohomology of the small complex of a cyclic or bicyclic group.
 
@@ -883,7 +871,7 @@ def small_complex_h(group, gen_pair, module, degree, qz_modulus=None):
     eye = np.eye(r, dtype=np.int64)
     deltas, norms = [], []
     for g, o in zip(gens, orders):
-        a = _module_endomorphism(mats, g, r)
+        a = np.asarray(mats[g], dtype=np.int64)
         deltas.append(a - eye)
         acc = np.zeros((r, r), dtype=np.int64)
         p = eye.copy()

@@ -227,10 +227,6 @@ class Subgroup:
         grp = FiniteGroup(table, _validated=True)
         return grp, list(self.elements)
 
-    def conjugate_by(self, g):
-        p = self.parent
-        return Subgroup(p, tuple(sorted(p.conj(g, a) for a in self.elements)))
-
     def is_abelian(self):
         t = self.parent.table
         for a in self.elements:

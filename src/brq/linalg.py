@@ -290,7 +290,6 @@ def hnf_rows(rows):
     """
     rows = [[int(x) for x in r] for r in rows]
     basis = {}  # pivot col -> row (list)
-    width = len(rows[0]) if rows else 0
 
     def insert(vec):
         vec = list(vec)
@@ -324,7 +323,6 @@ def hnf_rows(rows):
             if f:
                 row = [x - f * y for x, y in zip(row, basis[p])]
         basis[q] = row
-    del width
     return [basis[p] for p in pivots]
 
 

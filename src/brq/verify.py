@@ -1,18 +1,14 @@
 """Bundled verification suites.
 
 Each suite is a deterministic list of named cases; the runner executes
-them (optionally on a thread pool sized by BRQ_JOBS, results collected in
-submission order so output bytes are identical for any worker count) and
-reports one line per case.
+them one after another in list order and reports one line per case.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from math import gcd
 
@@ -682,35 +678,21 @@ def get_suite(name):
     return builders[name]()
 
 
-def run_suite(name, out=None, jobs=None):
-    """Run one suite; returns (passed, failed). Output is deterministic for
-    any worker count because results are collected in submission order."""
+def run_suite(name, out=None):
+    """Run one suite in case order; returns (passed, failed)."""
     import sys
 
     out = out or sys.stdout
-    cases = get_suite(name)
-    jobs = jobs or int(os.environ.get("BRQ_JOBS", "1"))
-
-    def run_one(case):
-        cname, fn = case
+    passed = failed = 0
+    for cname, fn in get_suite(name):
         try:
             ok, detail = fn()
         except BrqError as err:
             ok, detail = False, f"error: {err}"
-        return cname, ok, detail
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_one, cases))
-    else:
-        results = [run_one(c) for c in cases]
-    passed = failed = 0
-    for cname, ok, detail in results:
-        status = "PASS" if ok else "FAIL"
         if ok:
             passed += 1
         else:
             failed += 1
-        out.write(f"{status} {name}/{cname}: {detail}\n")
+        out.write(f"{'PASS' if ok else 'FAIL'} {name}/{cname}: {detail}\n")
     out.write(f"suite {name}: {passed} passed, {failed} failed\n")
     return passed, failed

@@ -344,6 +344,18 @@ def _toric_from_matrices(int_mats):
     return grp, module
 
 
+def test_br_nr_toric_passes_max_order_to_the_subgroups():
+    # C6 x C6 on Z^4: an order-6 rotation on each plane; order 36 is above
+    # the default lattice limit, so every subgroup solve needs the raised one
+    rot = [[0, -1], [1, 1]]
+    a = [rot[0] + [0, 0], rot[1] + [0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    b = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0] + rot[0], [0, 0] + rot[1]]
+    grp, module = _toric_from_matrices([a, b])
+    assert grp.order == 36
+    rep = br_nr_toric(ToricAction(grp, module), max_order=36)
+    assert rep.unramified_group.invariant_factors == ()
+
+
 def test_br_nr_toric_s3_standard_lattice():
     s3 = corpus.symmetric(3)
     # standard 2-dimensional lattice: permutation action on x+y+z = 0

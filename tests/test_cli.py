@@ -132,6 +132,15 @@ def test_max_order_limits_projective_brnr(capsys):
     assert err["witness"]["order"] == 4
 
 
+def test_max_order_limits_stack(capsys):
+    stack = str(Path(PAULI).parent / "p3_klein_stack.json")
+    assert main(["stack", stack, "--json", "--max-order", "2"]) == 3
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "SizeLimitError"
+    assert err["witness"]["order"] == 4
+    assert main(["stack", stack, "--json", "--max-order", "4"]) == 0
+
+
 @pytest.mark.parametrize("matrix", [[[2]], [[0, 1], [2, 0]], [[1, 1], [0, 2]]])
 def test_non_unimodular_lattice_action_rejected(tmp_path, capsys, matrix):
     doc = {"group": {"kind": "permutation", "degree": 2, "generators": [[1, 0]]},

@@ -12,6 +12,7 @@ from brq.linalg import (
     AbelianStructure,
     IntMatrix,
     ModMatrix,
+    _scaled_unit_structure,
     direct_sum_structure,
     hnf_rows,
     howell_form,
@@ -381,3 +382,16 @@ def test_abelian_structure_witness_orders_on_relabelled_group():
     assert factors == [2, 4, 8]
     assert [h.element_order(x) for x in witnesses] == factors
     assert len(h.closure(witnesses)) == h.order
+
+
+@pytest.mark.parametrize("factors, vec", [([4, 2], (2, 0)), ([2, 3], (0, 1))])
+def test_scaled_unit_structure_reads_factor_coordinates(factors, vec):
+    # factor lists that are not in invariant-factor form
+    assert any(_scaled_unit_structure(factors, []).coords(vec))
+
+
+def test_scaled_unit_structure_quotient_by_a_relation():
+    quotient = _scaled_unit_structure([4, 2], [(2, 0)])
+    assert quotient.invariant_factors == (2, 2)
+    assert not any(quotient.coords((2, 0)))
+    assert any(quotient.coords((1, 0)))
