@@ -5,6 +5,7 @@ actions, and unramified Brauer groups of linear, projective, Grassmannian,
 flag, and toric quotient constructions, all in exact arithmetic.
 """
 
+from . import _fastlinalg  # noqa: F401  (loaded for bench/layers.py)
 from .brauer import (
     CorrelationAction,
     ProjectiveAction,

@@ -35,8 +35,7 @@ from .errors import (
     ValidationError,
 )
 from .groups import Subgroup, bicyclic_subgroups
-from ._fastlinalg import kernel_mod_fast
-from .linalg import _scaled_unit_structure, direct_sum_structure, subquotient_structure
+from .linalg import _scaled_unit_structure, direct_sum_structure, kernel, subquotient_structure
 from .reports import BrauerReport
 
 
@@ -385,9 +384,7 @@ def _kernel_gens(restricted, k, n_rel, modulus):
             for t in range(n_rel):
                 row[k + si * n_rel + t] = (-scale * rels[t][i]) % modulus
             rows.append(row)
-    if not rows:
-        return [[int(i == j) for j in range(k)] for i in range(total_cols)]
-    return [list(v[:k]) for v in kernel_mod_fast(rows, modulus)]
+    return [v[:k] for v in kernel(rows, modulus, total_cols)]
 
 
 def _gauge(factors):

@@ -2,8 +2,10 @@
 
 Verbs: group-info, h1, h2, b0, brnr, stack, verify.  Input is a single
 JSON document (group plus optional action blocks).  Reports go to stdout;
-domain and validation problems exit 2, size limits exit 3.  Output is
-byte-deterministic unless --stamp is given.
+domain and validation problems exit 2, size limits exit 3: a group order
+above the limit (--max-order), or module factors whose lcm exceeds the
+int64 modulus limit 2^20.  Output is byte-deterministic unless --stamp is
+given.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ def cmd_group_info(doc, options):
 def cmd_h(doc, options, degree):
     group = parse_group(doc["group"] if "group" in doc else doc)
     module_doc = doc.get("module", {"kind": "trivial_qz"})
-    if module_doc.get("kind") == "trivial_qz":
+    if isinstance(module_doc, dict) and module_doc.get("kind") == "trivial_qz":
         if degree == 2:
             coh = h2_qz(group, max_order=options.max_order)
         else:

@@ -16,20 +16,22 @@ by-N exact sequence, which reduces them to two degree-one computations.
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass
-from math import lcm
+from math import lcm, prod
 
 import numpy as np
 
 from . import linalg
-from ._fastlinalg import HowellAccumulator, kernel_mod_fast
 from .errors import DomainError, SizeLimitError, ValidationError
 from .groups import FiniteGroup, Subgroup, coset_representatives, homs_to_cyclic
 from .linalg import (
     AbelianStructure,
+    HowellAccumulator,
+    augmented_echelon,
     howell_solve,
-    kernel_int_cols,
+    kernel,
     quotient_of_structure,
     subquotient_structure,
 )
@@ -58,8 +60,9 @@ class GModule:
         self.kind = kind
         if kind == "trivial_qz" and factors is None:
             factors = [group.order if group.order > 0 else 1]
-        self.factors = tuple(int(f) for f in factors) if factors is not None else None
-        self.rank = int(rank) if rank is not None else (len(self.factors) if self.factors else 1)
+        self.factors = _checked_factors(factors) if factors is not None else None
+        self.rank = _positive_int("rank", rank) if rank is not None else \
+            (len(self.factors) if self.factors else 1)
         n = group.order
         r = self.rank
         if element_mats is None:
@@ -76,10 +79,10 @@ class GModule:
         if not np.array_equal(self.mats[0], np.eye(r, dtype=np.int64)):
             raise ValidationError("identity must act as the identity matrix")
         t = self.group._np_table
-        prod = np.einsum("aij,bjk->abik", self.mats, self.mats)
+        products = np.einsum("aij,bjk->abik", self.mats, self.mats)
         if self.kind == "lattice":
-            if not np.array_equal(prod, self.mats[t]):
-                bad = np.argwhere((prod != self.mats[t]).any(axis=(2, 3)))[0]
+            if not np.array_equal(products, self.mats[t]):
+                bad = np.argwhere((products != self.mats[t]).any(axis=(2, 3)))[0]
                 raise ValidationError("action is not a homomorphism",
                                       witness=(int(bad[0]), int(bad[1])))
             # No determinant test is needed: with M_0 = I and M_g M_h = M_gh
@@ -87,7 +90,7 @@ class GModule:
             # unimodular.
         else:
             f = np.array(self.factors, dtype=np.int64)
-            diff = prod - self.mats[t]
+            diff = products - self.mats[t]
             if (diff % f[None, None, :, None]).any():
                 bad = np.argwhere((diff % f[None, None, :, None]).any(axis=(2, 3)))[0]
                 raise ValidationError("action is not a homomorphism",
@@ -107,11 +110,13 @@ class GModule:
 
     @classmethod
     def finite(cls, group, factors, gen_mats=None):
+        factors = _checked_factors(factors)
         mats = _element_mats_from_gens(group, len(factors), gen_mats)
         return cls(group, "finite", factors=factors, element_mats=mats)
 
     @classmethod
     def lattice(cls, group, rank, gen_mats=None):
+        rank = _positive_int("rank", rank)
         mats = _element_mats_from_gens(group, rank, gen_mats)
         return cls(group, "lattice", rank=rank, element_mats=mats)
 
@@ -135,11 +140,40 @@ class GModule:
         return self._key
 
 
+def _positive_int(field, value, index=None):
+    """`value` as an int >= 1; otherwise a ValidationError whose witness
+    names the field, the index within it and the value."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1:
+        return int(value)
+    where = {"field": field} if index is None else {"field": field, "index": index}
+    raise ValidationError(f"{field} must be a positive integer", witness={**where, "value": value})
+
+
+def _checked_factors(factors):
+    """Cyclic factor orders as a tuple of ints >= 1 whose lcm the int64
+    Howell engine can take as its modulus."""
+    if not isinstance(factors, (list, tuple)) or not factors:
+        raise ValidationError("factors must be a nonempty list of positive integers",
+                              witness={"field": "factors", "value": factors})
+    out = tuple(_positive_int("factors", f, i) for i, f in enumerate(factors))
+    linalg.check_int64_modulus(lcm(*out))
+    return out
+
+
 def _element_mats_from_gens(group, rank, gen_mats):
     n = group.order
     mats = np.zeros((n, rank, rank), dtype=np.int64)
     mats[0] = np.eye(rank, dtype=np.int64)
-    given = {int(g): np.asarray(m, dtype=np.int64) for g, m in dict(gen_mats or {}).items()}
+    given = {}
+    for g, m in dict(gen_mats or {}).items():
+        try:
+            arr = np.asarray(m)
+        except ValueError:  # ragged rows
+            arr = np.asarray(None)
+        if arr.dtype.kind not in "iu" or arr.shape != (rank, rank):
+            raise ValidationError(f"action of element {g} is not an integer {rank} x {rank} "
+                                  "matrix", witness={"element": int(g), "value": m})
+        given[int(g)] = arr.astype(np.int64)
     for g in given:
         if g not in group.generators:
             raise ValidationError(f"element {g} is not one of the group generators")
@@ -240,11 +274,7 @@ class _BarH2Solver:
             f = acted + w[s][t[1:, 1:]] - w[t[s, 1:]][:, 1:] - w[s, 1:][:, None]
             f = (f % L) * scale[None, None, :, None] % L
             acc.ingest(f.reshape(-1, U))
-        self.constraints = acc.canonical_rows()
-        if self.constraints:
-            self.kernel_gens = kernel_mod_fast(self.constraints, L)
-        else:
-            self.kernel_gens = [[1 if i == j else 0 for j in range(U)] for i in range(U)]
+        self.kernel_gens = kernel(acc.canonical_rows(), L, U)
 
     def coboundary_gens(self):
         n, r, L = self.n, self.r, self.L
@@ -357,13 +387,9 @@ class _BarH1Solver:
             big = (big.reshape(-1, r, U) * scale[None, :, None]).reshape(-1, U) % self.L
             acc = HowellAccumulator(self.L)
             acc.ingest(big)
-            self.constraints = acc.canonical_rows()
-            self.kernel_gens = kernel_mod_fast(self.constraints, self.L) if self.constraints \
-                else [[1 if i == j else 0 for j in range(U)] for i in range(U)]
+            self.kernel_gens = kernel(acc.canonical_rows(), self.L, U)
         else:
-            rows_list = [list(map(int, row)) for row in big]
-            self.kernel_gens = kernel_int_cols(rows_list) if rows_list else \
-                [[1 if i == j else 0 for j in range(U)] for i in range(U)]
+            self.kernel_gens = kernel(big.tolist(), None, U)
 
     def coboundary_gens(self):
         out = []
@@ -486,6 +512,12 @@ def _finite_limit_check(group, max_order, unknowns):
             witness={"order": group.order, "unknowns": unknowns})
 
 
+def _lattice_limit_check(group, max_order):
+    limit = max_order or DEFAULT_LATTICE_LIMIT
+    if group.order > limit:
+        raise SizeLimitError(f"group order {group.order} exceeds the lattice limit {limit}")
+
+
 def _h2_unknowns(group, rank):
     return len(group.generators) * (group.order - 1) * rank
 
@@ -537,21 +569,13 @@ def h1(module, max_order=None):
     if group.order == 1:
         return _trivial_cohomology(group, module, 1, None if module.kind == "lattice" else 2)
     if module.kind == "lattice":
-        if group.order > (max_order or DEFAULT_LATTICE_LIMIT):
-            raise SizeLimitError(
-                f"group order {group.order} exceeds the lattice limit "
-                f"{max_order or DEFAULT_LATTICE_LIMIT}")
-        solver = _BarH1Solver(group, module.rank, module.mats)
-        image = solver.coboundary_gens()
-        structure = subquotient_structure(solver.slots, None, solver.kernel_gens, image)
-        modulus = None
+        _lattice_limit_check(group, max_order)
     else:
         _finite_limit_check(group, max_order, len(group.generators) * module.rank)
-        factors = module.factors
-        solver = _BarH1Solver(group, module.rank, module.mats, factors=factors)
-        image = solver.coboundary_gens() + solver.gauge_gens()
-        structure = subquotient_structure(solver.slots, solver.L, solver.kernel_gens, image)
-        modulus = solver.L
+    solver = _BarH1Solver(group, module.rank, module.mats, factors=module.factors)
+    modulus = solver.L
+    image = solver.coboundary_gens() + solver.gauge_gens()
+    structure = subquotient_structure(solver.slots, modulus, solver.kernel_gens, image)
     rep_tables = [solver.expand(w) for w in structure.witness_generators]
 
     def reducer(arr):
@@ -607,10 +631,7 @@ def h2_qz(group, modulus=None, max_order=None):
 class _LatticeH2Engine:
     def __init__(self, module, max_order=None):
         group = module.group
-        limit = max_order or DEFAULT_LATTICE_LIMIT
-        if group.order > limit:
-            raise SizeLimitError(
-                f"group order {group.order} exceeds the lattice limit {limit}")
+        _lattice_limit_check(group, max_order)
         if module.rank > DEFAULT_LATTICE_RANK_LIMIT and group.order > 12:
             raise SizeLimitError("lattice rank too large for this group order",
                                  witness={"rank": module.rank})
@@ -620,7 +641,7 @@ class _LatticeH2Engine:
         self.r = module.rank
         finite = GModule(group, "finite", factors=[self.L] * self.r,
                          element_mats=module.mats % self.L)
-        self.h1_mod = h1(finite)
+        self.h1_mod = h1(finite, max_order=max_order)
         int_solver = _BarH1Solver(group, self.r, module.mats)
         image_coords = []
         for gen in int_solver.kernel_gens:
@@ -665,27 +686,16 @@ class _LatticeH2Engine:
         for g in range(1, n):
             for hh in range(1, n):
                 for i in range(r):
-                    row = np.zeros(cols, dtype=np.int64)
+                    row = [0] * cols
                     # d1 c (g, h)_i = c(g)_i + (A_g c(h))_i - c(gh)_i
                     row[(g - 1) * r + i] += 1
                     for j in range(r):
-                        v = int(mats[g][i, j])
-                        if v:
-                            row[(hh - 1) * r + j] += v
+                        row[(hh - 1) * r + j] += int(mats[g][i, j])
                     gh = t[g][hh]
                     if gh != 0:
                         row[(gh - 1) * r + i] -= 1
-                    rows.append(row % L2)
-        mat = np.stack(rows, axis=0)
-        nrows = mat.shape[0]
-        aug = np.concatenate([mat.T % L2, np.eye(cols, dtype=np.int64)], axis=1)
-        acc = HowellAccumulator(L2)
-        acc.ingest(aug)
-        pairs = []
-        for row in acc.canonical_rows():
-            if any(row[:nrows]):
-                pairs.append((row[:nrows], row[nrows:]))
-        self._solver_cache = (pairs, nrows, cols, L2)
+                    rows.append(row)
+        self._solver_cache = [p for p in augmented_echelon(rows, L2, cols) if any(p[0])]
         return self._solver_cache
 
     def reduce(self, ztable):
@@ -693,23 +703,22 @@ class _LatticeH2Engine:
         n, r, L = self.group.order, self.r, self.L
         arr = np.asarray(ztable, dtype=np.int64)
         self._validate_int_cocycle(arr)
-        pairs, nrows, cols, L2 = self._d1_solver()
+        L2 = L * L
+        pairs = self._d1_solver()
         target = []
         for g in range(1, n):
             for hh in range(1, n):
                 for i in range(r):
                     target.append((L * int(arr[g, hh, i])) % L2)
-        span = [list(map(int, p[0])) for p in pairs]
-        coeffs = howell_solve(span, target, L2)
+        coeffs = howell_solve([image for image, _ in pairs], target, L2)
         if coeffs is None:
             raise DomainError("2-cocycle is not in the image of the connecting map")
-        chat = np.zeros(cols, dtype=np.int64)
+        chat = [0] * ((n - 1) * r)
         for c, (_, carry) in zip(coeffs, pairs):
             if c:
-                chat = (chat + c * np.asarray(carry, dtype=np.int64)) % L2
+                chat = [x + c * y for x, y in zip(chat, carry)]
         cbar = np.zeros((n, r), dtype=np.int64)
-        for g in range(1, n):
-            cbar[g] = chat[(g - 1) * r:(g - 1) * r + r] % L
+        cbar[1:] = np.array([x % L for x in chat], dtype=np.int64).reshape(n - 1, r)
         inner = self.h1_mod._reducer(cbar)
         return self.structure.coords(list(inner))
 
@@ -730,13 +739,8 @@ def _h2_lattice(module, max_order=None):
     if group.order == 1:
         return _trivial_cohomology(group, module, 2, None)
     engine = _LatticeH2Engine(module, max_order=max_order)
-    rep_tables = engine.rep_tables()
-
-    def reducer(arr):
-        return engine.reduce(arr)
-
     return CohomologyGroup(group, module, 2, engine.structure, engine, None,
-                           rep_tables, reducer)
+                           engine.rep_tables(), engine.reduce)
 
 
 # ---------------------------------------------------------------------------
@@ -843,10 +847,7 @@ def small_complex_h(group, gen_pair, module, degree, qz_modulus=None):
             if group.table[a][b] != group.table[b][a]:
                 raise DomainError("generators do not commute", witness=(a, b))
     orders = [group.element_order(g) for g in gens]
-    prod = 1
-    for o in orders:
-        prod *= o
-    if prod != group.order:
+    if prod(orders) != group.order:
         raise DomainError("generators do not decompose the group as a direct product")
     if len(gens) == 2:
         inter = set(group.closure([gens[0]])) & set(group.closure([gens[1]]))
@@ -898,20 +899,16 @@ def small_complex_h(group, gen_pair, module, degree, qz_modulus=None):
         raise DomainError("small complex supports degrees 0..2")
 
     din = d_maps[degree - 1] if degree >= 1 else None
-    dout = d_maps[degree] if degree < len(d_maps) else None
+    dout = d_maps[degree]
     dim = sizes[degree] * r
 
     if factors is not None:
         L = lcm(*factors) if module.kind == "finite" else factors[0]
         full_factors = factors * sizes[degree] if module.kind == "finite" else [L] * dim
-        scale = np.array([L // f for f in full_factors], dtype=np.int64)
-        if dout is not None:
-            out_factors = factors * sizes[degree + 1] if module.kind == "finite" else [L] * (sizes[degree + 1] * r)
-            out_scale = np.array([L // f for f in out_factors], dtype=np.int64)
-            scaled = (dout % L) * out_scale[:, None] % L
-            kern = kernel_mod_fast([list(map(int, row)) for row in scaled], L)
-        else:
-            kern = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
+        out_factors = factors * sizes[degree + 1] if module.kind == "finite" else [L] * (sizes[degree + 1] * r)
+        out_scale = np.array([L // f for f in out_factors], dtype=np.int64)
+        scaled = (dout % L) * out_scale[:, None] % L
+        kern = kernel(scaled.tolist(), L, dim)
         image = []
         if din is not None:
             for col in range(din.shape[1]):
@@ -924,7 +921,7 @@ def small_complex_h(group, gen_pair, module, degree, qz_modulus=None):
         if module.kind == "trivial_qz" and degree == 2:
             # connecting images of degree-one Q/Z classes
             d1m = d_maps[1]
-            one_cocycle_gens = kernel_mod_fast((d1m % L).tolist(), L)
+            one_cocycle_gens = kernel((d1m % L).tolist(), L, d1m.shape[1])
             for gen in one_cocycle_gens:
                 lifted = np.asarray([int(x) % L for x in gen], dtype=np.int64)
                 img = d1m @ lifted
@@ -934,10 +931,7 @@ def small_complex_h(group, gen_pair, module, degree, qz_modulus=None):
         return subquotient_structure(dim, L, kern, image)
 
     # lattice case, over Z
-    if dout is not None:
-        kern = kernel_int_cols([list(map(int, row)) for row in dout])
-    else:
-        kern = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
+    kern = kernel(dout.tolist(), None, dim)
     image = []
     if din is not None:
         for col in range(din.shape[1]):

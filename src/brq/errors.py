@@ -1,7 +1,10 @@
 """Exception hierarchy shared across the package.
 
 Exit-code contract for the CLI: ValidationError/DomainError and friends map
-to exit 2, SizeLimitError to exit 3.
+to exit 2, SizeLimitError to exit 3.  Size limits are the group-order limits
+(`--max-order`, `BRQ_MAX_ORDER`) and the modulus limit: a coefficient module
+whose factors have an lcm above `linalg.INT64_BOUND` (2^20) is refused with
+witness {modulus, limit}.
 """
 
 

@@ -85,26 +85,37 @@ def parse_cyclo_matrix(rows):
 
 def _gen_by_position(group, action_doc, parse_entry):
     """Maps generator-position keys ('0', '1', ...) to parsed values."""
+    if not isinstance(action_doc, dict):
+        raise ValidationError("an action block maps generator positions to matrices",
+                              witness={"value": action_doc})
     out = {}
     for key, value in action_doc.items():
-        pos = int(key)
+        try:
+            pos = int(key)
+        except (TypeError, ValueError):
+            pos = -1
         if not 0 <= pos < len(group.generators):
-            raise ValidationError(f"generator position {pos} out of range")
+            raise ValidationError(f"generator position {key} out of range",
+                                  witness={"position": key})
         out[group.generators[pos]] = parse_entry(value)
     return out
 
 
 def parse_module(group, doc):
-    kind = doc.get("kind")
+    """A module document; GModule checks the factors, rank and matrices."""
+    kind = doc.get("kind") if isinstance(doc, dict) else None
     if kind == "trivial_qz":
         return GModule.trivial_qz(group)
+    field = {"finite": "factors", "lattice": "rank"}.get(kind)
+    if field is None:
+        raise ValidationError(f"unknown module kind {kind!r}")
+    if field not in doc:
+        raise ValidationError(f"a {kind} module needs a {field!r} field",
+                              witness={"field": field})
+    gen_mats = _gen_by_position(group, doc.get("action", {}), lambda m: m)
     if kind == "finite":
-        gen_mats = _gen_by_position(group, doc.get("action", {}), lambda m: m)
         return GModule.finite(group, doc["factors"], gen_mats)
-    if kind == "lattice":
-        gen_mats = _gen_by_position(group, doc.get("action", {}), lambda m: m)
-        return GModule.lattice(group, doc["rank"], gen_mats)
-    raise ValidationError(f"unknown module kind {kind!r}")
+    return GModule.lattice(group, doc["rank"], gen_mats)
 
 
 def parse_action_document(doc, max_order=None):

@@ -22,7 +22,7 @@ from brq.brauer import (
     plucker_beta,
     tensor_product_matrices,
 )
-from brq.cohomology import GModule, h2_qz_cached
+from brq.cohomology import GModule, h2, h2_qz_cached
 from brq.cyclotomic import CycloMatrix, CycloNumber, plucker_vector
 from brq.errors import DomainError, SizeLimitError, UnsupportedCaseError, ValidationError
 from brq.groups import cyclic_group, from_permutation_generators
@@ -354,6 +354,23 @@ def test_br_nr_toric_passes_max_order_to_the_subgroups():
     assert grp.order == 36
     rep = br_nr_toric(ToricAction(grp, module), max_order=36)
     assert rep.unramified_group.invariant_factors == ()
+
+
+def test_lattice_h2_passes_max_order_to_its_inner_h1():
+    # C6 x C6 x C3 on Z^6 by one rotation per plane: order 108 is above the
+    # default finite-coefficient limit 96 of the H^1 inside the lattice solve
+    r6, r3 = [[0, -1], [1, 1]], [[0, -1], [1, -1]]
+    gens = []
+    for i, rot in enumerate([r6, r6, r3]):
+        m = [[int(a == b) for b in range(6)] for a in range(6)]
+        for a in range(2):
+            m[2 * i + a][2 * i:2 * i + 2] = rot[a]
+        gens.append(m)
+    grp, module = _toric_from_matrices(gens)
+    assert grp.order == 108
+    h2(module, max_order=128)  # computes; its value has no independent check here
+    with pytest.raises(SizeLimitError):
+        h2(module, max_order=100)
 
 
 def test_br_nr_toric_s3_standard_lattice():

@@ -149,3 +149,39 @@ def test_non_unimodular_lattice_action_rejected(tmp_path, capsys, matrix):
     assert main(["h1", path, "--json"]) in (2, 3)
     err = json.loads(capsys.readouterr().out)["error"]
     assert err["witness"] is not None
+
+
+@pytest.mark.parametrize("verb", ["h1", "h2"])
+@pytest.mark.parametrize("module, code, witness", [
+    ({"kind": "finite", "factors": [0]}, 2, {"field": "factors", "index": 0, "value": 0}),
+    ({"kind": "finite", "factors": ["a"]}, 2, {"field": "factors", "index": 0, "value": "a"}),
+    ({"kind": "finite", "factors": 4}, 2, {"field": "factors", "value": 4}),
+    ({"kind": "finite"}, 2, {"field": "factors"}),
+    ({"kind": "lattice"}, 2, {"field": "rank"}),
+    ({"kind": "finite", "factors": [-3]}, 2, {"field": "factors", "index": 0, "value": -3}),
+    ({"kind": "finite", "factors": [2.5]}, 2, {"field": "factors", "index": 0, "value": 2.5}),
+    ({"kind": "finite", "factors": [2**64]}, 3, {"modulus": 2**64, "limit": 2**20}),
+    ({"kind": "finite", "factors": [2**20 + 2]}, 3, {"modulus": 2**20 + 2, "limit": 2**20}),
+])
+def test_malformed_or_oversized_module_input(tmp_path, capsys, verb, module, code, witness):
+    path = write(tmp_path, "module.json", {"group": KLEIN, "module": module})
+    assert main([verb, path, "--json"]) == code
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == ("SizeLimitError" if code == 3 else "ValidationError")
+    assert err["witness"] == witness
+
+
+@pytest.mark.parametrize("action", [
+    {"0": [[1.5]]},        # a float entry, which int64 conversion would truncate
+    {"0": [[1], [1, 0]]},  # ragged rows
+    {"0": [[1, 0], [0, 1]]},  # the wrong size for one factor
+    {"x": [[1]]},          # not a generator position
+    5,                     # not a mapping
+])
+def test_malformed_module_action_rejected(tmp_path, capsys, action):
+    module = {"kind": "finite", "factors": [4], "action": action}
+    path = write(tmp_path, "module.json", {"group": KLEIN, "module": module})
+    assert main(["h1", path, "--json"]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "ValidationError"
+    assert err["witness"] is not None

@@ -6,10 +6,13 @@ from math import gcd, prod
 
 import pytest
 
-from brq.errors import ContainmentError, DomainError
+from brq.errors import ContainmentError, DomainError, SizeLimitError
 from brq.groups import abelian_structure, cyclic_group, direct_product, from_cayley_table
 from brq.linalg import (
+    INT64_BOUND,
+    NUMPY_MIN_ROWS,
     AbelianStructure,
+    HowellAccumulator,
     IntMatrix,
     ModMatrix,
     _scaled_unit_structure,
@@ -18,9 +21,7 @@ from brq.linalg import (
     howell_form,
     howell_rows,
     howell_solve,
-    kernel_int,
-    kernel_mod,
-    kernel_mod_cols,
+    kernel,
     quotient_of_structure,
     smith_normal_form,
     smith_transforms,
@@ -158,7 +159,7 @@ def test_kernel_mod_matches_bruteforce():
     for _ in range(15):
         n = rng.choice([4, 6, 12])
         rows = [[rng.randrange(n) for _ in range(2)] for _ in range(3)]
-        gens = kernel_mod(rows, n)
+        gens = kernel([list(c) for c in zip(*rows)], n, 3)
         # brute force left kernel
         brute = set()
         for y in itertools.product(range(n), repeat=3):
@@ -169,7 +170,7 @@ def test_kernel_mod_matches_bruteforce():
 
 def test_kernel_int_simple():
     rows = [[2, 4], [1, 2]]
-    gens = kernel_int(rows)
+    gens = kernel([list(c) for c in zip(*rows)], None, 2)
     # left kernel of [[2,4],[1,2]]: y0*2 + y1*1 = 0 and y0*4 + y1*2 = 0 -> y1 = -2 y0
     assert gens
     for g in gens:
@@ -293,7 +294,7 @@ def test_determinism_identical_runs():
 
 def test_kernel_mod_cols_right_kernel():
     rows = [[2, 0], [0, 2]]
-    gens = kernel_mod_cols(rows, 4)
+    gens = kernel(rows, 4, 2)
     got = span_set_mod(gens, 4, 2)
     assert got == {(0, 0), (2, 0), (0, 2), (2, 2)}
 
@@ -395,3 +396,88 @@ def test_scaled_unit_structure_quotient_by_a_relation():
     assert quotient.invariant_factors == (2, 2)
     assert not any(quotient.coords((2, 0)))
     assert any(quotient.coords((1, 0)))
+
+
+# The Howell engine picks the numpy sweep from NUMPY_MIN_ROWS rows of
+# [M^T | I] (M's column count) when N <= INT64_BOUND and the pure loop
+# otherwise, so these cases run both paths and the pure fallback above the
+# bound.
+ENGINE_MODULI = [1, 7, 2**5, 12, INT64_BOUND, INT64_BOUND + 2]
+ENGINE_COLS = [5, NUMPY_MIN_ROWS + 3]
+
+
+def random_rows(rng, count, cols, n):
+    """Rows mod n with a repeated row, a multiple of another and a zero row."""
+    rows = [[rng.randrange(n) for _ in range(cols)] for _ in range(count)]
+    rows.append(list(rows[0]))
+    rows.append([(6 * x) % n for x in rows[-2]])
+    rows.append([0] * cols)
+    rng.shuffle(rows)
+    return rows
+
+
+def matvec(rows, x):
+    return [sum(a * b for a, b in zip(r, x)) for r in rows]
+
+
+@pytest.mark.parametrize("n", ENGINE_MODULI[:-1])
+@pytest.mark.parametrize("cols", ENGINE_COLS)
+def test_sweep_then_canonical_equals_howell_rows(n, cols):
+    rng = random.Random(cols * 1000 + n % 997)
+    rows = random_rows(rng, cols // 2 + 2, cols, n)
+    acc = HowellAccumulator(n)
+    acc.ingest(rows[:3])
+    acc.ingest(rows[3:])
+    assert acc.canonical_rows() == howell_rows(rows, n)
+
+
+def test_sweep_refuses_a_modulus_above_the_int64_bound():
+    with pytest.raises(SizeLimitError) as err:
+        HowellAccumulator(INT64_BOUND + 2)
+    assert err.value.witness == {"modulus": INT64_BOUND + 2, "limit": INT64_BOUND}
+
+
+@pytest.mark.parametrize("n", ENGINE_MODULI)
+@pytest.mark.parametrize("cols", ENGINE_COLS)
+def test_kernel_annihilates_and_is_the_canonical_form(n, cols):
+    rng = random.Random(cols * 7 + n % 991)
+    rows = random_rows(rng, cols // 3 + 1, cols, n)
+    gens = kernel(rows, n, cols)
+    for x in gens:
+        assert all(v % n == 0 for v in matvec(rows, x))
+    # the pure loop on [M^T | I], whichever path the engine took
+    aug = [list(c) + [int(i == j) for j in range(cols)] for i, c in enumerate(zip(*rows))]
+    want = [r[len(rows):] for r in howell_rows(aug, n) if not any(r[:len(rows)])]
+    assert gens == want
+    if n > 1:
+        # fewer equations than unknowns leave a nonzero kernel
+        assert gens
+
+
+# Over Z the engine always runs the pure Hermite loop, whose entries grow
+# fast with the width, so the Z case stays narrow.
+@pytest.mark.parametrize("n, cols", [(n, c) for n in ENGINE_MODULI for c in ENGINE_COLS]
+                         + [(None, 5), (None, 9)])
+def test_solve_solution_satisfies_the_system(n, cols):
+    rng = random.Random(cols * 13 + (n or 0) % 983)
+    count = cols // 3 + 1
+    if n is None:
+        rows = [[rng.randrange(-2, 3) for _ in range(cols)] for _ in range(count)]
+        matrix = IntMatrix.from_rows(rows)
+    else:
+        rows = random_rows(rng, count, cols, n)
+        matrix = ModMatrix.from_rows(rows, n)
+    x0 = [rng.randrange(n or 5) for _ in range(cols)]
+    b = matvec(rows, x0)
+    x = solve(matrix, b)
+    if n is None:
+        assert matvec(rows, x) == b
+    else:
+        assert [v % n for v in matvec(rows, x)] == [v % n for v in b]
+
+
+@pytest.mark.parametrize("n", ENGINE_MODULI + [None])
+@pytest.mark.parametrize("cols", ENGINE_COLS)
+def test_empty_system_kernel_is_the_identity(n, cols):
+    # over Z/1 every vector is zero, so the kernel has no generators
+    assert kernel([], n, cols) == ([] if n == 1 else identity(cols))
