@@ -37,7 +37,6 @@ from .cyclotomic import CycloMatrix, CycloNumber, exterior_power, hodge_star, is
 from .errors import BrqError, ContainmentError, DomainError, SizeLimitError, ValidationError
 from .groups import (
     FiniteGroup,
-    GroupHom,
     Subgroup,
     abelian_structure,
     bicyclic_subgroups,

@@ -19,6 +19,9 @@ import numpy as np
 
 from .cohomology import (
     GModule,
+    _d1,
+    _lattice_limit_check,
+    _require_zero,
     bfs_tree,
     corestrict_qz_class,
     h1,
@@ -30,7 +33,6 @@ from .cohomology import (
 from .cyclotomic import CycloMatrix, as_unit_fraction, exterior_power, hodge_star
 from .errors import (
     DomainError,
-    SizeLimitError,
     UnsupportedCaseError,
     ValidationError,
 )
@@ -207,11 +209,10 @@ def correlation_action(group, collineation_matrices, phi, coset_witness):
     parity[0] = 0
     for g, p, x in bfs_tree(group):
         parity[g] = (parity[p] + (1 if x == w else 0)) % 2
-    for a in range(group.order):
-        for b in range(group.order):
-            if (parity[a] + parity[b]) % 2 != parity[group.table[a][b]]:
-                raise ValidationError(
-                    "collineation subgroup is not well defined", witness=(a, b))
+    trivial = np.ones((group.order, 1, 1), dtype=np.int64)
+    dparity = _d1(trivial, group._np_table, np.array(parity, dtype=np.int64)[:, None],
+                  range(group.order))
+    _require_zero(dparity % 2, "collineation subgroup is not well defined")
     if parity[w] != 1:
         raise ValidationError("coset witness lies in the collineation subgroup")
     # compatibility where the group says the witness and a collineation commute
@@ -585,9 +586,7 @@ def br_nr_toric(action, subgroup_mode="conj", max_order=None):
     """Unramified Brauer group of a faithful torus action via the character
     lattice: kernel over bicyclic subgroups with Q/Z + lattice coefficients."""
     group = action.group
-    limit = max_order or 24
-    if group.order > limit:
-        raise SizeLimitError(f"toric computations are limited to group order {limit}")
+    _lattice_limit_check(group, max_order)
     modulus = max(group.order, 2)
     qz_block = _qz_block(group, modulus, max_order)
     lat_block = _lattice_block(action.lattice, max_order)

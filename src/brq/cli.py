@@ -225,7 +225,9 @@ def build_parser():
     parser.add_argument("--stamp", action="store_true",
                         help="include a timestamp (off by default for reproducibility)")
     parser.add_argument("--max-order", type=int, default=None,
-                        help="override the computation size limit")
+                        help="group-order limit of the cohomology computations: replaces "
+                             "the finite-coefficient limit (96, or BRQ_MAX_ORDER) and the "
+                             "lattice limit (24); construction stays capped at 4096")
     return parser
 
 

@@ -12,22 +12,30 @@ cohomology in degree two is the quotient of the mod-N cohomology by the
 connecting images of Hom(G, Z/N), and in degree one the two groups agree.
 Lattice coefficients in degree two are reached through the multiplication-
 by-N exact sequence, which reduces them to two degree-one computations.
+
+`_d1` and `_d2` are the one definition of the differential: the
+inhomogeneous coboundary of the normalized bar complex (Brown, Cohomology
+of Groups, III.1),
+    (dc)(g, h)    = g.c(h) - c(gh) + c(g),
+    (dc)(g, h, k) = g.c(h, k) - c(gh, k) + c(g, hk) - c(g, h).
+The solvers' constraint rows and coboundary generators, every cocycle
+check, the Bockstein and the lattice d1 system are built from them.
+`small_complex_h` deliberately does not use them: it is the independent
+oracle the bar computations are checked against.
 """
 
 from __future__ import annotations
 
 import numbers
 import os
-from dataclasses import dataclass
 from math import lcm, prod
 
 import numpy as np
 
 from . import linalg
 from .errors import DomainError, SizeLimitError, ValidationError
-from .groups import FiniteGroup, Subgroup, coset_representatives, homs_to_cyclic
+from .groups import Subgroup, coset_representatives, homs_to_cyclic
 from .linalg import (
-    AbelianStructure,
     HowellAccumulator,
     augmented_echelon,
     howell_solve,
@@ -205,241 +213,192 @@ def bfs_tree(group):
 
 
 # ---------------------------------------------------------------------------
-# cochain containers
+# the bar differential
 
 
-@dataclass(frozen=True)
-class Cochain2:
-    """Normalized 2-cochain: values indexed by G x G with module values."""
+def _d1(mats, t, c, firsts):
+    """(dc)(g, h) = g.c(h) - c(gh) + c(g) for g in `firsts` and every h.
 
-    module: GModule
-    values: tuple  # (n, n, r) nested tuples of ints
-    denominator: int = 1  # for Q/Z realizations the value a means a/denominator
+    `c` has shape (n, r, ...): an element, a component, then any trailing
+    axes, such as a solver's unknowns.  The result has shape
+    (len(firsts), n, r, ...) and is not reduced by any modulus.
+    """
+    firsts = np.asarray(firsts, dtype=np.int64)
+    out = np.einsum("fij,hj...->fhi...", mats[firsts], c)
+    out -= c[t[firsts]]
+    out += c[firsts][:, None]
+    return out
 
-    def as_array(self):
-        return np.asarray(self.values, dtype=np.int64)
+
+def _d2(mats, t, c, firsts):
+    """(dc)(g, h, k) = g.c(h, k) - c(gh, k) + c(g, hk) - c(g, h) for g in
+    `firsts` and every h, k.
+
+    `c` has shape (n, n, r, ...); the result has shape
+    (len(firsts), n, n, r, ...) and is not reduced by any modulus.
+    """
+    firsts = np.asarray(firsts, dtype=np.int64)
+    c_first = c[firsts]
+    out = np.einsum("fij,hkj...->fhki...", mats[firsts], c)
+    out -= c[t[firsts]]
+    out += c_first[:, t]
+    out -= c_first[:, :, None]
+    return out
 
 
-def _to_value_array(table, n, r):
+def _unit_1cochains(n, r):
+    """(n, r, (n-1) r) tensor: the normalized 1-cochain whose value at g != 1
+    is the j-th unit vector, for each (g, j) in C-order."""
+    units = np.zeros((n, r, (n - 1) * r), dtype=np.int64)
+    units[1:] = np.eye((n - 1) * r, dtype=np.int64).reshape(n - 1, r, -1)
+    return units
+
+
+def _require_zero(diff, message):
+    """Raise a ValidationError unless `diff` vanishes.  The witness is the
+    first failing index, in row-major order, of all axes but the last."""
+    if diff.any():
+        bad = np.argwhere(diff.any(axis=-1))[0]
+        raise ValidationError(message, witness=tuple(int(x) for x in bad))
+
+
+def _cochain_array(table, degree, n, r):
+    """A cochain table as an int64 array of shape (n,) * degree + (r,); for
+    r = 1 the component axis may be left out."""
     arr = np.asarray(table, dtype=np.int64)
-    if arr.shape == (n, n) and r == 1:
-        arr = arr[:, :, None]
-    if arr.shape != (n, n, r):
-        raise ValidationError(f"cochain table must have shape ({n},{n},{r})")
+    shape = (n,) * degree + (r,)
+    if r == 1 and arr.shape == shape[:-1]:
+        arr = arr[..., None]
+    if arr.shape != shape:
+        raise ValidationError(f"{degree}-cochain table must have shape {shape}")
     return arr
 
 
 # ---------------------------------------------------------------------------
-# degree-2 bar solver (finite coefficients, modulus L)
+# bar solvers
 
 
-class _BarH2Solver:
-    def __init__(self, group, factors, mats):
+class _BarSolver:
+    """Cocycles of one degree, solved for the generator rows of a cochain.
+
+    The unknowns ("slots") are the values c(s, h) for generators s and
+    h != 1 (degree 2) or c(s) (degree 1), one per component, in the C-order
+    of (generator, [h,] component).  The unit tensor `w` writes every value
+    of the cochain as a combination of the slots.  It holds the units at the
+    generator rows and is extended along the BFS tree by `_tree_step`: the
+    cocycle identity on the tree edge (p, x), solved for c(px, ...).  The
+    kernel of the cocycle identities with a generator in the first slot is
+    then the group of cocycles.  The modulus L is the lcm of the factors of
+    a finite module, or None over Z.
+    """
+
+    degree = None
+    _d = None  # the differential from degree to degree + 1
+
+    def __init__(self, group, mats, factors=None):
         self.group = group
-        self.factors = tuple(int(f) for f in factors)
-        self.mats = mats  # (n, r, r) int64
-        self.r = len(self.factors)
-        self.L = lcm(*self.factors)
-        n = group.order
-        self.n = n
+        self.t = group._np_table
+        self.n = n = group.order
+        self.r = r = mats.shape[1]
+        self.factors = tuple(int(f) for f in factors) if factors else None
+        self.L = lcm(*self.factors) if factors else None
+        self.scale = np.array([self.L // f for f in self.factors], dtype=np.int64) \
+            if factors else None
+        self.mats = self._mod(np.asarray(mats, dtype=np.int64))
         self.gens = list(group.generators)
-        self.slots = len(self.gens) * (n - 1) * self.r
-        self._build()
-
-    def slot(self, si, h, comp):
-        return si * (self.n - 1) * self.r + (h - 1) * self.r + comp
-
-    def _build(self):
-        n, r, L = self.n, self.r, self.L
-        U = self.slots
-        t = self.group._np_table
-        mats = self.mats % L
-        w = np.zeros((n, n, r, U), dtype=np.int64)
-        for si, s in enumerate(self.gens):
-            for h in range(1, n):
-                for comp in range(r):
-                    w[s, h, comp, self.slot(si, h, comp)] = 1
-        tree = bfs_tree(self.group)
+        # index of the generator rows: (generators, [h != 1])
+        self.at_gens = (np.array(self.gens, dtype=np.int64),) + \
+            (slice(1, None),) * (self.degree - 1)
+        shape = (len(self.gens),) + (n - 1,) * (self.degree - 1) + (r,)
+        self.slots = U = prod(shape)
+        w = np.zeros((n,) * self.degree + (r, U), dtype=np.int64)
+        w[self.at_gens] = np.eye(U, dtype=np.int64).reshape(shape + (U,))
         gen_set = set(self.gens)
-        for g, p, x in tree:
+        for g, p, x in bfs_tree(group):
             if g in gen_set and p == 0:
                 continue
-            acted = np.einsum("ij,kjl->kil", mats[p], w[x]) % L
-            w[g] = (acted + w[p][t[x]] - w[p, x][None, :, :]) % L
+            w[g] = self._mod(self._tree_step(w, p, x))
         self.w = w
-        scale = np.array([L // f for f in self.factors], dtype=np.int64)
-        acc = HowellAccumulator(L)
-        for s in self.gens:
-            acted = np.einsum("ij,hkjl->hkil", mats[s], w[1:, 1:]) % L
-            f = acted + w[s][t[1:, 1:]] - w[t[s, 1:]][:, 1:] - w[s, 1:][:, None]
-            f = (f % L) * scale[None, None, :, None] % L
-            acc.ingest(f.reshape(-1, U))
-        self.kernel_gens = kernel(acc.canonical_rows(), L, U)
-
-    def coboundary_gens(self):
-        n, r, L = self.n, self.r, self.L
-        out = []
-        for g0 in range(1, n):
-            for j in range(r):
-                vec = np.zeros(self.slots, dtype=np.int64)
-                for si, s in enumerate(self.gens):
-                    col = self.mats[s][:, j] % L
-                    for i in range(r):
-                        if col[i]:
-                            vec[self.slot(si, g0, i)] += col[i]
-                    h0 = self.group.table[self.group.inverse[s]][g0]
-                    if h0 != 0:
-                        vec[self.slot(si, h0, j)] -= 1
-                    if s == g0:
-                        for h in range(1, n):
-                            vec[self.slot(si, h, j)] += 1
-                out.append([int(x) % L for x in vec])
-        return out
-
-    def gauge_gens(self):
-        L = self.L
-        out = []
-        for comp, f in enumerate(self.factors):
-            if f == L:
-                continue
-            for si in range(len(self.gens)):
-                for h in range(1, self.n):
-                    vec = [0] * self.slots
-                    vec[self.slot(si, h, comp)] = f
-                    out.append(vec)
-        return out
-
-    def expand(self, uvec):
-        u = np.asarray(uvec, dtype=np.int64) % self.L
-        return np.einsum("ghrl,l->ghr", self.w, u) % self.L
-
-    def read_slots(self, values):
-        u = np.zeros(self.slots, dtype=np.int64)
-        for si, s in enumerate(self.gens):
-            for h in range(1, self.n):
-                for comp in range(self.r):
-                    u[self.slot(si, h, comp)] = values[s, h, comp] % self.L
-        return u
-
-    def validate_cocycle(self, values):
-        n, L = self.n, self.L
-        t = self.group._np_table
-        mats = self.mats % L
-        acted = np.einsum("gij,hkj->ghki", mats, values) % L
-        lhs = (acted + values[:, t][:, :, :, :]) % L
-        rhs = (values[t][:, :, :, :] + values[:, :, None, :]) % L
-        diff = (lhs - rhs) % L
-        scale = np.array([L // f for f in self.factors], dtype=np.int64)
-        diff = (diff * scale[None, None, None, :]) % L
-        if diff.any():
-            bad = np.argwhere(diff.any(axis=3))[0]
-            raise ValidationError("table is not a 2-cocycle",
-                                  witness=tuple(int(x) for x in bad))
-
-
-# ---------------------------------------------------------------------------
-# degree-1 bar solver
-
-
-class _BarH1Solver:
-    """Solver for 1-cocycles; modulus L for finite modules, None for Z."""
-
-    def __init__(self, group, rank, mats, factors=None):
-        self.group = group
-        self.r = rank
-        self.mats = mats
-        self.factors = tuple(factors) if factors else None
-        self.L = lcm(*self.factors) if self.factors else None
-        self.n = group.order
-        self.gens = list(group.generators)
-        self.slots = len(self.gens) * rank
-        self._build()
-
-    def slot(self, si, comp):
-        return si * self.r + comp
+        self.kernel_gens = self._cocycle_kernel()
 
     def _mod(self, arr):
         return arr % self.L if self.L else arr
 
-    def _build(self):
-        n, r = self.n, self.r
+    def _cocycle_kernel(self):
+        """Kernel of the cocycle identities at (s, h[, k]), h and k != 1,
+        streamed into the Howell form one generator s at a time."""
         U = self.slots
-        t = self.group._np_table
-        w = np.zeros((n, r, U), dtype=np.int64)
-        for si, s in enumerate(self.gens):
-            for comp in range(r):
-                w[s, comp, self.slot(si, comp)] = 1
-        gen_set = set(self.gens)
-        for g, p, x in bfs_tree(self.group):
-            if g in gen_set and p == 0:
-                continue
-            w[g] = self._mod(w[p] + np.einsum("ij,jl->il", self.mats[p], w[x]))
-        self.w = w
-        rows = []
-        for s in self.gens:
-            # c(s) + s.c(h) - c(s h) = 0 for all h
-            f = w[s][None, :, :] + np.einsum("ij,hjl->hil", self.mats[s], w) - w[t[s]]
-            f = self._mod(f)
-            rows.append(f.reshape(-1, U))
-        big = np.concatenate(rows, axis=0) if rows else np.zeros((0, U), dtype=np.int64)
-        if self.L:
-            scale = np.array([self.L // f for f in self.factors], dtype=np.int64)
-            big = (big.reshape(-1, r, U) * scale[None, :, None]).reshape(-1, U) % self.L
-            acc = HowellAccumulator(self.L)
-            acc.ingest(big)
-            self.kernel_gens = kernel(acc.canonical_rows(), self.L, U)
-        else:
-            self.kernel_gens = kernel(big.tolist(), None, U)
-
-    def coboundary_gens(self):
-        out = []
-        for j in range(self.r):
-            vec = [0] * self.slots
-            for si, s in enumerate(self.gens):
-                for i in range(self.r):
-                    v = int(self.mats[s][i, j]) - (1 if i == j else 0)
-                    if v:
-                        vec[self.slot(si, i)] += v
-            out.append([x % self.L for x in vec] if self.L else vec)
-        return out
+        interior = (0,) + (slice(1, None),) * self.degree
+        rows = (self._d(self.mats, self.t, self.w, [s])[interior] for s in self.gens)
+        if not self.L:
+            return kernel(np.concatenate([f.reshape(-1, U) for f in rows]).tolist(), None, U)
+        acc = HowellAccumulator(self.L)
+        for f in rows:
+            # component i of the module is Z/f_i, so it vanishes when
+            # (L / f_i) times it vanishes mod L
+            acc.ingest((f % self.L * self.scale[:, None] % self.L).reshape(-1, U))
+        return kernel(acc.canonical_rows(), self.L, U)
 
     def gauge_gens(self):
-        if not self.L:
-            return []
+        """f_i at each slot of a component i whose factor f_i is below L:
+        the slot values that are zero in the module."""
         out = []
-        for comp, f in enumerate(self.factors):
+        for comp, f in enumerate(self.factors or ()):
             if f == self.L:
                 continue
-            for si in range(len(self.gens)):
+            for slot in range(comp, self.slots, self.r):
                 vec = [0] * self.slots
-                vec[self.slot(si, comp)] = f
+                vec[slot] = f
                 out.append(vec)
         return out
 
     def expand(self, uvec):
-        u = np.asarray(uvec, dtype=np.int64)
-        out = np.einsum("grl,l->gr", self.w, u)
-        return self._mod(out)
+        """The cochain table whose generator rows are the slot vector."""
+        u = self._mod(np.asarray(uvec, dtype=np.int64))
+        return self._mod(self.w @ u)
 
     def read_slots(self, values):
-        u = np.zeros(self.slots, dtype=np.int64)
-        for si, s in enumerate(self.gens):
-            for comp in range(self.r):
-                u[self.slot(si, comp)] = values[s, comp]
-        return self._mod(u)
+        return self._mod(values[self.at_gens].reshape(-1))
 
     def validate_cocycle(self, values):
-        t = self.group._np_table
-        lhs = values[:, None, :] + np.einsum("gij,hj->ghi", self.mats, values)
-        rhs = values[t]
-        diff = lhs - rhs
+        diff = self._d(self.mats, self.t, values, range(self.n))
         if self.L:
-            scale = np.array([self.L // f for f in self.factors], dtype=np.int64)
-            diff = (diff * scale[None, None, :]) % self.L
-        if diff.any():
-            bad = np.argwhere(diff.any(axis=2))[0]
-            raise ValidationError("table is not a 1-cocycle",
-                                  witness=tuple(int(x) for x in bad))
+            diff = diff % self.L * self.scale % self.L
+        _require_zero(diff, f"table is not a {self.degree}-cocycle")
+
+    def cocycle_slots(self, values):
+        """Slot vector of a cocycle table (reduced and validated)."""
+        values = self._mod(values)
+        self.validate_cocycle(values)
+        return self.read_slots(values)
+
+
+class _BarH1Solver(_BarSolver):
+    degree = 1
+    _d = staticmethod(_d1)
+
+    def _tree_step(self, w, p, x):
+        # c(px) = c(p) + p.c(x)
+        return w[p] + np.einsum("ij,j...->i...", self.mats[p], w[x])
+
+    def coboundary_gens(self):
+        """d0 of the unit 0-cochains: the columns of A_s - I at the slots."""
+        d0 = self.mats[self.gens] - np.eye(self.r, dtype=np.int64)
+        return self._mod(d0.reshape(-1, self.r)).T.tolist()
+
+
+class _BarH2Solver(_BarSolver):
+    degree = 2
+    _d = staticmethod(_d2)
+
+    def _tree_step(self, w, p, x):
+        # c(px, h) = p.c(x, h) + c(p, xh) - c(p, x)
+        return np.einsum("ij,kj...->ki...", self.mats[p], w[x]) + w[p][self.t[x]] - w[p, x]
+
+    def coboundary_gens(self):
+        """d1 of the unit 1-cochains, in the order of `_unit_1cochains`."""
+        d = _d1(self.mats, self.t, _unit_1cochains(self.n, self.r), self.gens)[:, 1:]
+        return self._mod(d.reshape(self.slots, -1)).T.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -450,13 +409,12 @@ class CohomologyGroup:
     """Computed H^i with structure, representatives, and a reduce map."""
 
     def __init__(self, group, module, degree, structure, engine, modulus,
-                 rep_tables, reducer, denominator=1):
+                 rep_tables, reducer):
         self.group = group
         self.module = module
         self.degree = degree
         self.structure = structure
         self.modulus = modulus
-        self.denominator = denominator
         self._engine = engine
         self._reducer = reducer
         self.rep_tables = rep_tables  # list of np arrays
@@ -465,34 +423,14 @@ class CohomologyGroup:
     def invariant_factors(self):
         return list(self.structure.invariant_factors)
 
-    def representatives(self):
-        out = []
-        for tab in self.rep_tables:
-            vals = tuple(tuple(tuple(int(x) for x in row) for row in plane) for plane in tab)
-            out.append(Cochain2(self.module, vals, denominator=self.denominator))
-        return out
-
     def reduce(self, table):
         """Class coordinates of a cocycle table (validated)."""
-        arr = table.as_array() if isinstance(table, Cochain2) else \
-            np.asarray(table, dtype=np.int64)
-        n, r = self.group.order, self.module.rank
-        if self.degree == 2:
-            arr = _to_value_array(arr, n, r)
-        else:
-            if arr.shape == (n,) and r == 1:
-                arr = arr[:, None]
-            if arr.shape != (n, r):
-                raise ValidationError(f"1-cochain table must have shape ({n},{r})")
-        return self._reducer(arr)
+        return self._reducer(_cochain_array(table, self.degree, self.group.order,
+                                            self.module.rank))
 
     def expand(self, coords):
         """A representative table for the class with the given coordinates."""
-        n = self.group.order
-        if self.degree == 2:
-            shape = (n, n, self.module.rank)
-        else:
-            shape = (n, self.module.rank)
+        shape = (self.group.order,) * self.degree + (self.module.rank,)
         out = np.zeros(shape, dtype=np.int64)
         for c, tab in zip(coords, self.rep_tables):
             if c:
@@ -515,20 +453,41 @@ def _finite_limit_check(group, max_order, unknowns):
 def _lattice_limit_check(group, max_order):
     limit = max_order or DEFAULT_LATTICE_LIMIT
     if group.order > limit:
-        raise SizeLimitError(f"group order {group.order} exceeds the lattice limit {limit}")
+        raise SizeLimitError(f"group order {group.order} exceeds the lattice limit {limit}",
+                             witness={"order": group.order, "limit": limit})
 
 
 def _h2_unknowns(group, rank):
     return len(group.generators) * (group.order - 1) * rank
 
 
-def _trivial_cohomology(group, module, degree, modulus, denominator=1):
+def _trivial_cohomology(group, module, degree, modulus):
     structure = linalg.subquotient_structure(0, modulus or 2, [], [])
     return CohomologyGroup(group, module, degree, structure, None, modulus,
-                           [], lambda arr: (), denominator=denominator)
+                           [], lambda arr: ())
 
 
-def h2(module, max_order=None, extra_image_tables=None, denominator=1):
+def _bar_cohomology(module, degree, extra_image_tables=None):
+    """H^degree(G, M) from the bar solver: finite M, or M a lattice in
+    degree one.  `extra_image_tables` are cocycle tables whose classes are
+    adjoined to the coboundaries."""
+    solver_class = _BarH1Solver if degree == 1 else _BarH2Solver
+    solver = solver_class(module.group, module.mats, module.factors)
+    image = solver.coboundary_gens() + solver.gauge_gens()
+    for tab in extra_image_tables or ():
+        arr = _cochain_array(tab, degree, module.group.order, module.rank)
+        image.append(solver.cocycle_slots(arr).tolist())
+    structure = subquotient_structure(solver.slots, solver.L, solver.kernel_gens, image)
+    rep_tables = [solver.expand(w) for w in structure.witness_generators]
+
+    def reducer(arr):
+        return structure.coords(solver.cocycle_slots(arr))
+
+    return CohomologyGroup(module.group, module, degree, structure, solver, solver.L,
+                           rep_tables, reducer)
+
+
+def h2(module, max_order=None, extra_image_tables=None):
     """H^2(G, M) for finite or lattice coefficients.
 
     For finite coefficients the computation runs over Z/lcm(factors) via
@@ -542,25 +501,8 @@ def h2(module, max_order=None, extra_image_tables=None, denominator=1):
         return _h2_lattice(module, max_order=max_order)
     _finite_limit_check(group, max_order, _h2_unknowns(group, module.rank))
     if group.order == 1:
-        return _trivial_cohomology(group, module, 2, 2, denominator=denominator)
-    factors = module.factors
-    solver = _BarH2Solver(group, factors, module.mats)
-    image = solver.coboundary_gens() + solver.gauge_gens()
-    if extra_image_tables:
-        for tab in extra_image_tables:
-            arr = _to_value_array(tab, group.order, module.rank)
-            solver.validate_cocycle(arr % solver.L)
-            image.append([int(x) for x in solver.read_slots(arr % solver.L)])
-    structure = subquotient_structure(solver.slots, solver.L, solver.kernel_gens, image)
-    rep_tables = [solver.expand(w) for w in structure.witness_generators]
-
-    def reducer(arr):
-        arr = arr % solver.L
-        solver.validate_cocycle(arr)
-        return structure.coords(solver.read_slots(arr))
-
-    return CohomologyGroup(group, module, 2, structure, solver, solver.L,
-                           rep_tables, reducer, denominator=denominator)
+        return _trivial_cohomology(group, module, 2, 2)
+    return _bar_cohomology(module, 2, extra_image_tables)
 
 
 def h1(module, max_order=None):
@@ -572,20 +514,7 @@ def h1(module, max_order=None):
         _lattice_limit_check(group, max_order)
     else:
         _finite_limit_check(group, max_order, len(group.generators) * module.rank)
-    solver = _BarH1Solver(group, module.rank, module.mats, factors=module.factors)
-    modulus = solver.L
-    image = solver.coboundary_gens() + solver.gauge_gens()
-    structure = subquotient_structure(solver.slots, modulus, solver.kernel_gens, image)
-    rep_tables = [solver.expand(w) for w in structure.witness_generators]
-
-    def reducer(arr):
-        if modulus:
-            arr = arr % modulus
-        solver.validate_cocycle(arr)
-        return structure.coords(solver.read_slots(arr))
-
-    return CohomologyGroup(group, module, 1, structure, solver, modulus,
-                           rep_tables, reducer)
+    return _bar_cohomology(module, 1)
 
 
 def connecting_bockstein(group, chi, modulus):
@@ -595,33 +524,28 @@ def connecting_bockstein(group, chi, modulus):
     integers in [0, N), take the coboundary, divide by N.
     """
     n = group.order
-    vals = [int(c) % modulus for c in chi]
-    for a in range(n):
-        for b in range(n):
-            if (vals[a] + vals[b] - vals[group.table[a][b]]) % modulus:
-                raise ValidationError("chi is not a homomorphism to Z/N", witness=(a, b))
-    table = np.zeros((n, n, 1), dtype=np.int64)
-    for a in range(n):
-        for b in range(n):
-            table[a, b, 0] = ((vals[a] + vals[b] - vals[group.table[a][b]]) // modulus) % modulus
-    return table
+    lift = np.array([[int(c) % modulus] for c in chi], dtype=np.int64)
+    trivial = np.ones((n, 1, 1), dtype=np.int64)
+    dchi = _d1(trivial, group._np_table, lift, range(n))
+    _require_zero(dchi % modulus, "chi is not a homomorphism to Z/N")
+    return dchi // modulus % modulus
 
 
 def h2_qz(group, modulus=None, max_order=None):
     """H^2(G, Q/Z) realized at a modulus divisible by |G|.
 
-    Classes are stored as Z/N-valued cocycles carrying denominator N; the
-    invariant factors do not depend on the admissible modulus chosen.
+    A class is stored as a Z/N-valued cocycle whose value a stands for a/N;
+    the invariant factors do not depend on the admissible modulus chosen.
     """
     n = group.order
     N = int(modulus) if modulus else n
     if n == 1:
-        return _trivial_cohomology(group, GModule.trivial_qz(group), 2, N, denominator=N)
+        return _trivial_cohomology(group, GModule.trivial_qz(group), 2, N)
     if N % n:
         raise DomainError(f"modulus {N} must be divisible by the group order {n}")
     module = GModule(group, "trivial_qz", factors=[N], rank=1)
     bocksteins = [connecting_bockstein(group, chi, N) for chi in homs_to_cyclic(group, N)]
-    return h2(module, max_order=max_order, extra_image_tables=bocksteins, denominator=N)
+    return h2(module, max_order=max_order, extra_image_tables=bocksteins)
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +566,7 @@ class _LatticeH2Engine:
         finite = GModule(group, "finite", factors=[self.L] * self.r,
                          element_mats=module.mats % self.L)
         self.h1_mod = h1(finite, max_order=max_order)
-        int_solver = _BarH1Solver(group, self.r, module.mats)
+        int_solver = _BarH1Solver(group, module.mats)
         image_coords = []
         for gen in int_solver.kernel_gens:
             arr = self.h1_mod._engine.expand([x % self.L for x in gen])
@@ -656,60 +580,36 @@ class _LatticeH2Engine:
         for c, w in zip(inner_coords, self.h1_mod.structure.witness_generators):
             u = (u + int(c) * np.asarray(w, dtype=np.int64)) % self.L
         cbar = self.h1_mod._engine.expand(u)  # (n, r) values in [0, L)
-        return self._coboundary_over_l(cbar)
-
-    def _coboundary_over_l(self, cbar):
-        n, L = self.group.order, self.L
-        t = self.group._np_table
-        mats = self.module.mats
-        lhs = cbar[:, None, :] + np.einsum("gij,hj->ghi", mats, cbar) - cbar[t]
-        if (lhs % L).any():
+        dc = _d1(self.module.mats, self.group._np_table, cbar, range(self.group.order))
+        if (dc % self.L).any():
             raise DomainError("table is not a 1-cocycle mod L")
-        return lhs // L
+        return dc // self.L
 
     def rep_tables(self):
-        out = []
-        for w in self.structure.witness_generators:
-            out.append(self.cocycle_from_h1_coords(w))
-        return out
+        return [self.cocycle_from_h1_coords(w) for w in self.structure.witness_generators]
 
     def _d1_solver(self):
-        """Howell factorization of the degree-one coboundary map mod L^2."""
+        """Howell factorization of the degree-one coboundary map mod L^2:
+        one row per (g, h, component), g and h != 1, one column per value
+        of a normalized 1-cochain."""
         if self._solver_cache is not None:
             return self._solver_cache
         n, r, L = self.group.order, self.r, self.L
-        L2 = L * L
         cols = (n - 1) * r
-        rows = []
-        t = self.group.table
-        mats = self.module.mats
-        for g in range(1, n):
-            for hh in range(1, n):
-                for i in range(r):
-                    row = [0] * cols
-                    # d1 c (g, h)_i = c(g)_i + (A_g c(h))_i - c(gh)_i
-                    row[(g - 1) * r + i] += 1
-                    for j in range(r):
-                        row[(hh - 1) * r + j] += int(mats[g][i, j])
-                    gh = t[g][hh]
-                    if gh != 0:
-                        row[(gh - 1) * r + i] -= 1
-                    rows.append(row)
-        self._solver_cache = [p for p in augmented_echelon(rows, L2, cols) if any(p[0])]
+        d = _d1(self.module.mats, self.group._np_table, _unit_1cochains(n, r), range(1, n))
+        rows = d[:, 1:].reshape(-1, cols).tolist()
+        self._solver_cache = [p for p in augmented_echelon(rows, L * L, cols) if any(p[0])]
         return self._solver_cache
 
     def reduce(self, ztable):
         """Coordinates of an integer 2-cocycle table."""
         n, r, L = self.group.order, self.r, self.L
         arr = np.asarray(ztable, dtype=np.int64)
-        self._validate_int_cocycle(arr)
+        _require_zero(_d2(self.module.mats, self.group._np_table, arr, range(n)),
+                      "table is not an integer 2-cocycle")
         L2 = L * L
         pairs = self._d1_solver()
-        target = []
-        for g in range(1, n):
-            for hh in range(1, n):
-                for i in range(r):
-                    target.append((L * int(arr[g, hh, i])) % L2)
+        target = [(L * int(x)) % L2 for x in arr[1:, 1:].reshape(-1)]
         coeffs = howell_solve([image for image, _ in pairs], target, L2)
         if coeffs is None:
             raise DomainError("2-cocycle is not in the image of the connecting map")
@@ -721,17 +621,6 @@ class _LatticeH2Engine:
         cbar[1:] = np.array([x % L for x in chat], dtype=np.int64).reshape(n - 1, r)
         inner = self.h1_mod._reducer(cbar)
         return self.structure.coords(list(inner))
-
-    def _validate_int_cocycle(self, arr):
-        t = self.group._np_table
-        mats = self.module.mats
-        acted = np.einsum("gij,hkj->ghki", mats, arr)
-        lhs = acted + arr[:, t][:, :, :, :]
-        rhs = arr[t][:, :, :, :] + arr[:, :, None, :]
-        if (lhs - rhs).any():
-            bad = np.argwhere((lhs - rhs).any(axis=3))[0]
-            raise ValidationError("table is not an integer 2-cocycle",
-                                  witness=tuple(int(x) for x in bad))
 
 
 def _h2_lattice(module, max_order=None):

@@ -474,10 +474,6 @@ class CycloMatrix:
         return CycloMatrix([row[n:] for row in work], self.m)
 
 
-def matrix_inverse(m):
-    return m.inverse()
-
-
 def r_subsets(n, r):
     """Lexicographically ordered r-subsets of 0..n-1 (the index convention
     for all exterior-power and star constructions)."""

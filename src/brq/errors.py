@@ -1,10 +1,17 @@
 """Exception hierarchy shared across the package.
 
 Exit-code contract for the CLI: ValidationError/DomainError and friends map
-to exit 2, SizeLimitError to exit 3.  Size limits are the group-order limits
-(`--max-order`, `BRQ_MAX_ORDER`) and the modulus limit: a coefficient module
-whose factors have an lcm above `linalg.INT64_BOUND` (2^20) is refused with
-witness {modulus, limit}.
+to exit 2, SizeLimitError to exit 3.  The size limits, and what sets each:
+
+- group construction: at most `groups.MAX_ORDER` (4096) elements, a
+  constant (`from_permutation_generators` also takes `max_order=`);
+- finite-coefficient cohomology: group order at most 96, or the value of
+  the environment variable `BRQ_MAX_ORDER`; witness {order, unknowns};
+- lattice cohomology: group order at most 24; witness {order, limit};
+- `--max-order` (the `max_order` argument) replaces the finite-coefficient
+  and the lattice limit of one computation;
+- the modulus: a coefficient module whose factors have an lcm above
+  `linalg.INT64_BOUND` (2^20) is refused with witness {modulus, limit}.
 """
 
 

@@ -3,15 +3,15 @@
 Element 0 is always the identity and all orderings are deterministic
 (breadth-first generation with lexicographic tie-breaks), so downstream
 reports are byte-reproducible.  Construction is capped at MAX_ORDER
-elements by default; cohomology routines impose tighter per-computation
-limits of their own.
+elements (a constant; `from_permutation_generators` also takes its own
+`max_order`); cohomology routines impose tighter per-computation limits of
+their own.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
@@ -20,11 +20,6 @@ from .errors import DomainError, SizeLimitError, ValidationError
 from .linalg import invariant_presentation
 
 MAX_ORDER = 4096
-
-
-def _max_order():
-    env = os.environ.get("BRQ_MAX_ORDER")
-    return int(env) if env else MAX_ORDER
 
 
 class FiniteGroup:
@@ -104,12 +99,6 @@ class FiniteGroup:
 
     # -- basic operations ----------------------------------------------------
 
-    def mul(self, a, b):
-        return self.table[a][b]
-
-    def inv(self, a):
-        return self.inverse[a]
-
     def conj(self, g, a):
         """g * a * g^-1"""
         return self.table[self.table[g][a]][self.inverse[g]]
@@ -148,9 +137,6 @@ class FiniteGroup:
         if self._abelian is None:
             self._abelian = bool(np.array_equal(self._np_table, self._np_table.T))
         return self._abelian
-
-    def elements(self):
-        return range(self.order)
 
     def closure(self, seed):
         """Subgroup generated by seed elements, as a sorted list."""
@@ -236,30 +222,6 @@ class Subgroup:
         return True
 
 
-@dataclass(frozen=True)
-class GroupHom:
-    """Homomorphism given by the image of every source element."""
-
-    source: FiniteGroup
-    target: FiniteGroup
-    images: tuple
-
-    def __post_init__(self):
-        if len(self.images) != self.source.order:
-            raise ValidationError("homomorphism images must cover the source")
-        if self.images[0] != 0:
-            raise ValidationError("homomorphism must send identity to identity")
-        for a in range(self.source.order):
-            for b in range(self.source.order):
-                lhs = self.target.table[self.images[a]][self.images[b]]
-                rhs = self.images[self.source.table[a][b]]
-                if lhs != rhs:
-                    raise ValidationError("map does not respect multiplication", witness=(a, b))
-
-    def __call__(self, a):
-        return self.images[a]
-
-
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -277,7 +239,7 @@ def from_permutation_generators(degree, perms, max_order=None):
     Element 0 is the identity; the element order is breadth-first by word
     length with lexicographic tie-breaks on the permutation images.
     """
-    limit = max_order or _max_order()
+    limit = max_order or MAX_ORDER
     degree = int(degree)
     gens = [_perm_tuple(p, degree) for p in perms]
     ident = tuple(range(degree))
@@ -324,8 +286,9 @@ def from_cayley_table(table, generators=None):
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise ValidationError("table must be square and nonempty")
-    if n > _max_order():
-        raise SizeLimitError(f"table larger than the configured maximum order {_max_order()}")
+    if n > MAX_ORDER:
+        raise SizeLimitError(f"table larger than the maximum order {MAX_ORDER}",
+                             witness={"max_order": MAX_ORDER})
     ident = None
     for e in range(n):
         if all(rows[e][x] == x and rows[x][e] == x for x in range(n)):
@@ -422,15 +385,11 @@ def central_extension_from_cocycle(g, n, cocycle):
     for x in range(m):
         if c[0][x] or c[x][0]:
             raise ValidationError("cocycle is not normalized", witness=x)
-    arr = np.array(c, dtype=np.int64)
-    t = g._np_table
-    # cocycle identity: c(x,y) + c(xy,z) == c(y,z) + c(x,yz) mod n
-    lhs = (arr[:, :, None] + arr[t]) % n          # [x,y,z] = c(x,y) + c(xy,z)
-    rhs = (arr[None, :, :] + arr[:, t]) % n       # [x,y,z] = c(y,z) + c(x,yz)
-    if not np.array_equal(lhs, rhs):
-        bad = np.argwhere(lhs != rhs)[0]
-        raise ValidationError("cocycle identity fails",
-                              witness=tuple(int(v) for v in bad))
+    from .cohomology import _d2, _require_zero  # cohomology imports this module
+
+    trivial = np.ones((m, 1, 1), dtype=np.int64)
+    dc = _d2(trivial, g._np_table, np.array(c, dtype=np.int64)[:, :, None], range(m))
+    _require_zero(dc % n, "cocycle identity fails")
 
     def enc(z, x):
         return z * m + x

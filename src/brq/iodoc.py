@@ -21,7 +21,6 @@ from .cohomology import GModule
 from .cyclotomic import CycloMatrix, CycloNumber
 from .errors import ValidationError
 from .groups import (
-    FiniteGroup,
     from_cayley_table,
     from_permutation_generators,
     semidirect_product,

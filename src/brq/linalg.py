@@ -633,11 +633,6 @@ class AbelianStructure:
     def coords(self, vector):
         return self.class_map(vector)
 
-    def describe(self):
-        if not self.invariant_factors:
-            return "0"
-        return " + ".join(f"Z/{d}" for d in self.invariant_factors)
-
     def to_json(self):
         return list(self.invariant_factors)
 

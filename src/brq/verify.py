@@ -37,13 +37,11 @@ from .cohomology import (
     h2_qz_cached,
     restrict_qz_class,
     small_complex_h,
-    subgroup_h2_qz,
 )
 from .cyclotomic import CycloMatrix, CycloNumber, plucker_vector
 from .errors import BrqError
 from .groups import (
     abelian_structure,
-    bicyclic_subgroups,
     cyclic_group,
     from_cayley_table,
     from_permutation_generators,

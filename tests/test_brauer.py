@@ -188,6 +188,14 @@ def test_correlation_action_validation():
     assert act.collineation_subgroup().order == 2
 
 
+def test_correlation_action_rejects_a_parity_that_is_no_homomorphism():
+    # on Z/3 the witness 1 gets parity 1 and 2 = 1 * 1 parity 0, so
+    # parity(1) + parity(2) != parity(0): (1, 2) is the first failing pair
+    with pytest.raises(ValidationError) as info:
+        correlation_action(cyclic_group(3), {}, CycloMatrix.identity(2), 1)
+    assert info.value.witness == (1, 2)
+
+
 def test_correlation_beta_two_torsion_and_annihilator_oracle():
     act = correlation_klein_on_gr24()
     beta_act = plucker_beta(act, 2)

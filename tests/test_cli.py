@@ -141,6 +141,14 @@ def test_max_order_limits_stack(capsys):
     assert main(["stack", stack, "--json", "--max-order", "4"]) == 0
 
 
+def test_max_order_limits_toric_brnr(capsys):
+    toric = str(Path(PAULI).parent / "toric_s3.json")
+    assert main(["brnr", "toric", toric, "--json", "--max-order", "4"]) == 3
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "SizeLimitError"
+    assert err["witness"] == {"order": 6, "limit": 4}
+
+
 @pytest.mark.parametrize("matrix", [[[2]], [[0, 1], [2, 0]], [[1, 1], [0, 2]]])
 def test_non_unimodular_lattice_action_rejected(tmp_path, capsys, matrix):
     doc = {"group": {"kind": "permutation", "degree": 2, "generators": [[1, 0]]},

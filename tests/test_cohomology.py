@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import itertools
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from brq import corpus
 from brq.cohomology import (
     GModule,
+    _d1,
+    _d2,
     connecting_bockstein,
     corestrict_qz_class,
     h1,
@@ -17,6 +23,10 @@ from brq.cohomology import (
 )
 from brq.errors import DomainError, SizeLimitError, ValidationError
 from brq.groups import Subgroup, bicyclic_subgroups, cyclic_group, direct_product
+from brq.iodoc import parse_action_document
+
+TORIC_S3 = (Path(__file__).resolve().parent.parent / "src" / "brq" / "fixtures" / "inputs"
+            / "toric_s3.json")
 
 
 def test_h1_negation_action():
@@ -120,8 +130,10 @@ def test_bockstein_zero_and_generator():
 
 def test_bockstein_rejects_non_homomorphism():
     g = cyclic_group(4)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as info:
         connecting_bockstein(g, [0, 1, 0, 0], 4)
+    # chi(1) + chi(1) - chi(1 * 1) = 2 is the first nonzero value mod 4
+    assert info.value.witness == (1, 1)
 
 
 def test_bockstein_classes_span_qz_kernel():
@@ -317,3 +329,86 @@ def test_determinism_two_runs():
     b = h2_qz(g)
     assert a.invariant_factors == b.invariant_factors
     assert [t.tolist() for t in a.rep_tables] == [t.tolist() for t in b.rep_tables]
+
+
+def test_brq_max_order_sets_only_the_finite_coefficient_limit(monkeypatch):
+    monkeypatch.setenv("BRQ_MAX_ORDER", "8")
+    a4 = corpus.alternating4()
+    assert a4.order == 12
+    with pytest.raises(SizeLimitError) as info:
+        h2_qz(a4)
+    assert info.value.witness == {"order": 12, "unknowns": 2 * 11}
+
+
+def _s3_lattice():
+    doc = json.loads(TORIC_S3.read_text(encoding="utf-8"))["document"]
+    return parse_action_document(doc)["toric"].lattice
+
+
+def _first_cocycle_failure(module, table, degree):
+    """First (g, h) or (g, h, k), in row-major order, where the cocycle
+    identity fails: a plain loop over the group, independent of the
+    package's differential."""
+    group, t, r = module.group, module.group.table, module.rank
+    mats = module.mats.tolist()
+    c = np.asarray(table).tolist()
+    factors = module.factors or [None] * r
+
+    def act(g, v):
+        return [sum(mats[g][i][j] * v[j] for j in range(r)) for i in range(r)]
+
+    for idx in itertools.product(range(group.order), repeat=degree + 1):
+        if degree == 1:
+            g, h = idx
+            terms = [act(g, c[h]), c[t[g][h]], c[g]]
+            signs = [1, -1, 1]
+        else:
+            g, h, k = idx
+            terms = [act(g, c[h][k]), c[t[g][h]][k], c[g][t[h][k]], c[g][h]]
+            signs = [1, -1, 1, -1]
+        for i, f in enumerate(factors):
+            value = sum(s * term[i] for s, term in zip(signs, terms))
+            if (value % f if f else value) != 0:
+                return idx
+    return None
+
+
+@pytest.mark.parametrize("kind, degree", [("finite", 1), ("lattice", 1),
+                                          ("finite", 2), ("lattice", 2)])
+def test_reduce_rejects_a_non_cocycle_at_its_first_failure(kind, degree):
+    lattice = _s3_lattice()
+    module = lattice if kind == "lattice" else GModule(
+        lattice.group, "finite", factors=[4, 4], element_mats=lattice.mats)
+    coh = h1(module) if degree == 1 else h2(module)
+    n = module.group.order
+    table = coh.rep_tables[0].copy() if coh.rep_tables else \
+        np.zeros((n,) * degree + (module.rank,), dtype=np.int64)
+    coh.reduce(table)
+    entry = (3, 1) if degree == 1 else (2, 3, 1)  # (element[s], component)
+    table[entry] += 1
+    want = _first_cocycle_failure(module, table, degree)
+    assert want is not None
+    with pytest.raises(ValidationError) as info:
+        coh.reduce(table)
+    assert info.value.witness == want
+
+
+def test_d2_after_d1_vanishes():
+    rng = np.random.default_rng(20240116)
+    klein = corpus.klein_four()
+    cases = [
+        _s3_lattice(),
+        GModule.lattice(klein, 2, {klein.generators[0]: [[0, 1], [1, 0]],
+                                   klein.generators[1]: [[-1, 0], [0, -1]]}),
+        GModule.lattice(cyclic_group(4), 2, {1: [[0, -1], [1, 0]]}),
+        GModule.lattice(corpus.alternating4(), 1),
+    ]
+    for module in cases:
+        n, t = module.group.order, module.group._np_table
+        for _ in range(3):
+            c = rng.integers(-9, 10, size=(n, module.rank, 2))
+            dc = _d1(module.mats, t, c, range(n))
+            assert dc.shape == (n, n, module.rank, 2)
+            ddc = _d2(module.mats, t, dc, range(n))
+            assert ddc.shape == (n, n, n, module.rank, 2)
+            assert not ddc.any()

@@ -197,6 +197,15 @@ def test_central_extension_bad_cocycle_witness():
         central_extension_from_cocycle(base, 2, [[1, 0], [0, 0]])
 
 
+def test_central_extension_rejects_a_non_cocycle():
+    # on Z/3, c(1, 1) = 1 alone is normalized; (dc)(1, 1, 2) = c(1, 2) -
+    # c(2, 2) + c(1, 0) - c(1, 1) = -1 is the first failure in row-major order
+    bad = [[0, 0, 0], [0, 1, 0], [0, 0, 0]]
+    with pytest.raises(ValidationError) as info:
+        central_extension_from_cocycle(cyclic_group(3), 3, bad)
+    assert info.value.witness == (1, 1, 2)
+
+
 def test_central_extension_quotient_recovers_base():
     base = corpus.klein_four()
     g = central_extension_from_cocycle(base, 2, corpus.pauli_cocycle_klein())
