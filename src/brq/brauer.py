@@ -53,7 +53,6 @@ class ProjectiveAction:
     group: object
     dimension: int
     gen_matrices: dict
-    element_matrices: list
     frac_table: tuple  # (n, n) table of Fractions in [0, 1)
     conductor: int
 
@@ -134,7 +133,7 @@ def gamma_from_projective_action(group, matrices, max_order=None):
             table[a][b] = frac
     action = ProjectiveAction(group, next(iter(dims)),
                               {g: m.promote(conductor) for g, m in gen_matrices.items()},
-                              mats, tuple(tuple(r) for r in table), conductor)
+                              tuple(tuple(r) for r in table), conductor)
     # torsion bound: the class is killed by the matrix dimension
     N = lcm(group.order, action.cocycle_denominator())
     coh = h2_qz_cached(group, N, max_order)

@@ -543,6 +543,7 @@ def h2_qz(group, modulus=None, max_order=None):
         return _trivial_cohomology(group, GModule.trivial_qz(group), 2, N)
     if N % n:
         raise DomainError(f"modulus {N} must be divisible by the group order {n}")
+    _finite_limit_check(group, max_order, _h2_unknowns(group, 1))
     module = GModule(group, "trivial_qz", factors=[N], rank=1)
     bocksteins = [connecting_bockstein(group, chi, N) for chi in homs_to_cyclic(group, N)]
     return h2(module, max_order=max_order, extra_image_tables=bocksteins)

@@ -1,10 +1,28 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_m) and matrices over them.
 
-Numbers are residues mod the m-th cyclotomic polynomial with Fraction
-coefficients; the algebraically closed coefficient field of the theory is
-realized as the union of these fields, which suffices because every finite
-projective matrix group is conjugate into one and all scalar defects are
-roots of unity.
+A number of Q(zeta_m) is stored as a tuple `num` of phi(m) integer
+numerators, on the basis 1, zeta_m, ..., zeta_m^(phi(m)-1), over one
+positive denominator `den`: its residue mod the m-th cyclotomic polynomial
+Phi_m, in lowest terms.  Phi_m is monic, so the reduction stays integral,
+and equal numbers at one conductor have equal fields.  `Fraction` appears
+only at the boundary: constructor input, the derived `coeffs`, `to_json`
+and the value `as_unit_fraction` returns.  `_dot` is the one product: it
+reduces a sum of products once, for numbers, matrix products and
+matrix-vector products.
+
+The inverse of x is the product of its Galois conjugates sigma_k(x)
+(zeta_m -> zeta_m^k, k in (Z/m)^*, k != 1) divided by the rational norm,
+x times that product (Cohen, A Course in Computational Algebraic Number
+Theory, 4.3).  Built along a chain of subgroups of (Z/m)^*, doubling
+within each step, the product takes O(log phi(m)) multiplications.  The
+torsion units of Q(zeta_m) are the t = lcm(2, m) numbers +-zeta_m^k; one
+table per conductor, built on first use, maps each to its value e/t in
+Q/Z, so recognising a root of unity is one lookup.
+
+The algebraically closed coefficient field of the theory is realized as
+the union of these fields, which suffices because every finite projective
+matrix group is conjugate into one and all scalar defects are roots of
+unity.
 """
 
 from __future__ import annotations
@@ -12,7 +30,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DomainError, ValidationError
 
@@ -45,154 +63,168 @@ def _poly_divide_exact(num, den):
     return out
 
 
-@lru_cache(maxsize=None)
 def euler_phi(m):
-    out = m
-    mm = m
-    p = 2
-    while p * p <= mm:
-        if mm % p == 0:
-            out -= out // p
-            while mm % p == 0:
-                mm //= p
-        p += 1
-    if mm > 1:
-        out -= out // mm
-    return out
+    return len(cyclotomic_polynomial(m)) - 1
 
 
-def _reduce_mod_cyclotomic(coeffs, m):
-    """Reduce a rational coefficient list mod Phi_m; returns length-phi(m) tuple."""
+def _number(m, num, den=1):
+    """The CycloNumber num/den at conductor m, for an integer polynomial
+    `num` (low degree first) and a nonzero integer `den`."""
     phi = euler_phi(m)
     poly = cyclotomic_polynomial(m)
-    c = list(coeffs) + [Fraction(0)] * max(0, phi - len(coeffs))
+    c = list(num)
     for i in range(len(c) - 1, phi - 1, -1):
         top = c[i]
         if top:
-            for j in range(phi + 1):
+            for j in range(phi):
                 c[i - phi + j] -= top * poly[j]
-        c.pop()
-    while len(c) < phi:
-        c.append(Fraction(0))
-    return tuple(Fraction(x) for x in c)
+    c = c[:phi] + [0] * (phi - len(c))
+    g = gcd(den, *c)
+    if den < 0:
+        g = -g
+    if g != 1:
+        c = [x // g for x in c]
+        den //= g
+    x = object.__new__(CycloNumber)
+    x.m, x.num, x.den = m, tuple(c), den
+    return x
+
+
+def _dot(m, xs, ys):
+    """sum(x * y) over paired CycloNumbers at conductor m, reduced once."""
+    pairs = list(zip(xs, ys))
+    den = lcm(*(x.den * y.den for x, y in pairs))
+    acc = [0] * (2 * euler_phi(m) - 1)
+    for x, y in pairs:
+        scale = den // (x.den * y.den)
+        for i, a in enumerate(x.num):
+            if a:
+                a *= scale
+                for j, b in enumerate(y.num):
+                    acc[i + j] += a * b
+    return _number(m, acc, den)
 
 
 class CycloNumber:
-    """Element of Q(zeta_m), reduced mod the m-th cyclotomic polynomial."""
+    """Element of Q(zeta_m): integer numerators `num` over a positive `den`,
+    reduced mod the m-th cyclotomic polynomial and in lowest terms."""
 
-    __slots__ = ("m", "coeffs")
+    __slots__ = ("m", "num", "den")
 
-    def __init__(self, m, coeffs):
-        self.m = int(m)
-        self.coeffs = _reduce_mod_cyclotomic([Fraction(x) for x in coeffs], self.m)
+    def __new__(cls, m, coeffs):
+        fracs = [Fraction(x) for x in coeffs]
+        den = lcm(*(f.denominator for f in fracs))
+        return _number(int(m), [f.numerator * (den // f.denominator) for f in fracs], den)
+
+    @property
+    def coeffs(self):
+        """The reduced coefficients as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     @classmethod
     def from_rational(cls, value, m=1):
-        return cls(m, [Fraction(value)])
+        value = Fraction(value)
+        return _number(m, [value.numerator], value.denominator)
 
     @classmethod
     def zeta(cls, m, k=1):
-        k %= m
-        coeffs = [Fraction(0)] * (k + 1)
-        coeffs[k] = Fraction(1)
-        return cls(m, coeffs)
+        return _number(m, [0] * (k % m) + [1])
+
+    def _substitute(self, k, m):
+        """The image under zeta_self.m -> zeta_m^k."""
+        c = [0] * m
+        for i, a in enumerate(self.num):
+            c[i * k % m] += a
+        return _number(m, c, self.den)
 
     def promote(self, m_new):
         if m_new == self.m:
             return self
         if m_new % self.m:
             raise DomainError("can only promote to a multiple conductor")
-        step = m_new // self.m
-        coeffs = [Fraction(0)] * (step * (len(self.coeffs) - 1) + 1 if self.coeffs else 1)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                coeffs[i * step] += c
-        return CycloNumber(m_new, coeffs)
+        return self._substitute(m_new // self.m, m_new)
 
     @staticmethod
     def common(a, b):
-        m = a.m * b.m // gcd(a.m, b.m)
+        m = lcm(a.m, b.m)
         return a.promote(m), b.promote(m)
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_one(self):
-        return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
+        return self.den == 1 and self.num[0] == 1 and not any(self.num[1:])
 
     def __add__(self, other):
-        other = _coerce(other)
-        a, b = CycloNumber.common(self, other)
-        return CycloNumber(a.m, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        a, b = CycloNumber.common(self, _coerce(other))
+        return _number(a.m, [x * b.den + y * a.den for x, y in zip(a.num, b.num)],
+                       a.den * b.den)
 
     def __neg__(self):
-        return CycloNumber(self.m, [-x for x in self.coeffs])
+        return _number(self.m, [-x for x in self.num], self.den)
 
     def __sub__(self, other):
         return self + (-_coerce(other))
 
     def __mul__(self, other):
-        other = _coerce(other)
-        a, b = CycloNumber.common(self, other)
-        out = [Fraction(0)] * (2 * len(a.coeffs))
-        for i, x in enumerate(a.coeffs):
-            if x:
-                for j, y in enumerate(b.coeffs):
-                    if y:
-                        out[i + j] += x * y
-        return CycloNumber(a.m, out)
+        a, b = CycloNumber.common(self, _coerce(other))
+        return _dot(a.m, (a,), (b,))
 
     __radd__ = __add__
     __rmul__ = __mul__
 
     def inverse(self):
+        """The product `rest` of the conjugates sigma_k(self), k != 1, over
+        the rational norm self * rest."""
         if self.is_zero():
             raise DomainError("inversion of zero")
-        # extended Euclid in Q[x] against the (irreducible) cyclotomic polynomial
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.m)]
-        a = list(self.coeffs)
-        r0, r1 = phi, _trim(a)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while _degree(r1) > 0:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        if _degree(r1) < 0:
-            raise DomainError("inversion of zero")
-        lead = r1[0]
-        inv = [c / lead for c in s1]
-        return CycloNumber(self.m, inv)
+        m = self.m
+        # Grow a subgroup S of (Z/m)^* one unit k at a time, keeping rest as
+        # the product over s in S, s != 1.  With o least such that k^o is in
+        # S, the new subgroup is the union of the cosets k^j S for j < o, so
+        # rest gains sigma_k of _orbit(self * rest, k, o - 1).
+        rest, sub = _number(m, [1]), {1}
+        for k in range(2, m):
+            if gcd(k, m) == 1 and k not in sub:
+                o = next(j for j in itertools.count(2) if pow(k, j, m) in sub)
+                rest = rest * _orbit(self * rest, k, o - 1)._substitute(k, m)
+                sub = {s * pow(k, j, m) % m for s in sub for j in range(o)}
+        norm = self * rest
+        return _number(m, [c * norm.den for c in rest.num], rest.den * norm.num[0])
 
     def __truediv__(self, other):
-        other = _coerce(other)
-        return self * other.inverse()
+        return self * _coerce(other).inverse()
 
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
-        out = CycloNumber.from_rational(1, self.m)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
+        out = _number(self.m, [1])
+        for bit in bin(k)[2:]:
+            out = out * out * self if bit == "1" else out * out
         return out
 
     def __eq__(self, other):
-        if not isinstance(other, CycloNumber):
-            other = _coerce(other)
-        a, b = CycloNumber.common(self, other)
-        return a.coeffs == b.coeffs
+        a, b = CycloNumber.common(self, _coerce(other))
+        return a.num == b.num and a.den == b.den
 
     def __hash__(self):
-        return hash((self.m, self.coeffs))
+        return hash((self.m, self.num, self.den))
 
     def __repr__(self):
         return f"CycloNumber(m={self.m}, coeffs={[str(c) for c in self.coeffs]})"
 
     def to_json(self):
         return {"m": self.m, "c": [[c.numerator, c.denominator] for c in self.coeffs]}
+
+
+def _orbit(y, k, n):
+    """The product of sigma_(k^j)(y) over 0 <= j < n, for n >= 1, by doubling."""
+    if n == 1:
+        return y
+    m = y.m
+    half = _orbit(y, k, n // 2)
+    out = half * half._substitute(pow(k, n // 2, m), m)
+    return out * y._substitute(pow(k, n - 1, m), m) if n % 2 else out
 
 
 def _coerce(x):
@@ -203,119 +235,35 @@ def _coerce(x):
     raise ValidationError(f"cannot interpret {x!r} as a cyclotomic number")
 
 
-def _trim(p):
-    while len(p) > 1 and p[-1] == 0:
-        p = p[:-1]
-    return list(p)
-
-
-def _degree(p):
-    p = _trim(p)
-    if len(p) == 1 and p[0] == 0:
-        return -1
-    return len(p) - 1
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _trim(out)
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    return _trim([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)])
-
-
-def _poly_divmod(a, b):
-    a = _trim(a)
-    b = _trim(b)
-    if _degree(b) < 0:
-        raise DomainError("polynomial division by zero")
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    r = list(a)
-    while _degree(r) >= _degree(b) >= 0 and _degree(r) >= 0:
-        shift = _degree(r) - _degree(b)
-        c = r[_degree(r)] / b[_degree(b)]
-        q[shift] += c
-        for j in range(len(b)):
-            r[shift + j] -= c * b[j]
-        r = _trim(r) if _degree(r) < 0 else r
-        while len(r) > 1 and r[-1] == 0:
-            r.pop()
-        if all(x == 0 for x in r):
-            r = [Fraction(0)]
-            break
-    return _trim(q), _trim(r)
-
-
 # ---------------------------------------------------------------------------
 # torsion recognition
 
 
 @lru_cache(maxsize=None)
-def _torsion_order_bound(m):
-    return m if m % 2 == 0 else 2 * m
+def _torsion_units(m):
+    """{num: e/t} over the t = lcm(2, m) torsion units zeta_t^e of Q(zeta_m).
 
-
-def is_root_of_unity(x):
-    """Multiplicative order of x when x is a root of unity, else None.
-
-    The torsion units of Q(zeta_m) are exactly +-zeta_m^k, so it suffices
-    to test exponents dividing 2m.
-    """
-    if x.is_zero():
-        return None
-    bound = _torsion_order_bound(x.m)
-    if not (x ** bound).is_one():
-        return None
-    order = bound
-    for p in _prime_factors(bound):
-        while order % p == 0 and (x ** (order // p)).is_one():
-            order //= p
-    return order
-
-
-def _prime_factors(n):
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _primitive_torsion_root(m):
-    """Generator of the torsion units of Q(zeta_m) with its order."""
-    t = _torsion_order_bound(m)
-    if m % 2 == 0:
-        return CycloNumber.zeta(m), m
-    root = -CycloNumber.zeta(m, (m + 1) // 2)
-    return root, t
+    For odd m, zeta_2m = -zeta_m^((m+1)/2)."""
+    t = lcm(2, m)
+    table = {}
+    for e in range(t):
+        sign, k = (1, e) if m % 2 == 0 else ((-1) ** e, e * (m + 1) // 2 % m)
+        table[_number(m, [0] * k + [sign]).num] = Fraction(e, t)
+    return table
 
 
 def as_unit_fraction(x):
-    """Write a torsion unit as a Q/Z value: returns Fraction a/t in [0,1)."""
-    order = is_root_of_unity(x)
-    if order is None:
+    """Write a torsion unit as a Q/Z value: returns Fraction a/t in [0,1),
+    or None when x is not a root of unity."""
+    if x.den != 1:
         return None
-    root, t = _primitive_torsion_root(x.m)
-    step = root ** (t // order)
-    cur = CycloNumber.from_rational(1, x.m)
-    for j in range(order):
-        if cur == x:
-            return Fraction(j, order)
-        cur = cur * step
-    return None
+    return _torsion_units(x.m).get(x.num)
+
+
+def is_root_of_unity(x):
+    """Multiplicative order of x when x is a root of unity, else None."""
+    value = as_unit_fraction(x)
+    return None if value is None else value.denominator
 
 
 # ---------------------------------------------------------------------------
@@ -331,17 +279,14 @@ class CycloMatrix:
         rows = [[_coerce(x) for x in row] for row in entries]
         if not rows or any(len(r) != len(rows[0]) for r in rows):
             raise ValidationError("matrix must be rectangular and nonempty")
-        conductor = m or 1
-        for row in rows:
-            for x in row:
-                conductor = conductor * x.m // gcd(conductor, x.m)
+        conductor = lcm(m or 1, *(x.m for row in rows for x in row))
         self.m = conductor
         self.entries = tuple(tuple(x.promote(conductor) for x in row) for row in rows)
 
     @classmethod
     def identity(cls, n, m=1):
-        one = CycloNumber.from_rational(1, m)
-        zero = CycloNumber.from_rational(0, m)
+        one = _number(m, [1])
+        zero = _number(m, [])
         return cls([[one if i == j else zero for j in range(n)] for i in range(n)], m)
 
     @property
@@ -360,37 +305,19 @@ class CycloMatrix:
     def __mul__(self, other):
         if isinstance(other, CycloNumber):
             return CycloMatrix([[x * other for x in row] for row in self.entries])
-        m = self.m * other.m // gcd(self.m, other.m)
+        m = lcm(self.m, other.m)
         a, b = self.promote(m), other.promote(m)
         if a.ncols != b.nrows:
             raise ValidationError("matrix dimensions do not match")
-        out = []
-        for i in range(a.nrows):
-            row = []
-            for j in range(b.ncols):
-                acc = CycloNumber.from_rational(0, m)
-                for k in range(a.ncols):
-                    acc = acc + a.entries[i][k] * b.entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return CycloMatrix(out, m)
+        cols = list(zip(*b.entries))
+        return CycloMatrix([[_dot(m, row, col) for col in cols] for row in a.entries], m)
 
     def apply(self, vector):
         """Matrix times a column vector of CycloNumbers."""
-        m = self.m
-        vec = [_coerce(v).promote(m * _coerce(v).m // gcd(m, _coerce(v).m)) for v in vector]
-        conductor = m
-        for v in vec:
-            conductor = conductor * v.m // gcd(conductor, v.m)
-        a = self.promote(conductor)
-        vec = [v.promote(conductor) for v in vec]
-        out = []
-        for i in range(a.nrows):
-            acc = CycloNumber.from_rational(0, conductor)
-            for k in range(a.ncols):
-                acc = acc + a.entries[i][k] * vec[k]
-            out.append(acc)
-        return out
+        vec = [_coerce(v) for v in vector]
+        m = lcm(self.m, *(v.m for v in vec))
+        vec = [v.promote(m) for v in vec]
+        return [_dot(m, row, vec) for row in self.promote(m).entries]
 
     def transpose(self):
         return CycloMatrix([[self.entries[i][j] for i in range(self.nrows)]
@@ -399,9 +326,8 @@ class CycloMatrix:
     def __eq__(self, other):
         if self.nrows != other.nrows or self.ncols != other.ncols:
             return False
-        m = self.m * other.m // gcd(self.m, other.m)
-        a, b = self.promote(m), other.promote(m)
-        return a.entries == b.entries
+        m = lcm(self.m, other.m)
+        return self.promote(m).entries == other.promote(m).entries
 
     def __hash__(self):
         return hash(self.entries)
@@ -410,68 +336,55 @@ class CycloMatrix:
         """Scalar c with self = c * other, or None when not proportional."""
         if self.nrows != other.nrows or self.ncols != other.ncols:
             return None
-        m = self.m * other.m // gcd(self.m, other.m)
-        a, b = self.promote(m), other.promote(m)
-        pivot = None
-        for i in range(a.nrows):
-            for j in range(a.ncols):
-                if not b.entries[i][j].is_zero():
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
+        m = lcm(self.m, other.m)
+        a, b = self.promote(m).entries, other.promote(m).entries
+        pivot = next(((i, j) for i, row in enumerate(b) for j, x in enumerate(row)
+                      if not x.is_zero()), None)
         if pivot is None:
             return None
         i, j = pivot
-        c = a.entries[i][j] / b.entries[i][j]
-        for i in range(a.nrows):
-            for j in range(a.ncols):
-                if a.entries[i][j] != c * b.entries[i][j]:
+        c = a[i][j] / b[i][j]
+        for row_a, row_b in zip(a, b):
+            for x, y in zip(row_a, row_b):
+                if x != c * y:
                     return None
         return c
 
-    def determinant(self):
-        if self.nrows != self.ncols:
-            raise ValidationError("determinant of a non-square matrix")
+    def _gauss_jordan(self, right):
+        """Gauss-Jordan elimination of the square matrix [self | right]:
+        (determinant of self, rows of the reduced right block), or
+        (0, None) when self is singular."""
         n = self.nrows
-        work = [list(row) for row in self.entries]
-        det = CycloNumber.from_rational(1, self.m)
+        work = [list(row) + list(extra) for row, extra in zip(self.entries, right)]
+        det = _number(self.m, [1])
         for col in range(n):
             piv = next((r for r in range(col, n) if not work[r][col].is_zero()), None)
             if piv is None:
-                return CycloNumber.from_rational(0, self.m)
+                return _number(self.m, []), None
             if piv != col:
                 work[col], work[piv] = work[piv], work[col]
                 det = -det
             det = det * work[col][col]
             inv = work[col][col].inverse()
-            for r in range(col + 1, n):
-                if not work[r][col].is_zero():
-                    f = work[r][col] * inv
-                    work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-        return det
+            pivot_row = work[col][col:] = [x * inv for x in work[col][col:]]
+            for r in range(n):
+                f = work[r][col]
+                if r != col and not f.is_zero():
+                    work[r][col:] = [x - f * y for x, y in zip(work[r][col:], pivot_row)]
+        return det, [row[n:] for row in work]
+
+    def determinant(self):
+        if self.nrows != self.ncols:
+            raise ValidationError("determinant of a non-square matrix")
+        return self._gauss_jordan([()] * self.nrows)[0]
 
     def inverse(self):
         if self.nrows != self.ncols:
             raise ValidationError("inverse of a non-square matrix")
-        n = self.nrows
-        one = CycloNumber.from_rational(1, self.m)
-        zero = CycloNumber.from_rational(0, self.m)
-        work = [list(row) + [one if i == j else zero for j in range(n)]
-                for i, row in enumerate(self.entries)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if not work[r][col].is_zero()), None)
-            if piv is None:
-                raise DomainError("matrix is singular")
-            if piv != col:
-                work[col], work[piv] = work[piv], work[col]
-            inv = work[col][col].inverse()
-            work[col] = [x * inv for x in work[col]]
-            for r in range(n):
-                if r != col and not work[r][col].is_zero():
-                    f = work[r][col]
-                    work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-        return CycloMatrix([row[n:] for row in work], self.m)
+        _, right = self._gauss_jordan(CycloMatrix.identity(self.nrows, self.m).entries)
+        if right is None:
+            raise DomainError("matrix is singular")
+        return CycloMatrix(right, self.m)
 
 
 def r_subsets(n, r):

@@ -61,24 +61,37 @@ def parse_group(doc):
     raise ValidationError(f"unknown group kind {kind!r}")
 
 
-def _parse_rational(x):
-    if isinstance(x, int):
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _parse_rational(x, field):
+    if _is_int(x):
         return Fraction(x)
-    if isinstance(x, (list, tuple)) and len(x) == 2:
-        return Fraction(int(x[0]), int(x[1]))
-    raise ValidationError(f"cannot parse rational {x!r}")
+    if isinstance(x, list) and len(x) == 2 and all(map(_is_int, x)) and x[1]:
+        return Fraction(x[0], x[1])
+    raise ValidationError(f"cannot parse rational {x!r}", witness={"field": field, "value": x})
 
 
 def parse_cyclo_number(x):
     """Accepts an int, a [num, den] pair, or {"m": conductor, "c": [...]}."""
-    if isinstance(x, dict):
-        m = int(x["m"])
-        coeffs = [_parse_rational(c) for c in x["c"]]
-        return CycloNumber(m, coeffs)
-    return CycloNumber.from_rational(_parse_rational(x))
+    if not isinstance(x, dict):
+        return CycloNumber.from_rational(_parse_rational(x, "entry"))
+    m, coeffs = x.get("m"), x.get("c")
+    if not _is_int(m) or m < 1:
+        raise ValidationError("a cyclotomic number needs a conductor m >= 1",
+                              witness={"field": "m", "value": m})
+    if not isinstance(coeffs, list):
+        raise ValidationError("a cyclotomic number needs a coefficient list c",
+                              witness={"field": "c", "value": coeffs})
+    return CycloNumber(m, [_parse_rational(c, "c") for c in coeffs])
 
 
 def parse_cyclo_matrix(rows):
+    if not (isinstance(rows, list) and rows and all(isinstance(r, list) for r in rows)
+            and rows[0] and all(len(r) == len(rows[0]) for r in rows)):
+        raise ValidationError("a matrix is a nonempty list of equal-length rows",
+                              witness={"field": "matrix", "value": rows})
     return CycloMatrix([[parse_cyclo_number(x) for x in row] for row in rows])
 
 

@@ -193,3 +193,25 @@ def test_malformed_module_action_rejected(tmp_path, capsys, action):
     err = json.loads(capsys.readouterr().out)["error"]
     assert err["type"] == "ValidationError"
     assert err["witness"] is not None
+
+
+@pytest.mark.parametrize("entry, matrix, witness", [
+    ({"m": "a", "c": [1]}, None, {"field": "m", "value": "a"}),
+    ({"m": 4}, None, {"field": "c", "value": None}),
+    ([1, 0], None, {"field": "entry", "value": [1, 0]}),
+    ({"m": 4, "c": [[1, 0]]}, None, {"field": "c", "value": [1, 0]}),
+    ({"m": 4, "c": 5}, None, {"field": "c", "value": 5}),
+    (True, None, {"field": "entry", "value": True}),
+    (None, 5, {"field": "matrix", "value": 5}),
+    (None, [5], {"field": "matrix", "value": [5]}),
+])
+def test_malformed_cyclotomic_input_rejected(tmp_path, capsys, entry, matrix, witness):
+    doc = json.loads(Path(PAULI).read_text())["document"]
+    if matrix is None:
+        matrix = [[entry, 1], [1, 0]]
+    doc["projective"]["matrices"]["0"] = matrix
+    path = write(tmp_path, "pauli.json", doc)
+    assert main(["brnr", path, "--json"]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "ValidationError"
+    assert err["witness"] == witness

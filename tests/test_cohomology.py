@@ -112,6 +112,16 @@ def test_h2_qz_size_limit():
         h2_qz(cyclic_group(97), max_order=96)
 
 
+def test_h2_qz_refuses_an_over_limit_group_before_the_bockstein_work(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("Hom(G, Z/N) was built for a group over the limit")
+
+    monkeypatch.setattr("brq.cohomology.homs_to_cyclic", unreachable)
+    with pytest.raises(SizeLimitError) as info:
+        h2_qz(corpus.abelian_group([2] * 7))
+    assert info.value.witness == {"order": 128, "unknowns": 7 * 127}
+
+
 def test_bockstein_zero_and_generator():
     g = cyclic_group(2)
     zero = connecting_bockstein(g, [0, 0], 2)

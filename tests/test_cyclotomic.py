@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -46,11 +47,13 @@ def test_additive_cancellation():
 
 
 def test_field_axioms_random_spotcheck():
+    # m = 1 and 2 have a trivial (Z/m)^*, so the norm inverse is the rational
+    # inverse; 5, 10 and 15 run it over (Z/m)^* of order 4 and 8
     rng = random.Random(42)
-    for m in (3, 4, 8, 12, 24):
+    for m in (1, 2, 3, 4, 5, 6, 8, 10, 12, 15, 24):
         nums = []
         for _ in range(3):
-            coeffs = [Fraction(rng.randrange(-3, 4), rng.randrange(1, 3)) for _ in range(4)]
+            coeffs = [Fraction(rng.randrange(-3, 4), rng.randrange(1, 4)) for _ in range(4)]
             nums.append(CycloNumber(m, coeffs))
         a, b, c = nums
         assert (a + b) + c == a + (b + c)
@@ -58,6 +61,54 @@ def test_field_axioms_random_spotcheck():
         assert a * (b + c) == a * b + a * c
         if not a.is_zero():
             assert (a * a.inverse()).is_one()
+
+
+def _reduce_with_fractions(m, coeffs):
+    """Plain Fraction polynomial remainder mod Phi_m, low degree first."""
+    poly = cyclotomic_polynomial(m)
+    phi = len(poly) - 1
+    c = [Fraction(x) for x in coeffs] + [Fraction(0)] * phi
+    for i in range(len(c) - 1, phi - 1, -1):
+        top = c[i]
+        for j in range(phi + 1):
+            c[i - phi + j] -= top * poly[j]
+    return c[:phi]
+
+
+def test_to_json_is_the_reduced_fraction_remainder():
+    rng = random.Random(5)
+    for m in (1, 2, 3, 5, 6, 8, 9, 12, 15):
+        for _ in range(4):
+            coeffs = [Fraction(rng.randrange(-6, 7), rng.randrange(1, 7)) for _ in range(2 * m)]
+            want = _reduce_with_fractions(m, coeffs)
+            x = CycloNumber(m, coeffs)
+            assert x.to_json() == {"m": m, "c": [[c.numerator, c.denominator] for c in want]}
+            assert x.coeffs == tuple(want)
+            product = x * CycloNumber.zeta(m, 3)
+            shifted = _reduce_with_fractions(m, [0, 0, 0] + want)
+            assert product.to_json()["c"] == [[c.numerator, c.denominator] for c in shifted]
+
+
+def test_every_torsion_unit_is_recognised_with_its_order():
+    for m in range(1, 13):
+        one = CycloNumber.from_rational(1, m)
+        for k in range(m):
+            for sign in (1, -1):
+                x = CycloNumber.zeta(m, k) * sign
+                order, power = 1, x
+                while not power.is_one():
+                    order, power = order + 1, power * x
+                assert is_root_of_unity(x) == order
+                value = as_unit_fraction(x)
+                assert value.denominator == order
+                t = lcm(2, m)
+                root = CycloNumber.zeta(m) if m % 2 == 0 else -CycloNumber.zeta(m, (m + 1) // 2)
+                assert root ** (value.numerator * (t // order)) == x
+        assert is_root_of_unity(one * 2) is None
+    unit = CycloNumber.zeta(5) + CycloNumber.zeta(5, 4)  # a unit of infinite order
+    assert (unit * unit.inverse()).is_one()
+    assert is_root_of_unity(unit) is None
+    assert as_unit_fraction(unit) is None
 
 
 def test_cross_conductor_arithmetic():

@@ -14,6 +14,13 @@ order:
   table;
 - the Br_nr report of each of the 10 projective actions of
   `verify.catalog_actions()`;
+- for those 10 actions and the clock-and-shift actions of n = 2..5: the
+  scalar-defect table `frac_table` (as numerator/denominator pairs) and the
+  class coordinates `gamma_coords` at the modulus `br_nr_projective` uses;
+- the Br_nr report at r = 2 of each catalog action of dimension >= 3
+  (Grassmannian), then, for the correlation `verify.correlation_klein_gr24()`:
+  the Plucker class at r = 2 (table and coordinates) and the flag reports
+  for [1, 3] and [1, 2, 3];
 - for each of the 9 cases of `corpus.gl2z_bicyclic_cases()`: the toric
   Br_nr report over all bicyclic subgroups, then H^1 and H^2 of its
   lattice with tables;
@@ -26,6 +33,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -36,8 +44,11 @@ from brq import corpus, verify  # noqa: E402
 from brq.brauer import (  # noqa: E402
     ToricAction,
     bogomolov_multiplier,
+    br_nr_flag,
+    br_nr_grassmannian,
     br_nr_projective,
     br_nr_toric,
+    plucker_beta,
 )
 from brq.cli import run_document_for_fixture  # noqa: E402
 from brq.cohomology import GModule, h1, h2, h2_qz  # noqa: E402
@@ -63,14 +74,36 @@ def _classes(coh):
     }
 
 
+def _projective_class(action):
+    modulus = math.lcm(max(action.group.order, 2), action.cocycle_denominator())
+    return {
+        "frac_table": [[[v.numerator, v.denominator] for v in row] for row in action.frac_table],
+        "gamma_coords": _plain(action.gamma_coords(modulus)),
+    }
+
+
 def results():
     """(label, JSON-ready value) pairs in a fixed order."""
     for name, group in corpus.b0_vanishing_corpus():
         yield f"b0 {name}", bogomolov_multiplier(group).to_json_dict(include_witnesses=True)
         yield f"h2_qz {name}", _classes(h2_qz(group))
         yield f"h1_z4 {name}", _classes(h1(GModule.finite(group, [4])))
-    for name, action in verify.catalog_actions():
+    catalog = verify.catalog_actions()
+    for name, action in catalog:
         yield f"projective {name}", br_nr_projective(action).to_json_dict(include_witnesses=True)
+    for name, action in catalog:
+        yield f"class {name}", _projective_class(action)
+    for n in range(2, 6):
+        yield f"class clock_shift{n}", _projective_class(verify.clock_shift_action(n))
+    for name, action in catalog:
+        if action.dimension >= 3:
+            report = br_nr_grassmannian(action, 2)
+            yield f"grassmannian r=2 {name}", report.to_json_dict(include_witnesses=True)
+    correlation = verify.correlation_klein_gr24()
+    yield "plucker r=2 correlation", _projective_class(plucker_beta(correlation, 2))
+    for r_list in ([1, 3], [1, 2, 3]):
+        report = br_nr_flag(correlation, r_list)
+        yield f"flag {r_list} correlation", report.to_json_dict(include_witnesses=True)
     for name, gens in corpus.gl2z_bicyclic_cases():
         group, lattice = verify.toric_group_from_matrices(gens)
         report = br_nr_toric(ToricAction(group, lattice), subgroup_mode="all")
