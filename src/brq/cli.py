@@ -3,9 +3,9 @@
 Verbs: group-info, h1, h2, b0, brnr, stack, verify.  Input is a single
 JSON document (group plus optional action blocks).  Reports go to stdout;
 domain and validation problems exit 2, size limits exit 3: a group order
-above the limit (--max-order), or module factors whose lcm exceeds the
-int64 modulus limit 2^20.  Output is byte-deterministic unless --stamp is
-given.
+above the limit (--max-order), module factors whose lcm exceeds the int64
+modulus limit 2^20, or a cyclotomic conductor above 4096.  Output is
+byte-deterministic unless --stamp is given.
 """
 
 from __future__ import annotations

@@ -3,9 +3,10 @@
 Coefficients are Q/Z with trivial action (realized at a finite modulus),
 finite abelian modules, or integral lattices.  The solver works on the
 normalized bar complex but eliminates all unknowns except the generator
-rows of a cochain: the cocycle identity on triples with a generator in the
-first slot implies the identity everywhere, which keeps the linear systems
-at #generators * (n-1) unknowns instead of (n-1)^2.
+rows of a cochain, which keeps the linear systems at #generators * (n-1)
+unknowns instead of (n-1)^2.  In degree two the cocycle identity on the
+generator edges (s, h, y), s and y generators, implies it everywhere, so
+#generators^2 * (n-1) rows cut out the cocycles (proof at `_BarSolver`).
 
 Q/Z with trivial action is realized as Z/N for any N divisible by |G|: the
 cohomology in degree two is the quotient of the mod-N cohomology by the
@@ -230,18 +231,21 @@ def _d1(mats, t, c, firsts):
     return out
 
 
-def _d2(mats, t, c, firsts):
+def _d2(mats, t, c, firsts, _thirds=None):
     """(dc)(g, h, k) = g.c(h, k) - c(gh, k) + c(g, hk) - c(g, h) for g in
-    `firsts` and every h, k.
+    `firsts`, every h, and every k (or k in `_thirds` when given).
 
     `c` has shape (n, n, r, ...); the result has shape
-    (len(firsts), n, n, r, ...) and is not reduced by any modulus.
+    (len(firsts), n, n or len(_thirds), r, ...) and is not reduced by any
+    modulus.
     """
     firsts = np.asarray(firsts, dtype=np.int64)
+    ks = slice(None) if _thirds is None else np.asarray(_thirds, dtype=np.int64)
     c_first = c[firsts]
-    out = np.einsum("fij,hkj...->fhki...", mats[firsts], c)
-    out -= c[t[firsts]]
-    out += c_first[:, t]
+    c_k = c[:, ks]
+    out = np.einsum("fij,hkj...->fhki...", mats[firsts], c_k)
+    out -= c_k[t[firsts]]
+    out += c_first[:, t[:, ks]]
     out -= c_first[:, :, None]
     return out
 
@@ -286,10 +290,20 @@ class _BarSolver:
     of (generator, [h,] component).  The unit tensor `w` writes every value
     of the cochain as a combination of the slots.  It holds the units at the
     generator rows and is extended along the BFS tree by `_tree_step`: the
-    cocycle identity on the tree edge (p, x), solved for c(px, ...).  The
-    kernel of the cocycle identities with a generator in the first slot is
-    then the group of cocycles.  The modulus L is the lcm of the factors of
-    a finite module, or None over Z.
+    cocycle identity on the tree edge (p, x), solved for c(px, ...).  So
+    z = dc vanishes at every tree edge (p, x, ...).  The modulus L is the
+    lcm of the factors of a finite module, or None over Z.
+
+    In degree one the kernel of the identities z(s, h) = 0, generators s,
+    is the group of cocycles.  In degree two the identities z(s, h, y) = 0
+    for generators s and y and h != 1 suffice: |S|^2 (n-1) r rows instead
+    of |S| (n-1)^2 r.  z is a 3-cocycle, and dz = 0 gives
+      - at (p, x, q, y), (p, x) a tree edge: z(px, q, y) = p.z(x, q, y)
+        + z(p, xq, y); by induction on the depth of px, z(g, q, y) = 0 for
+        every g and q and every generator y;
+      - then at (g, h, q, y): z(g, h, qy) = z(g, h, q); by induction on the
+        depth of k = qy, z(g, h, k) = 0 for every k.
+    The kernel is the same, so its canonical Howell rows are the same.
     """
 
     degree = None
@@ -324,12 +338,15 @@ class _BarSolver:
     def _mod(self, arr):
         return arr % self.L if self.L else arr
 
+    def _edge_rows(self, s):
+        """The cocycle identities with s in the first slot, over the slots."""
+        return self._d(self.mats, self.t, self.w, [s])
+
     def _cocycle_kernel(self):
-        """Kernel of the cocycle identities at (s, h[, k]), h and k != 1,
+        """Kernel of the cocycle identities at (s, h) or (s, h, y), h != 1,
         streamed into the Howell form one generator s at a time."""
         U = self.slots
-        interior = (0,) + (slice(1, None),) * self.degree
-        rows = (self._d(self.mats, self.t, self.w, [s])[interior] for s in self.gens)
+        rows = (self._edge_rows(s)[0, 1:] for s in self.gens)
         if not self.L:
             return kernel(np.concatenate([f.reshape(-1, U) for f in rows]).tolist(), None, U)
         acc = HowellAccumulator(self.L)
@@ -390,6 +407,9 @@ class _BarH1Solver(_BarSolver):
 class _BarH2Solver(_BarSolver):
     degree = 2
     _d = staticmethod(_d2)
+
+    def _edge_rows(self, s):
+        return _d2(self.mats, self.t, self.w, [s], _thirds=self.gens)
 
     def _tree_step(self, w, p, x):
         # c(px, h) = p.c(x, h) + c(p, xh) - c(p, x)
@@ -591,13 +611,21 @@ class _LatticeH2Engine:
 
     def _d1_solver(self):
         """Howell factorization of the degree-one coboundary map mod L^2:
-        one row per (g, h, component), g and h != 1, one column per value
-        of a normalized 1-cochain."""
+        one row per (s, h, component), s a generator and h != 1, one column
+        per value of a normalized 1-cochain.
+
+        The generator rows suffice.  Let z be an integer 2-cocycle and c a
+        1-cochain with d1(c) = L z mod L^2 at every (s, h).  Then
+        D = d1(c) - L z is a normalized 2-cocycle mod L^2 with D(s, h) = 0.
+        dD = 0 at (p, x, h), x a generator, gives D(px, h) = p.D(x, h)
+        + D(p, xh) - D(p, x), so by induction on the depth of px in the BFS
+        tree D vanishes everywhere: c solves the system at every (g, h)."""
         if self._solver_cache is not None:
             return self._solver_cache
         n, r, L = self.group.order, self.r, self.L
         cols = (n - 1) * r
-        d = _d1(self.module.mats, self.group._np_table, _unit_1cochains(n, r), range(1, n))
+        d = _d1(self.module.mats, self.group._np_table, _unit_1cochains(n, r),
+                self.group.generators)
         rows = d[:, 1:].reshape(-1, cols).tolist()
         self._solver_cache = [p for p in augmented_echelon(rows, L * L, cols) if any(p[0])]
         return self._solver_cache
@@ -610,7 +638,8 @@ class _LatticeH2Engine:
                       "table is not an integer 2-cocycle")
         L2 = L * L
         pairs = self._d1_solver()
-        target = [(L * int(x)) % L2 for x in arr[1:, 1:].reshape(-1)]
+        gens = np.array(self.group.generators, dtype=np.int64)
+        target = [(L * int(x)) % L2 for x in arr[gens, 1:].reshape(-1)]
         coeffs = howell_solve([image for image, _ in pairs], target, L2)
         if coeffs is None:
             raise DomainError("2-cocycle is not in the image of the connecting map")

@@ -34,6 +34,10 @@ from math import gcd, lcm
 
 from .errors import DomainError, ValidationError
 
+# The largest conductor accepted from an input document; the torsion table
+# of Q(zeta_m) takes about a second to build at m = 4096.
+MAX_CONDUCTOR = 4096
+
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m):
@@ -207,9 +211,6 @@ class CycloNumber:
         a, b = CycloNumber.common(self, _coerce(other))
         return a.num == b.num and a.den == b.den
 
-    def __hash__(self):
-        return hash((self.m, self.num, self.den))
-
     def __repr__(self):
         return f"CycloNumber(m={self.m}, coeffs={[str(c) for c in self.coeffs]})"
 
@@ -328,9 +329,6 @@ class CycloMatrix:
             return False
         m = lcm(self.m, other.m)
         return self.promote(m).entries == other.promote(m).entries
-
-    def __hash__(self):
-        return hash(self.entries)
 
     def scalar_ratio(self, other):
         """Scalar c with self = c * other, or None when not proportional."""

@@ -12,6 +12,9 @@ to exit 2, SizeLimitError to exit 3.  The size limits, and what sets each:
   and the lattice limit of one computation;
 - the modulus: a coefficient module whose factors have an lcm above
   `linalg.INT64_BOUND` (2^20) is refused with witness {modulus, limit}.
+- the conductor: a cyclotomic number read from input with m above
+  `cyclotomic.MAX_CONDUCTOR` (4096), a constant, is refused with witness
+  {field, value, limit}.
 """
 
 

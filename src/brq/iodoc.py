@@ -18,8 +18,8 @@ from .brauer import (
     gamma_from_projective_action,
 )
 from .cohomology import GModule
-from .cyclotomic import CycloMatrix, CycloNumber
-from .errors import ValidationError
+from .cyclotomic import MAX_CONDUCTOR, CycloMatrix, CycloNumber
+from .errors import SizeLimitError, ValidationError
 from .groups import (
     from_cayley_table,
     from_permutation_generators,
@@ -81,6 +81,9 @@ def parse_cyclo_number(x):
     if not _is_int(m) or m < 1:
         raise ValidationError("a cyclotomic number needs a conductor m >= 1",
                               witness={"field": "m", "value": m})
+    if m > MAX_CONDUCTOR:
+        raise SizeLimitError(f"conductor {m} exceeds the limit {MAX_CONDUCTOR}",
+                             witness={"field": "m", "value": m, "limit": MAX_CONDUCTOR})
     if not isinstance(coeffs, list):
         raise ValidationError("a cyclotomic number needs a coefficient list c",
                               witness={"field": "c", "value": coeffs})

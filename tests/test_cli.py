@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -215,3 +216,17 @@ def test_malformed_cyclotomic_input_rejected(tmp_path, capsys, entry, matrix, wi
     err = json.loads(capsys.readouterr().out)["error"]
     assert err["type"] == "ValidationError"
     assert err["witness"] == witness
+
+
+def test_conductor_above_the_limit_exits_3_at_once(tmp_path, capsys):
+    # diag(zeta_20000, -zeta_20000): a torsion table at m = 20000 took 35 s
+    doc = json.loads(Path(PAULI).read_text())["document"]
+    zeta = {"m": 20000, "c": [0, 1]}
+    doc["projective"]["matrices"]["1"] = [[zeta, 0], [0, {"m": 20000, "c": [0, -1]}]]
+    path = write(tmp_path, "pauli_m20000.json", doc)
+    start = time.perf_counter()
+    assert main(["brnr", path, "--json"]) == 3
+    assert time.perf_counter() - start < 1.0
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "SizeLimitError"
+    assert err["witness"] == {"field": "m", "value": 20000, "limit": 4096}

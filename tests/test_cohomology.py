@@ -6,10 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brq import corpus
 from brq.cohomology import (
     GModule,
+    _BarH2Solver,
     _d1,
     _d2,
     connecting_bockstein,
@@ -22,8 +25,16 @@ from brq.cohomology import (
     subgroup_h2_qz,
 )
 from brq.errors import DomainError, SizeLimitError, ValidationError
-from brq.groups import Subgroup, bicyclic_subgroups, cyclic_group, direct_product
+from brq.groups import (
+    Subgroup,
+    bicyclic_subgroups,
+    cyclic_group,
+    direct_product,
+    homs_to_cyclic,
+)
 from brq.iodoc import parse_action_document
+from brq.linalg import HowellAccumulator, kernel, subquotient_structure
+from test_properties import relabel
 
 TORIC_S3 = (Path(__file__).resolve().parent.parent / "src" / "brq" / "fixtures" / "inputs"
             / "toric_s3.json")
@@ -403,6 +414,34 @@ def test_reduce_rejects_a_non_cocycle_at_its_first_failure(kind, degree):
     assert info.value.witness == want
 
 
+_KLEIN = corpus.klein_four()
+LATTICES = {
+    "s3_toric": _s3_lattice(),
+    "klein_diagonal": GModule.lattice(_KLEIN, 2, {_KLEIN.generators[0]: [[-1, 0], [0, 1]],
+                                                  _KLEIN.generators[1]: [[1, 0], [0, -1]]}),
+    "klein_trivial": GModule.lattice(_KLEIN, 1),
+    "d4_trivial": GModule.lattice(corpus.dihedral(4), 1),
+    "c2xc4_trivial": GModule.lattice(corpus.abelian_group([2, 4]), 1),
+    "a4_trivial": GModule.lattice(corpus.alternating4(), 1),
+}
+
+
+@pytest.mark.parametrize("name", list(LATTICES))
+def test_lattice_reduce_is_constant_on_classes(name):
+    # reduce solves d1(c) = L z mod L^2 on the generator rows only; shifting
+    # z by an integer coboundary must not move its coordinates
+    module = LATTICES[name]
+    coh = h2(module)
+    n, t = module.group.order, module.group._np_table
+    rng = np.random.default_rng(20240117)
+    for _ in range(4):
+        coords = tuple(int(rng.integers(0, f)) for f in coh.invariant_factors)
+        b = rng.integers(-5, 6, size=(n, module.rank))
+        b[0] = 0
+        table = coh.expand(coords) + _d1(module.mats, t, b, range(n))
+        assert tuple(coh.reduce(table)) == coords
+
+
 def test_d2_after_d1_vanishes():
     rng = np.random.default_rng(20240116)
     klein = corpus.klein_four()
@@ -422,3 +461,77 @@ def test_d2_after_d1_vanishes():
             ddc = _d2(module.mats, t, dc, range(n))
             assert ddc.shape == (n, n, n, module.rank, 2)
             assert not ddc.any()
+
+
+# ---------------------------------------------------------------------------
+# the generator-edge rows of the degree-two solver against the full build
+
+
+def _full_build_h2(module, extra_tables=()):
+    """Kernel and H^2 structure from the cocycle identity at every
+    (s, h, k), s a generator and h, k != 1: the |S| (n-1)^2 r rows the
+    degree-two solver ingested before it kept only the generator edges."""
+    solver = _BarH2Solver(module.group, module.mats, module.factors)
+    L, U = solver.L, solver.slots
+    acc = HowellAccumulator(L)
+    for s in solver.gens:
+        rows = _d2(solver.mats, solver.t, solver.w, [s])[0, 1:, 1:]
+        acc.ingest((rows % L * solver.scale[:, None] % L).reshape(-1, U))
+    full = kernel(acc.canonical_rows(), L, U)
+    image = solver.coboundary_gens() + solver.gauge_gens()
+    image += [solver.cocycle_slots(tab).tolist() for tab in extra_tables]
+    return solver, full, subquotient_structure(U, L, full, image)
+
+
+def _assert_qz_matches_full_build(group):
+    n = group.order
+    module = GModule(group, "trivial_qz", factors=[n], rank=1)
+    bocksteins = [connecting_bockstein(group, chi, n) for chi in homs_to_cyclic(group, n)]
+    solver, full, structure = _full_build_h2(module, bocksteins)
+    assert solver.kernel_gens == full
+    assert h2_qz(group).invariant_factors == list(structure.invariant_factors)
+
+
+EDGE_GROUPS = dict(corpus.b0_vanishing_corpus())
+EDGE_GROUPS["abelian_2_2_2_4"] = corpus.abelian_group([2, 2, 2, 4])  # four generators
+
+
+@pytest.mark.parametrize("name", list(EDGE_GROUPS))
+def test_generator_edge_rows_give_the_full_build_kernel(name):
+    _assert_qz_matches_full_build(EDGE_GROUPS[name])
+
+
+def test_generator_edge_rows_mixed_factors_with_action():
+    # D4 on Z/4 + Z/2 by matrices that mix the factors, so the rows go
+    # through the scale L / f_i of the Z/2 component
+    g = corpus.dihedral(4)
+    module = GModule.finite(g, [4, 2], {g.generators[0]: [[1, 2], [1, 1]],
+                                        g.generators[1]: [[3, 0], [1, 1]]})
+    solver, full, structure = _full_build_h2(module)
+    assert solver.kernel_gens == full
+    assert h2(module).invariant_factors == list(structure.invariant_factors) == [2, 2, 2]
+
+
+SMALL_GROUPS = [g for g in EDGE_GROUPS.values() if g.order <= 32]
+
+
+@settings(max_examples=12, deadline=None, database=None)
+@given(st.sampled_from(SMALL_GROUPS).flatmap(
+    lambda g: st.tuples(st.just(g), st.permutations(range(1, g.order)))))
+def test_generator_edge_rows_under_relabelling(case):
+    group, perm = case
+    _assert_qz_matches_full_build(relabel(group, perm))
+
+
+def test_reduce_rejects_a_perturbation_off_the_generator_rows():
+    g = corpus.dihedral(4)
+    coh = h2_qz(g)
+    table = coh.rep_tables[0].copy()
+    coh.reduce(table)
+    outside = next(x for x in range(1, g.order) if x not in g.generators)
+    table[outside, 1, 0] += 1
+    want = _first_cocycle_failure(GModule(g, "trivial_qz", factors=[g.order]), table, 2)
+    assert want is not None
+    with pytest.raises(ValidationError) as info:
+        coh.reduce(table)
+    assert info.value.witness == want

@@ -217,3 +217,15 @@ def test_plucker_vector():
     vecs = [[1, 0, 0, 0], [0, 1, 0, 0]]
     pv = plucker_vector(vecs, 4)
     assert [x.coeffs[0] for x in pv] == [1, 0, 0, 0, 0, 0]
+
+
+def test_numbers_and_matrices_are_unhashable_so_no_hash_can_disagree_with_eq():
+    # equal numbers at conductors 4 and 1; a hash of (m, num, den) put them apart
+    minus_one = CycloNumber.from_rational(-1)
+    assert CycloNumber.zeta(4) ** 2 == minus_one
+    with pytest.raises(TypeError):
+        minus_one in {CycloNumber.zeta(4) ** 2}  # noqa: B015
+    a = CycloMatrix([[CycloNumber.zeta(4) ** 2]])
+    assert a == CycloMatrix([[minus_one]])
+    with pytest.raises(TypeError):
+        hash(a)

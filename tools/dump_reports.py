@@ -25,7 +25,11 @@ order:
   Br_nr report over all bicyclic subgroups, then H^1 and H^2 of its
   lattice with tables;
 - H^2(D_48, Q/Z) (order 96) with tables;
-- the JSON output of each bundled CLI fixture.
+- the JSON output of each bundled CLI fixture;
+- H^2(G, Q/Z) with tables for each of the nine groups of order 49-96 in
+  `SCHUR_LARGE` (3 to 5 generators for the abelian ones), first as its
+  constructor builds it, then on the Cayley table relabelled by one fixed
+  seeded permutation, with the images of the constructor's generators.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ import argparse
 import hashlib
 import json
 import math
+import random
 import sys
 from pathlib import Path
 
@@ -52,6 +57,32 @@ from brq.brauer import (  # noqa: E402
 )
 from brq.cli import run_document_for_fixture  # noqa: E402
 from brq.cohomology import GModule, h1, h2, h2_qz  # noqa: E402
+from brq.groups import from_cayley_table  # noqa: E402
+
+SCHUR_LARGE = [
+    ("cyclic_96", lambda: corpus.cyclic_group(96)),
+    ("abelian_7_7", lambda: corpus.abelian_group([7, 7])),
+    ("abelian_2_4_8", lambda: corpus.abelian_group([2, 4, 8])),
+    ("abelian_2_2_2_8", lambda: corpus.abelian_group([2, 2, 2, 8])),
+    ("abelian_2_2_2_2_4", lambda: corpus.abelian_group([2, 2, 2, 2, 4])),
+    ("dihedral_64", lambda: corpus.dihedral(32)),
+    ("dicyclic_64", lambda: corpus.dicyclic(16)),
+    ("metacyclic_13_4_5", lambda: corpus.metacyclic(13, 4, 5)),
+    ("metacyclic_16_4_3", lambda: corpus.metacyclic(16, 4, 3)),
+]
+RELABEL_SEED = 9
+
+
+def _relabelled(group, rng):
+    """`group` on its Cayley table with the elements renamed by a random
+    permutation, generated by the images of its generators."""
+    perm = list(range(group.order))
+    rng.shuffle(perm)
+    table = [[0] * group.order for _ in range(group.order)]
+    for a, row in enumerate(group.table):
+        for b, ab in enumerate(row):
+            table[perm[a]][perm[b]] = perm[ab]
+    return from_cayley_table(table, generators=[perm[g] for g in group.generators])
 
 
 def _plain(value):
@@ -113,6 +144,11 @@ def results():
     yield "h2_qz dihedral96", _classes(h2_qz(corpus.dihedral(48)))
     for path in sorted((SRC / "brq" / "fixtures" / "inputs").glob("*.json")):
         yield f"cli {path.name}", run_document_for_fixture(path.name)
+    rng = random.Random(RELABEL_SEED)
+    for name, build in SCHUR_LARGE:
+        group = build()
+        yield f"h2_qz {name}", _classes(h2_qz(group))
+        yield f"h2_qz relabelled {name}", _classes(h2_qz(_relabelled(group, rng)))
 
 
 def main(argv=None):
