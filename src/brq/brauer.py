@@ -27,8 +27,6 @@ from .cohomology import (
     h1,
     h2,
     h2_qz_cached,
-    restrict_table,
-    subgroup_h2_qz,
 )
 from .cyclotomic import CycloMatrix, as_unit_fraction, exterior_power, hodge_star
 from .errors import (
@@ -300,72 +298,27 @@ class ToricAction:
 # the kernel engine
 
 
-class _Block:
-    """One coefficient block of the kernel engine.
-
-    `coh` is the parent H^2 and `sub_side(sub)` returns the subgroup's H^2
-    with the embedding of its elements into the parent; it is called once
-    per subgroup.
-    """
-
-    def __init__(self, coh, sub_side):
-        self.coh = coh
-        self.factors = list(coh.invariant_factors)
-        self._sub_side = sub_side
-        self._sides = {}
-
-    def _side(self, sub):
-        if sub.elements not in self._sides:
-            self._sides[sub.elements] = self._sub_side(sub)
-        return self._sides[sub.elements]
-
-    def restrict_class(self, sub, coords):
-        """Cocycle-level restriction of one class to the subgroup."""
-        coh_a, embed = self._side(sub)
-        return list(coh_a.reduce(restrict_table(self.coh.expand(coords), embed)))
-
-    def restrict(self, sub):
-        """(subgroup factors, restrictions of the unit classes)."""
-        k = len(self.factors)
-        cols = [self.restrict_class(sub, [int(i == j) for i in range(k)]) for j in range(k)]
-        return list(self._side(sub)[0].invariant_factors), cols
-
-
-def _qz_block(group, modulus, max_order):
-    def sub_side(sub):
-        coh_a, _grp, embed = subgroup_h2_qz(sub, modulus, max_order)
-        return coh_a, embed
-
-    return _Block(h2_qz_cached(group, modulus, max_order), sub_side)
-
-
-def _lattice_block(module, max_order):
-    def sub_side(sub):
-        return h2(module.restricted(sub.elements), max_order=max_order), list(sub.elements)
-
-    return _Block(h2(module, max_order=max_order), sub_side)
-
-
-def _restrict_direct(blocks, sub, vec):
-    """Restriction of a class, in concatenated coordinates, block by block."""
+def _restrict_direct(cohs, sub, vec):
+    """Restriction of a class, in concatenated coordinates, block by block;
+    a zero block restricts to zero."""
     out, off = [], 0
-    for b in blocks:
-        out += b.restrict_class(sub, [int(x) for x in vec[off:off + len(b.factors)]])
-        off += len(b.factors)
+    for coh in cohs:
+        part = [int(x) for x in vec[off:off + len(coh.invariant_factors)]]
+        if any(part):
+            out += coh.restrict(part, sub)[1]
+        else:
+            out += [0] * len(coh.subgroup_cohomology(sub).invariant_factors)
+        off += len(part)
     return out
 
 
-def _restrictions(blocks, sub, am_coords):
+def _restrictions(cohs, sub, am_coords):
     """The subgroup's factors, the restriction of each unit class and the
     restricted relations, all in the concatenated subgroup coordinates."""
-    parts = [b.restrict(sub) for b in blocks]
-    factors = [d for a_factors, _ in parts for d in a_factors]
-    cols, off = [], 0
-    for a_factors, b_cols in parts:
-        pad = len(factors) - off - len(a_factors)
-        cols += [[0] * off + c + [0] * pad for c in b_cols]
-        off += len(a_factors)
-    return factors, cols, [_restrict_direct(blocks, sub, rel) for rel in am_coords]
+    factors = [d for coh in cohs for d in coh.subgroup_cohomology(sub).invariant_factors]
+    k = sum(len(coh.invariant_factors) for coh in cohs)
+    cols = [_restrict_direct(cohs, sub, [int(i == j) for i in range(k)]) for j in range(k)]
+    return factors, cols, [_restrict_direct(cohs, sub, rel) for rel in am_coords]
 
 
 def _kernel_gens(restricted, k, n_rel, modulus):
@@ -392,15 +345,18 @@ def _gauge(factors):
     return [[d if i == j else 0 for j in range(len(factors))] for i, d in enumerate(factors)]
 
 
-def _kernel_report(kind, group, blocks, am_coords, modulus, subgroup_mode="conj",
+def _kernel_report(kind, group, cohs, am_coords, modulus, subgroup_mode="conj",
                    flags=None, notes=None):
+    """Br_nr as the classes of the parent H^2 groups `cohs` (concatenated)
+    whose restriction to every bicyclic subgroup lies in the span of the
+    restricted relations `am_coords`, modulo those relations."""
     subs = bicyclic_subgroups(group, up_to_conjugacy=(subgroup_mode == "conj"))
-    factors = [d for b in blocks for d in b.factors]
+    factors = [d for coh in cohs for d in coh.invariant_factors]
     k = len(factors)
     gauge = _gauge(factors)
     relations = gauge + [list(a) for a in am_coords]
     stack = subquotient_structure(k, modulus, _gauge([1] * k), relations)
-    restricted = [_restrictions(blocks, sub, am_coords) for sub in subs]
+    restricted = [_restrictions(cohs, sub, am_coords) for sub in subs]
     kernel_gens = _kernel_gens(restricted, k, len(am_coords), modulus)
     unram = subquotient_structure(k, modulus, kernel_gens + gauge, relations)
     # Diagnostics: which stack generators survive in each subgroup quotient.
@@ -420,7 +376,7 @@ def _kernel_report(kind, group, blocks, am_coords, modulus, subgroup_mode="conj"
                 if survives and wi not in killer:
                     killer[wi] = sub.elements
             for w in unram.witness_generators:
-                if any(quotient.coords(_restrict_direct(blocks, sub, w))):
+                if any(quotient.coords(_restrict_direct(cohs, sub, w))):
                     raise DomainError(
                         "internal soundness failure: witness does not vanish on a subgroup",
                         witness={"subgroup": list(sub.elements)})
@@ -461,8 +417,8 @@ def bogomolov_multiplier(group, subgroup_mode="conj", max_order=None):
     """Kernel of H^2(G, Q/Z) -> product of H^2 over bicyclic subgroups."""
     n = group.order
     modulus = n if n > 1 else 2
-    block = _qz_block(group, modulus, max_order)
-    return _kernel_report("bogomolov_multiplier", group, [block], [], modulus,
+    coh = h2_qz_cached(group, modulus, max_order)
+    return _kernel_report("bogomolov_multiplier", group, [coh], [], modulus,
                           subgroup_mode=subgroup_mode)
 
 
@@ -485,9 +441,9 @@ def br_nr_projective(action, subgroup_mode="conj", max_order=None):
     """Unramified Brauer group of a faithful action on projective space."""
     group = action.group
     modulus = lcm(max(group.order, 2), action.cocycle_denominator())
-    block = _qz_block(group, modulus, max_order)
+    coh = h2_qz_cached(group, modulus, max_order)
     gamma = list(action.gamma_coords(modulus, max_order))
-    return _kernel_report("br_nr_projective", group, [block], [gamma], modulus,
+    return _kernel_report("br_nr_projective", group, [coh], [gamma], modulus,
                           subgroup_mode=subgroup_mode,
                           notes=[f"projective class coordinates {gamma}"])
 
@@ -509,8 +465,8 @@ def br_nr_grassmannian(action, r, subgroup_mode="conj", max_order=None):
         gamma = action.gamma_coords(modulus, max_order)
         beta = [(r * c) % f for c, f in zip(gamma, coh.invariant_factors)]
         note = f"collineation class: {r} times gamma = {beta}"
-    block = _qz_block(group, modulus, max_order)
-    return _kernel_report("br_nr_grassmannian", group, [block], [beta], modulus,
+    coh = h2_qz_cached(group, modulus, max_order)
+    return _kernel_report("br_nr_grassmannian", group, [coh], [beta], modulus,
                           subgroup_mode=subgroup_mode, notes=[note])
 
 
@@ -538,8 +494,7 @@ def br_nr_flag(action, r_list, subgroup_mode="conj", max_order=None):
         gamma = action.gamma_coords(modulus, max_order)
         am = [[(q * c) % f for c, f in zip(gamma, coh.invariant_factors)]]
         notes = [f"collineation flag relation: q={q} times gamma"]
-        block = _qz_block(group, modulus, max_order)
-        return _kernel_report("br_nr_flag", group, [block], am, modulus,
+        return _kernel_report("br_nr_flag", group, [coh], am, modulus,
                               subgroup_mode=subgroup_mode, notes=notes)
     # correlations: symmetry condition and the corestriction relation
     for i in range(m):
@@ -576,8 +531,7 @@ def br_nr_flag(action, r_list, subgroup_mode="conj", max_order=None):
         beta = list(beta_action.gamma_coords(modulus, max_order))
         am.append(beta)
         notes.append(f"middle Plucker class coordinates {beta}")
-    block = _qz_block(group, modulus, max_order)
-    return _kernel_report("br_nr_flag", group, [block], am, modulus,
+    return _kernel_report("br_nr_flag", group, [coh], am, modulus,
                           subgroup_mode=subgroup_mode, notes=notes)
 
 
@@ -587,10 +541,9 @@ def br_nr_toric(action, subgroup_mode="conj", max_order=None):
     group = action.group
     _lattice_limit_check(group, max_order)
     modulus = max(group.order, 2)
-    qz_block = _qz_block(group, modulus, max_order)
-    lat_block = _lattice_block(action.lattice, max_order)
-    report = _kernel_report("br_nr_toric", group, [qz_block, lat_block], [],
-                            modulus, subgroup_mode=subgroup_mode)
+    cohs = [h2_qz_cached(group, modulus, max_order), h2(action.lattice, max_order=max_order)]
+    report = _kernel_report("br_nr_toric", group, cohs, [], modulus,
+                            subgroup_mode=subgroup_mode)
     report.flags["lattice_rank"] = action.lattice.rank
     return report
 

@@ -35,17 +35,6 @@ from .reports import BrauerReport, describe_factors
 from .verify import SUITES, run_suite
 
 
-def _structure_doc(kind, structure, extra=None):
-    doc = {
-        "kind": kind,
-        "invariant_factors": list(structure.invariant_factors),
-        "description": describe_factors(structure.invariant_factors),
-    }
-    if extra:
-        doc.update(extra)
-    return doc
-
-
 def _render(doc_or_report, options):
     stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()) if options.stamp else None
     is_report = isinstance(doc_or_report, BrauerReport)

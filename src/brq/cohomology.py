@@ -23,6 +23,14 @@ The solvers' constraint rows and coboundary generators, every cocycle
 check, the Bockstein and the lattice d1 system are built from them.
 `small_complex_h` deliberately does not use them: it is the independent
 oracle the bar computations are checked against.
+
+Restriction has one mechanism, `CohomologyGroup.restrict`: it reduces the
+restricted cocycle table in the subgroup's H^2 with the same coefficients
+(`subgroup_h2_qz` for an `h2_qz` result, the restricted module otherwise),
+solved once per subgroup and kept on the parent.  That solve takes the
+parent's order as its limit: a subgroup is never larger than its group,
+whose own solve already passed the caller's limit, so a raised limit
+reaches every restriction.
 """
 
 from __future__ import annotations
@@ -62,7 +70,7 @@ class GModule:
     verified on the whole group.
     """
 
-    __slots__ = ("group", "kind", "factors", "rank", "mats", "_key")
+    __slots__ = ("group", "kind", "factors", "rank", "mats")
 
     def __init__(self, group, kind, factors=None, rank=None, element_mats=None):
         self.group = group
@@ -79,7 +87,6 @@ class GModule:
         self.mats = np.asarray(element_mats, dtype=np.int64)
         if self.mats.shape != (n, r, r):
             raise ValidationError("need one r x r action matrix per group element")
-        self._key = None
         self._verify()
 
     def _verify(self):
@@ -141,12 +148,6 @@ class GModule:
         eye = np.eye(self.rank, dtype=np.int64)
         hits = [g for g in range(self.group.order) if np.array_equal(self.mats[g], eye)]
         return hits == [0]
-
-    def key(self):
-        if self._key is None:
-            self._key = (self.kind, self.factors, self.rank,
-                         self.mats.tobytes(), self.group.cayley_key())
-        return self._key
 
 
 def _positive_int(field, value, index=None):
@@ -438,6 +439,8 @@ class CohomologyGroup:
         self._engine = engine
         self._reducer = reducer
         self.rep_tables = rep_tables  # list of np arrays
+        self.qz = False  # set by h2_qz: Q/Z coefficients, realized mod the modulus
+        self._subgroups = {}  # subgroup elements -> the subgroup's H^2
 
     @property
     def invariant_factors(self):
@@ -459,11 +462,43 @@ class CohomologyGroup:
             out %= self.modulus
         return out
 
+    def subgroup_cohomology(self, sub):
+        """H^2 of a subgroup (relabelled) with the same coefficients, solved
+        once per subgroup under this group's order as the limit."""
+        if self.degree != 2:
+            raise DomainError("restriction is implemented in degree two")
+        if sub.elements not in self._subgroups:
+            if self.qz:
+                coh = subgroup_h2_qz(sub, self.modulus, self.group.order)[0]
+            else:
+                coh = h2(self.module.restricted(sub.elements), max_order=self.group.order)
+            self._subgroups[sub.elements] = coh
+        return self._subgroups[sub.elements]
+
+    def restrict(self, coords, sub):
+        """Restrict the class with the given coordinates to a subgroup:
+        (the subgroup's H^2, the coordinates of the restricted class)."""
+        coh_a = self.subgroup_cohomology(sub)
+        idx = np.array(sub.elements, dtype=np.int64)
+        return coh_a, coh_a.reduce(self.expand(coords)[np.ix_(idx, idx)])
+
+
+def _env_finite_limit():
+    """BRQ_MAX_ORDER as an int >= 1, or the default when it is unset."""
+    raw = os.environ.get("BRQ_MAX_ORDER")
+    if raw is None:
+        return DEFAULT_FINITE_LIMIT
+    try:
+        raw = int(raw)
+    except ValueError:
+        pass
+    return _positive_int("BRQ_MAX_ORDER", raw)
+
 
 def _finite_limit_check(group, max_order, unknowns):
     """Reject a finite-coefficient solve over the order limit; the witness
     gives the bar-solver unknowns that the solve would have built."""
-    limit = max_order or int(os.environ.get("BRQ_MAX_ORDER", DEFAULT_FINITE_LIMIT))
+    limit = _env_finite_limit() if max_order is None else _positive_int("max_order", max_order)
     if group.order > limit:
         raise SizeLimitError(
             f"group order {group.order} exceeds the finite-coefficient limit {limit}",
@@ -471,7 +506,7 @@ def _finite_limit_check(group, max_order, unknowns):
 
 
 def _lattice_limit_check(group, max_order):
-    limit = max_order or DEFAULT_LATTICE_LIMIT
+    limit = DEFAULT_LATTICE_LIMIT if max_order is None else _positive_int("max_order", max_order)
     if group.order > limit:
         raise SizeLimitError(f"group order {group.order} exceeds the lattice limit {limit}",
                              witness={"order": group.order, "limit": limit})
@@ -528,12 +563,12 @@ def h2(module, max_order=None, extra_image_tables=None):
 def h1(module, max_order=None):
     """H^1(G, M): crossed homomorphisms modulo principal ones."""
     group = module.group
-    if group.order == 1:
-        return _trivial_cohomology(group, module, 1, None if module.kind == "lattice" else 2)
     if module.kind == "lattice":
         _lattice_limit_check(group, max_order)
     else:
         _finite_limit_check(group, max_order, len(group.generators) * module.rank)
+    if group.order == 1:
+        return _trivial_cohomology(group, module, 1, None if module.kind == "lattice" else 2)
     return _bar_cohomology(module, 1)
 
 
@@ -559,14 +594,17 @@ def h2_qz(group, modulus=None, max_order=None):
     """
     n = group.order
     N = int(modulus) if modulus else n
-    if n == 1:
-        return _trivial_cohomology(group, GModule.trivial_qz(group), 2, N)
+    _finite_limit_check(group, max_order, _h2_unknowns(group, 1))
     if N % n:
         raise DomainError(f"modulus {N} must be divisible by the group order {n}")
-    _finite_limit_check(group, max_order, _h2_unknowns(group, 1))
-    module = GModule(group, "trivial_qz", factors=[N], rank=1)
-    bocksteins = [connecting_bockstein(group, chi, N) for chi in homs_to_cyclic(group, N)]
-    return h2(module, max_order=max_order, extra_image_tables=bocksteins)
+    if n == 1:
+        coh = _trivial_cohomology(group, GModule.trivial_qz(group), 2, N)
+    else:
+        module = GModule(group, "trivial_qz", factors=[N], rank=1)
+        bocksteins = [connecting_bockstein(group, chi, N) for chi in homs_to_cyclic(group, N)]
+        coh = h2(module, max_order=max_order, extra_image_tables=bocksteins)
+    coh.qz = True
+    return coh
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +614,6 @@ def h2_qz(group, modulus=None, max_order=None):
 class _LatticeH2Engine:
     def __init__(self, module, max_order=None):
         group = module.group
-        _lattice_limit_check(group, max_order)
         if module.rank > DEFAULT_LATTICE_RANK_LIMIT and group.order > 12:
             raise SizeLimitError("lattice rank too large for this group order",
                                  witness={"rank": module.rank})
@@ -655,6 +692,7 @@ class _LatticeH2Engine:
 
 def _h2_lattice(module, max_order=None):
     group = module.group
+    _lattice_limit_check(group, max_order)
     if group.order == 1:
         return _trivial_cohomology(group, module, 2, None)
     engine = _LatticeH2Engine(module, max_order=max_order)
@@ -690,18 +728,9 @@ def subgroup_h2_qz(sub, modulus, max_order=None):
     return _cached_h2_qz(grp, modulus, max_order), grp, embed
 
 
-def restrict_table(table, elements):
-    arr = np.asarray(table)
-    idx = np.array(list(elements), dtype=np.int64)
-    return arr[np.ix_(idx, idx)]
-
-
-def restrict_qz_class(parent_coh, coords, sub, modulus):
+def restrict_qz_class(parent_coh, coords, sub):
     """Restrict a Q/Z degree-two class to a subgroup; returns (coh_A, coords)."""
-    coh_a, grp, embed = subgroup_h2_qz(sub, modulus)
-    table = parent_coh.expand(coords)
-    sub_tab = restrict_table(table, embed)
-    return coh_a, coh_a.reduce(sub_tab)
+    return parent_coh.restrict(coords, sub)
 
 
 def corestrict_qz_table(group, sub, table, modulus):

@@ -3,9 +3,8 @@
 Element 0 is always the identity and all orderings are deterministic
 (breadth-first generation with lexicographic tie-breaks), so downstream
 reports are byte-reproducible.  Construction is capped at MAX_ORDER
-elements (a constant; `from_permutation_generators` also takes its own
-`max_order`); cohomology routines impose tighter per-computation limits of
-their own.
+elements, a constant that every constructor applies; cohomology routines
+impose tighter per-computation limits of their own.
 """
 
 from __future__ import annotations
@@ -233,13 +232,12 @@ def _perm_tuple(perm, degree):
     return p
 
 
-def from_permutation_generators(degree, perms, max_order=None):
+def from_permutation_generators(degree, perms):
     """Closure of the given permutations under composition.
 
     Element 0 is the identity; the element order is breadth-first by word
     length with lexicographic tie-breaks on the permutation images.
     """
-    limit = max_order or MAX_ORDER
     degree = int(degree)
     gens = [_perm_tuple(p, degree) for p in perms]
     ident = tuple(range(degree))
@@ -263,10 +261,10 @@ def from_permutation_generators(degree, perms, max_order=None):
         for y in new_level:
             index[y] = len(elems)
             elems.append(y)
-            if len(elems) > limit:
+            if len(elems) > MAX_ORDER:
                 raise SizeLimitError(
-                    f"closure exceeds the configured maximum order {limit}",
-                    witness={"max_order": limit},
+                    f"closure exceeds the maximum order {MAX_ORDER}",
+                    witness={"max_order": MAX_ORDER},
                 )
         level = new_level
 

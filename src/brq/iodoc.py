@@ -37,18 +37,30 @@ def load_document(path):
         raise ValidationError(f"cannot read {path}: {err}") from err
 
 
+def _field(doc, field, convert=None, default=None):
+    """doc[field], or `default` when one is given and the field is absent,
+    through `convert`: a ValidationError with witness {field} when the field
+    is missing, or {field, value} when `convert` refuses the value."""
+    if not isinstance(doc, dict) or (field not in doc and default is None):
+        raise ValidationError(f"the document needs a {field!r} field", witness={"field": field})
+    value = doc.get(field, default)
+    try:
+        return value if convert is None else convert(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"field {field!r} has a value of the wrong type",
+                              witness={"field": field, "value": value}) from None
+
+
 def parse_group(doc):
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise ValidationError("group document needs a 'kind' field")
-    kind = doc["kind"]
+    kind = _field(doc, "kind")
     if kind == "permutation":
-        return from_permutation_generators(doc["degree"], doc["generators"])
+        return from_permutation_generators(_field(doc, "degree", int), _field(doc, "generators"))
     if kind == "cayley":
-        return from_cayley_table(doc["table"])
+        return from_cayley_table(_field(doc, "table"))
     if kind == "semidirect":
-        normal = parse_group(doc["normal"])
-        acting = parse_group(doc["acting"])
-        action = doc["action"]
+        normal = parse_group(_field(doc, "normal"))
+        acting = parse_group(_field(doc, "acting"))
+        action = _field(doc, "action")
         if len(action) != acting.order:
             raise ValidationError("semidirect action needs one permutation per "
                                   "acting element")
@@ -56,8 +68,8 @@ def parse_group(doc):
     if kind == "central_extension":
         from .groups import central_extension_from_cocycle
 
-        base = parse_group(doc["base"])
-        return central_extension_from_cocycle(base, doc["n"], doc["cocycle"])
+        base = parse_group(_field(doc, "base"))
+        return central_extension_from_cocycle(base, _field(doc, "n", int), _field(doc, "cocycle"))
     raise ValidationError(f"unknown group kind {kind!r}")
 
 
@@ -124,13 +136,11 @@ def parse_module(group, doc):
     field = {"finite": "factors", "lattice": "rank"}.get(kind)
     if field is None:
         raise ValidationError(f"unknown module kind {kind!r}")
-    if field not in doc:
-        raise ValidationError(f"a {kind} module needs a {field!r} field",
-                              witness={"field": field})
-    gen_mats = _gen_by_position(group, doc.get("action", {}), lambda m: m)
+    value = _field(doc, field)
+    gen_mats = _gen_by_position(group, _field(doc, "action", default={}), lambda m: m)
     if kind == "finite":
-        return GModule.finite(group, doc["factors"], gen_mats)
-    return GModule.lattice(group, doc["rank"], gen_mats)
+        return GModule.finite(group, value, gen_mats)
+    return GModule.lattice(group, value, gen_mats)
 
 
 def parse_action_document(doc, max_order=None):
@@ -141,36 +151,39 @@ def parse_action_document(doc, max_order=None):
     'grassmannian_r', 'flag_r_list', and 'flags'.  `max_order` is the
     finite-coefficient order limit of the H^2 that checks a projective class.
     """
-    group = parse_group(doc["group"])
-    payload = {"group": group, "flags": dict(doc.get("flags", {}))}
+    group = parse_group(_field(doc, "group"))
+    payload = {"group": group, "flags": _field(doc, "flags", dict, {})}
     proj = doc.get("projective")
     corr = doc.get("correlation")
     if corr is not None:
         if proj is None:
             raise ValidationError("correlation input needs the collineation block")
-        coll = _gen_by_position(group, proj.get("matrices", {}), parse_cyclo_matrix)
-        phi = parse_cyclo_matrix(corr["phi"])
-        witness_pos = int(corr["coset_witness"])
+        coll = _gen_by_position(group, _field(proj, "matrices", default={}),
+                                parse_cyclo_matrix)
+        phi = parse_cyclo_matrix(_field(corr, "phi"))
+        witness_pos = _field(corr, "coset_witness", int)
         if not 0 <= witness_pos < len(group.generators):
             raise ValidationError("coset witness position out of range")
         witness = group.generators[witness_pos]
         coll.pop(witness, None)
         payload["correlation"] = correlation_action(group, coll, phi, witness)
     elif proj is not None:
-        mats = _gen_by_position(group, proj.get("matrices", {}), parse_cyclo_matrix)
+        mats = _gen_by_position(group, _field(proj, "matrices", default={}),
+                                parse_cyclo_matrix)
         payload["projective"] = gamma_from_projective_action(group, mats, max_order)
-        if "dimension" in proj and payload["projective"].dimension != int(proj["dimension"]):
+        if "dimension" in proj and \
+                payload["projective"].dimension != _field(proj, "dimension", int):
             raise ValidationError("declared dimension does not match the matrices")
     toric = doc.get("toric")
     if toric is not None:
-        module = GModule.lattice(group, toric["rank"],
-                                 _gen_by_position(group, toric.get("matrices", {}),
+        module = GModule.lattice(group, _field(toric, "rank"),
+                                 _gen_by_position(group, _field(toric, "matrices", default={}),
                                                   lambda m: m))
         payload["toric"] = ToricAction(group, module)
     if "pic" in doc:
         payload["pic"] = parse_module(group, doc["pic"])
     if "grassmannian" in doc:
-        payload["grassmannian_r"] = int(doc["grassmannian"]["r"])
+        payload["grassmannian_r"] = _field(doc["grassmannian"], "r", int)
     if "flag" in doc:
-        payload["flag_r_list"] = [int(r) for r in doc["flag"]["r_list"]]
+        payload["flag_r_list"] = _field(doc["flag"], "r_list", lambda v: [int(r) for r in v])
     return payload

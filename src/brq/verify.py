@@ -430,7 +430,7 @@ def suite_transfer():
                 idx = sub.index()
                 for i in range(k):
                     coords = tuple(1 if j == i else 0 for j in range(k))
-                    coh_a, res = restrict_qz_class(coh, coords, sub, coh.modulus)
+                    coh_a, res = restrict_qz_class(coh, coords, sub)
                     back = corestrict_qz_class(coh_a, res, sub, coh)
                     want = tuple((idx * c) % f for c, f in
                                  zip(coords, coh.invariant_factors))
@@ -575,7 +575,7 @@ def suite_fixtures():
             return False, f"H2(A4) = {coh.invariant_factors}"
         klein = [x for x in range(12) if a4.element_order(x) in (1, 2)]
         sub = a4.subgroup(klein)
-        _, coords = restrict_qz_class(coh, (1,), sub, coh.modulus)
+        _, coords = restrict_qz_class(coh, (1,), sub)
         return any(coords), f"restriction coordinates {coords}"
 
     cases.append(_case("a4_h2_klein_restriction", a4_h2_and_restriction))

@@ -98,7 +98,7 @@ def test_criterion_6_moduli_example():
     ok_h2 = coh.invariant_factors == [2]
     klein = [x for x in range(12) if a4.element_order(x) in (1, 2)]
     sub = a4.subgroup(klein)
-    _, coords = restrict_qz_class(coh, (1,), sub, coh.modulus)
+    _, coords = restrict_qz_class(coh, (1,), sub)
     ok_res = any(coords)
     doc = verify.load_fixture_json("m06_picard_lattice.json")
     if doc is None:

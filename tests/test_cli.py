@@ -230,3 +230,41 @@ def test_conductor_above_the_limit_exits_3_at_once(tmp_path, capsys):
     err = json.loads(capsys.readouterr().out)["error"]
     assert err["type"] == "SizeLimitError"
     assert err["witness"] == {"field": "m", "value": 20000, "limit": 4096}
+
+
+@pytest.mark.parametrize("doc, witness", [
+    ({"group": {"kind": "permutation", "generators": [[1, 0]]}}, {"field": "degree"}),
+    ({"group": {"kind": "cayley"}}, {"field": "table"}),
+    ({"group": {"kind": "central_extension", "n": 2, "cocycle": []}}, {"field": "base"}),
+    ({"group": KLEIN, "toric": {"matrices": {}}}, {"field": "rank"}),
+    ({"group": KLEIN, "projective": {"matrices": {}}, "correlation": {"coset_witness": 0}},
+     {"field": "phi"}),
+    ({"group": KLEIN, "flag": {}}, {"field": "r_list"}),
+    ({"group": KLEIN, "grassmannian": {"r": "x"}}, {"field": "r", "value": "x"}),
+    ({"group": KLEIN, "flags": [1]}, {"field": "flags", "value": [1]}),
+])
+def test_malformed_document_exits_2_with_the_field(tmp_path, capsys, doc, witness):
+    path = write(tmp_path, "doc.json", doc)
+    assert main(["brnr", path, "--json"]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "ValidationError"
+    assert err["witness"] == witness
+
+
+@pytest.mark.parametrize("limit", [0, -1])
+def test_max_order_below_one_is_refused(tmp_path, capsys, limit):
+    path = write(tmp_path, "klein.json", {"group": KLEIN})
+    assert main(["h2", path, "--json", "--max-order", str(limit)]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "ValidationError"
+    assert err["witness"] == {"field": "max_order", "value": limit}
+
+
+@pytest.mark.parametrize("raw, value", [("abc", "abc"), ("0", 0)])
+def test_brq_max_order_must_be_a_positive_integer(tmp_path, capsys, monkeypatch, raw, value):
+    monkeypatch.setenv("BRQ_MAX_ORDER", raw)
+    path = write(tmp_path, "klein.json", {"group": KLEIN})
+    assert main(["h2", path, "--json"]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "ValidationError"
+    assert err["witness"] == {"field": "BRQ_MAX_ORDER", "value": value}

@@ -20,6 +20,7 @@ from brq.cohomology import (
     h1,
     h2,
     h2_qz,
+    h2_qz_cached,
     restrict_qz_class,
     small_complex_h,
     subgroup_h2_qz,
@@ -192,7 +193,7 @@ def test_restrict_to_self_is_identity():
     g = corpus.klein_four()
     coh = h2_qz(g)
     sub = Subgroup(g, tuple(range(4)))
-    coh_a, coords = restrict_qz_class(coh, (1,), sub, coh.modulus)
+    coh_a, coords = restrict_qz_class(coh, (1,), sub)
     assert coh_a.invariant_factors == [2]
     assert coords == (1,)
 
@@ -202,7 +203,7 @@ def test_restrict_klein_generator_to_cyclic_vanishes():
     coh = h2_qz(g)
     for a in range(1, 4):
         sub = g.generated_subgroup([a])
-        coh_a, coords = restrict_qz_class(coh, (1,), sub, coh.modulus)
+        coh_a, coords = restrict_qz_class(coh, (1,), sub)
         assert coh_a.invariant_factors == []
         assert coords == ()
 
@@ -214,7 +215,7 @@ def test_restrict_a4_generator_to_klein_nonzero():
     klein = [x for x in range(12) if a4.element_order(x) in (1, 2)]
     sub = a4.subgroup(klein)
     assert sub.order == 4
-    coh_a, coords = restrict_qz_class(coh, (1,), sub, coh.modulus)
+    coh_a, coords = restrict_qz_class(coh, (1,), sub)
     assert coords != tuple([0] * len(coords))
 
 
@@ -228,14 +229,40 @@ def test_restriction_functoriality():
     for i in range(k):
         coords = tuple(1 if j == i else 0 for j in range(k))
         # restrict directly to inner
-        coh_inner, direct = restrict_qz_class(coh, coords, inner, coh.modulus)
+        coh_inner, direct = restrict_qz_class(coh, coords, inner)
         # restrict via mid
-        coh_mid, via = restrict_qz_class(coh, coords, mid, coh.modulus)
+        coh_mid, via = restrict_qz_class(coh, coords, mid)
         mid_grp, mid_embed = mid.as_group()
         inner_in_mid = mid_grp.subgroup([mid_embed.index(x) for x in inner.elements])
-        coh_inner2, two_step = restrict_qz_class(coh_mid, via, inner_in_mid, coh.modulus)
+        coh_inner2, two_step = restrict_qz_class(coh_mid, via, inner_in_mid)
         assert coh_inner.invariant_factors == coh_inner2.invariant_factors
         assert direct == two_step
+
+
+def test_restriction_under_a_raised_limit(monkeypatch):
+    # the parent solve passes a raised limit; the subgroup solve behind the
+    # restriction inherits it and ignores the lowered BRQ_MAX_ORDER
+    g = corpus.abelian_group([2, 4])
+    sub = g.subgroup([x for x in range(g.order) if g.element_order(x) <= 2])
+    assert sub.order == 4
+    want_coh, want = restrict_qz_class(h2_qz(g, 8), (1,), sub)
+    monkeypatch.setenv("BRQ_MAX_ORDER", "2")
+    coh = h2_qz_cached(g, 8, max_order=8)
+    coh_a, coords = restrict_qz_class(coh, (1,), sub)
+    assert coh_a.invariant_factors == want_coh.invariant_factors == [2]
+    assert coords == want
+
+
+def test_restriction_keeps_finite_coefficients():
+    # h2 of a trivial_qz module is H^2(G, Z/N), not the Q/Z quotient that
+    # h2_qz takes: H^2(V4, Z/4) = (Z/2)^3 restricts into H^2(C2, Z/4) = Z/2
+    g = corpus.klein_four()
+    coh = h2(GModule.trivial_qz(g))
+    assert coh.invariant_factors == [2, 2, 2]
+    sub = g.subgroup([0, 1])
+    coh_a, _ = coh.restrict((1, 0, 0), sub)
+    assert coh_a.invariant_factors == h2(GModule.trivial_qz(sub.as_group()[0])).invariant_factors
+    assert coh_a.invariant_factors == [2]
 
 
 def test_corestriction_of_trivial_subgroup():
@@ -268,7 +295,7 @@ def test_cores_res_is_index_times_identity():
             idx = sub.index()
             for i in range(k):
                 coords = tuple(1 if j == i else 0 for j in range(k))
-                coh_a, res_coords = restrict_qz_class(coh, coords, sub, coh.modulus)
+                coh_a, res_coords = restrict_qz_class(coh, coords, sub)
                 back = corestrict_qz_class(coh_a, res_coords, sub, coh)
                 expected = tuple((idx * c) % f for c, f in
                                  zip(coords, coh.invariant_factors))

@@ -40,8 +40,11 @@ def test_perm_closure_a4_in_s6():
 
 
 def test_perm_closure_size_limit():
-    with pytest.raises(SizeLimitError):
-        from_permutation_generators(5, [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]], max_order=30)
+    # S_8 (order 40320) from an 8-cycle and a transposition: the closure
+    # stops at the constant construction cap
+    with pytest.raises(SizeLimitError) as info:
+        from_permutation_generators(8, [[1, 2, 3, 4, 5, 6, 7, 0], [1, 0, 2, 3, 4, 5, 6, 7]])
+    assert info.value.witness == {"max_order": 4096}
 
 
 def test_cayley_trivial_and_cyclic():
