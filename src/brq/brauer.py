@@ -20,7 +20,6 @@ import numpy as np
 from .cohomology import (
     GModule,
     _d1,
-    _lattice_limit_check,
     _require_zero,
     bfs_tree,
     corestrict_qz_class,
@@ -98,8 +97,7 @@ def gamma_from_projective_action(group, matrices, max_order=None):
     defect c(g, h) with M_g M_h = c(g, h) M_{gh} must be a scalar and a root
     of unity at the working conductor (the lcm of the input conductors and
     the group exponent); anything else is rejected with the witness pair.
-    `max_order` is the finite-coefficient order limit of the H^2 used to
-    check the class.
+    `max_order` is the order limit of the H^2 used to check the class.
     """
     gen_matrices = {int(g): m for g, m in dict(matrices).items()}
     if set(gen_matrices) != set(group.generators):
@@ -539,7 +537,6 @@ def br_nr_toric(action, subgroup_mode="conj", max_order=None):
     """Unramified Brauer group of a faithful torus action via the character
     lattice: kernel over bicyclic subgroups with Q/Z + lattice coefficients."""
     group = action.group
-    _lattice_limit_check(group, max_order)
     modulus = max(group.order, 2)
     cohs = [h2_qz_cached(group, modulus, max_order), h2(action.lattice, max_order=max_order)]
     report = _kernel_report("br_nr_toric", group, cohs, [], modulus,

@@ -215,8 +215,8 @@ def build_parser():
                         help="include a timestamp (off by default for reproducibility)")
     parser.add_argument("--max-order", type=int, default=None,
                         help="group-order limit of the cohomology computations: replaces "
-                             "the finite-coefficient limit (96, or BRQ_MAX_ORDER) and the "
-                             "lattice limit (24); construction stays capped at 4096")
+                             "the default limit (96, or BRQ_MAX_ORDER); construction stays "
+                             "capped at 4096")
     return parser
 
 

@@ -11,8 +11,12 @@ generator edges (s, h, y), s and y generators, implies it everywhere, so
 Q/Z with trivial action is realized as Z/N for any N divisible by |G|: the
 cohomology in degree two is the quotient of the mod-N cohomology by the
 connecting images of Hom(G, Z/N), and in degree one the two groups agree.
-Lattice coefficients in degree two are reached through the multiplication-
-by-N exact sequence, which reduces them to two degree-one computations.
+Lattice coefficients go through the multiplication-by-|G| sequence
+0 -> M -> M -> M/L -> 0, L = |G|, in both degrees: L kills H^k(G, M) for
+k >= 1, so H^k(M) is the cokernel of H^(k-1)(M) -> H^(k-1)(M/L).  H^1(M) is
+(M/L)^G / (M^G mod L), two kernels with r columns; H^2(M) is H^1(M/L), a bar
+computation mod L, modulo the image of H^1(M).  So the bar solver works only
+over Z/N.
 
 `_d1` and `_d2` are the one definition of the differential: the
 inhomogeneous coboundary of the normalized bar complex (Brown, Cohomology
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 import numbers
 import os
+from functools import cache
 from math import lcm, prod
 
 import numpy as np
@@ -53,9 +58,7 @@ from .linalg import (
     subquotient_structure,
 )
 
-DEFAULT_FINITE_LIMIT = 96
-DEFAULT_LATTICE_LIMIT = 24
-DEFAULT_LATTICE_RANK_LIMIT = 8
+DEFAULT_ORDER_LIMIT = 96
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +262,17 @@ def _unit_1cochains(n, r):
     return units
 
 
+def _generator_rows(mats, t, gens, degree):
+    """The differential of the unit (degree - 1)-cochains at the generator
+    rows, unreduced: one row per (s, [h != 1,] component), s in `gens`, and
+    one column per value of a normalized (degree - 1)-cochain."""
+    r = mats.shape[1]
+    if degree == 1:
+        return (mats[gens] - np.eye(r, dtype=np.int64)).reshape(-1, r)
+    n = len(mats)
+    return _d1(mats, t, _unit_1cochains(n, r), gens)[:, 1:].reshape(-1, (n - 1) * r)
+
+
 def _require_zero(diff, message):
     """Raise a ValidationError unless `diff` vanishes.  The witness is the
     first failing index, in row-major order, of all axes but the last."""
@@ -293,7 +307,7 @@ class _BarSolver:
     generator rows and is extended along the BFS tree by `_tree_step`: the
     cocycle identity on the tree edge (p, x), solved for c(px, ...).  So
     z = dc vanishes at every tree edge (p, x, ...).  The modulus L is the
-    lcm of the factors of a finite module, or None over Z.
+    lcm of the module's factors.
 
     In degree one the kernel of the identities z(s, h) = 0, generators s,
     is the group of cocycles.  In degree two the identities z(s, h, y) = 0
@@ -310,16 +324,15 @@ class _BarSolver:
     degree = None
     _d = None  # the differential from degree to degree + 1
 
-    def __init__(self, group, mats, factors=None):
+    def __init__(self, group, mats, factors):
         self.group = group
         self.t = group._np_table
         self.n = n = group.order
         self.r = r = mats.shape[1]
-        self.factors = tuple(int(f) for f in factors) if factors else None
-        self.L = lcm(*self.factors) if factors else None
-        self.scale = np.array([self.L // f for f in self.factors], dtype=np.int64) \
-            if factors else None
-        self.mats = self._mod(np.asarray(mats, dtype=np.int64))
+        self.factors = tuple(int(f) for f in factors)
+        self.L = lcm(*self.factors)
+        self.scale = np.array([self.L // f for f in self.factors], dtype=np.int64)
+        self.mats = np.asarray(mats, dtype=np.int64) % self.L
         self.gens = list(group.generators)
         # index of the generator rows: (generators, [h != 1])
         self.at_gens = (np.array(self.gens, dtype=np.int64),) + \
@@ -332,12 +345,9 @@ class _BarSolver:
         for g, p, x in bfs_tree(group):
             if g in gen_set and p == 0:
                 continue
-            w[g] = self._mod(self._tree_step(w, p, x))
+            w[g] = self._tree_step(w, p, x) % self.L
         self.w = w
         self.kernel_gens = self._cocycle_kernel()
-
-    def _mod(self, arr):
-        return arr % self.L if self.L else arr
 
     def _edge_rows(self, s):
         """The cocycle identities with s in the first slot, over the slots."""
@@ -347,11 +357,8 @@ class _BarSolver:
         """Kernel of the cocycle identities at (s, h) or (s, h, y), h != 1,
         streamed into the Howell form one generator s at a time."""
         U = self.slots
-        rows = (self._edge_rows(s)[0, 1:] for s in self.gens)
-        if not self.L:
-            return kernel(np.concatenate([f.reshape(-1, U) for f in rows]).tolist(), None, U)
         acc = HowellAccumulator(self.L)
-        for f in rows:
+        for f in (self._edge_rows(s)[0, 1:] for s in self.gens):
             # component i of the module is Z/f_i, so it vanishes when
             # (L / f_i) times it vanishes mod L
             acc.ingest((f % self.L * self.scale[:, None] % self.L).reshape(-1, U))
@@ -361,7 +368,7 @@ class _BarSolver:
         """f_i at each slot of a component i whose factor f_i is below L:
         the slot values that are zero in the module."""
         out = []
-        for comp, f in enumerate(self.factors or ()):
+        for comp, f in enumerate(self.factors):
             if f == self.L:
                 continue
             for slot in range(comp, self.slots, self.r):
@@ -372,23 +379,20 @@ class _BarSolver:
 
     def expand(self, uvec):
         """The cochain table whose generator rows are the slot vector."""
-        u = self._mod(np.asarray(uvec, dtype=np.int64))
-        return self._mod(self.w @ u)
+        u = np.asarray(uvec, dtype=np.int64) % self.L
+        return self.w @ u % self.L
 
-    def read_slots(self, values):
-        return self._mod(values[self.at_gens].reshape(-1))
-
-    def validate_cocycle(self, values):
-        diff = self._d(self.mats, self.t, values, range(self.n))
-        if self.L:
-            diff = diff % self.L * self.scale % self.L
-        _require_zero(diff, f"table is not a {self.degree}-cocycle")
+    def coboundary_gens(self):
+        """The coboundaries of the unit (degree - 1)-cochains, over the slots."""
+        return (_generator_rows(self.mats, self.t, self.gens, self.degree) % self.L).T.tolist()
 
     def cocycle_slots(self, values):
         """Slot vector of a cocycle table (reduced and validated)."""
-        values = self._mod(values)
-        self.validate_cocycle(values)
-        return self.read_slots(values)
+        values = values % self.L
+        diff = self._d(self.mats, self.t, values, range(self.n))
+        _require_zero(diff % self.L * self.scale % self.L,
+                      f"table is not a {self.degree}-cocycle")
+        return values[self.at_gens].reshape(-1)
 
 
 class _BarH1Solver(_BarSolver):
@@ -399,10 +403,6 @@ class _BarH1Solver(_BarSolver):
         # c(px) = c(p) + p.c(x)
         return w[p] + np.einsum("ij,j...->i...", self.mats[p], w[x])
 
-    def coboundary_gens(self):
-        """d0 of the unit 0-cochains: the columns of A_s - I at the slots."""
-        d0 = self.mats[self.gens] - np.eye(self.r, dtype=np.int64)
-        return self._mod(d0.reshape(-1, self.r)).T.tolist()
 
 
 class _BarH2Solver(_BarSolver):
@@ -416,10 +416,6 @@ class _BarH2Solver(_BarSolver):
         # c(px, h) = p.c(x, h) + c(p, xh) - c(p, x)
         return np.einsum("ij,kj...->ki...", self.mats[p], w[x]) + w[p][self.t[x]] - w[p, x]
 
-    def coboundary_gens(self):
-        """d1 of the unit 1-cochains, in the order of `_unit_1cochains`."""
-        d = _d1(self.mats, self.t, _unit_1cochains(self.n, self.r), self.gens)[:, 1:]
-        return self._mod(d.reshape(self.slots, -1)).T.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -429,14 +425,12 @@ class _BarH2Solver(_BarSolver):
 class CohomologyGroup:
     """Computed H^i with structure, representatives, and a reduce map."""
 
-    def __init__(self, group, module, degree, structure, engine, modulus,
-                 rep_tables, reducer):
+    def __init__(self, group, module, degree, structure, modulus, rep_tables, reducer):
         self.group = group
         self.module = module
         self.degree = degree
         self.structure = structure
         self.modulus = modulus
-        self._engine = engine
         self._reducer = reducer
         self.rep_tables = rep_tables  # list of np arrays
         self.qz = False  # set by h2_qz: Q/Z coefficients, realized mod the modulus
@@ -483,11 +477,11 @@ class CohomologyGroup:
         return coh_a, coh_a.reduce(self.expand(coords)[np.ix_(idx, idx)])
 
 
-def _env_finite_limit():
+def _env_order_limit():
     """BRQ_MAX_ORDER as an int >= 1, or the default when it is unset."""
     raw = os.environ.get("BRQ_MAX_ORDER")
     if raw is None:
-        return DEFAULT_FINITE_LIMIT
+        return DEFAULT_ORDER_LIMIT
     try:
         raw = int(raw)
     except ValueError:
@@ -495,21 +489,14 @@ def _env_finite_limit():
     return _positive_int("BRQ_MAX_ORDER", raw)
 
 
-def _finite_limit_check(group, max_order, unknowns):
-    """Reject a finite-coefficient solve over the order limit; the witness
-    gives the bar-solver unknowns that the solve would have built."""
-    limit = _env_finite_limit() if max_order is None else _positive_int("max_order", max_order)
+def _order_limit_check(group, max_order, unknowns):
+    """Reject a cohomology computation over the order limit; the witness
+    gives the unknowns of the largest system that it would have built."""
+    limit = _env_order_limit() if max_order is None else _positive_int("max_order", max_order)
     if group.order > limit:
         raise SizeLimitError(
-            f"group order {group.order} exceeds the finite-coefficient limit {limit}",
+            f"group order {group.order} exceeds the order limit {limit}",
             witness={"order": group.order, "unknowns": unknowns})
-
-
-def _lattice_limit_check(group, max_order):
-    limit = DEFAULT_LATTICE_LIMIT if max_order is None else _positive_int("max_order", max_order)
-    if group.order > limit:
-        raise SizeLimitError(f"group order {group.order} exceeds the lattice limit {limit}",
-                             witness={"order": group.order, "limit": limit})
 
 
 def _h2_unknowns(group, rank):
@@ -518,14 +505,12 @@ def _h2_unknowns(group, rank):
 
 def _trivial_cohomology(group, module, degree, modulus):
     structure = linalg.subquotient_structure(0, modulus or 2, [], [])
-    return CohomologyGroup(group, module, degree, structure, None, modulus,
-                           [], lambda arr: ())
+    return CohomologyGroup(group, module, degree, structure, modulus, [], lambda arr: ())
 
 
 def _bar_cohomology(module, degree, extra_image_tables=None):
-    """H^degree(G, M) from the bar solver: finite M, or M a lattice in
-    degree one.  `extra_image_tables` are cocycle tables whose classes are
-    adjoined to the coboundaries."""
+    """H^degree(G, M) of a finite M from the bar solver.  `extra_image_tables`
+    are cocycle tables whose classes are adjoined to the coboundaries."""
     solver_class = _BarH1Solver if degree == 1 else _BarH2Solver
     solver = solver_class(module.group, module.mats, module.factors)
     image = solver.coboundary_gens() + solver.gauge_gens()
@@ -538,7 +523,7 @@ def _bar_cohomology(module, degree, extra_image_tables=None):
     def reducer(arr):
         return structure.coords(solver.cocycle_slots(arr))
 
-    return CohomologyGroup(module.group, module, degree, structure, solver, solver.L,
+    return CohomologyGroup(module.group, module, degree, structure, solver.L,
                            rep_tables, reducer)
 
 
@@ -547,29 +532,30 @@ def h2(module, max_order=None, extra_image_tables=None):
 
     For finite coefficients the computation runs over Z/lcm(factors) via
     Howell forms; for lattices it runs through the multiplication-by-|G|
-    exact sequence and integer kernels.  `extra_image_tables` adjoins the
+    exact sequence (`_h2_lattice`).  `extra_image_tables` adjoins the
     classes of additional cocycle tables to the coboundary side (used for
     the Q/Z realization).
     """
     group = module.group
-    if module.kind == "lattice":
-        return _h2_lattice(module, max_order=max_order)
-    _finite_limit_check(group, max_order, _h2_unknowns(group, module.rank))
+    lattice = module.kind == "lattice"
+    _order_limit_check(group, max_order, (group.order - 1) * module.rank if lattice
+                       else _h2_unknowns(group, module.rank))
     if group.order == 1:
-        return _trivial_cohomology(group, module, 2, 2)
+        return _trivial_cohomology(group, module, 2, None if lattice else 2)
+    if lattice:
+        return _h2_lattice(module, max_order)
     return _bar_cohomology(module, 2, extra_image_tables)
 
 
 def h1(module, max_order=None):
     """H^1(G, M): crossed homomorphisms modulo principal ones."""
     group = module.group
-    if module.kind == "lattice":
-        _lattice_limit_check(group, max_order)
-    else:
-        _finite_limit_check(group, max_order, len(group.generators) * module.rank)
+    lattice = module.kind == "lattice"
+    _order_limit_check(group, max_order, module.rank if lattice
+                       else len(group.generators) * module.rank)
     if group.order == 1:
-        return _trivial_cohomology(group, module, 1, None if module.kind == "lattice" else 2)
-    return _bar_cohomology(module, 1)
+        return _trivial_cohomology(group, module, 1, None if lattice else 2)
+    return _h1_lattice(module) if lattice else _bar_cohomology(module, 1)
 
 
 def connecting_bockstein(group, chi, modulus):
@@ -594,7 +580,7 @@ def h2_qz(group, modulus=None, max_order=None):
     """
     n = group.order
     N = int(modulus) if modulus else n
-    _finite_limit_check(group, max_order, _h2_unknowns(group, 1))
+    _order_limit_check(group, max_order, _h2_unknowns(group, 1))
     if N % n:
         raise DomainError(f"modulus {N} must be divisible by the group order {n}")
     if n == 1:
@@ -608,96 +594,78 @@ def h2_qz(group, modulus=None, max_order=None):
 
 
 # ---------------------------------------------------------------------------
-# lattice H^2 via the multiplication-by-N sequence
+# lattices through the multiplication-by-L sequence, L = |G|
 
 
-class _LatticeH2Engine:
-    def __init__(self, module, max_order=None):
-        group = module.group
-        if module.rank > DEFAULT_LATTICE_RANK_LIMIT and group.order > 12:
-            raise SizeLimitError("lattice rank too large for this group order",
-                                 witness={"rank": module.rank})
-        self.module = module
-        self.group = group
-        self.L = group.order
-        self.r = module.rank
-        finite = GModule(group, "finite", factors=[self.L] * self.r,
-                         element_mats=module.mats % self.L)
-        self.h1_mod = h1(finite, max_order=max_order)
-        int_solver = _BarH1Solver(group, module.mats)
-        image_coords = []
-        for gen in int_solver.kernel_gens:
-            arr = self.h1_mod._engine.expand([x % self.L for x in gen])
-            image_coords.append(list(self.h1_mod._reducer(arr)))
-        self.structure = quotient_of_structure(self.h1_mod.structure, image_coords)
-        self._solver_cache = None
+def _connecting_lift(module, degree):
+    """Preimages under the connecting map of 0 -> M --L--> M -> M/L -> 0.
 
-    def cocycle_from_h1_coords(self, inner_coords):
-        """Integer 2-cocycle from a degree-one class of M/L."""
-        u = np.zeros(self.h1_mod._engine.slots, dtype=np.int64)
-        for c, w in zip(inner_coords, self.h1_mod.structure.witness_generators):
-            u = (u + int(c) * np.asarray(w, dtype=np.int64)) % self.L
-        cbar = self.h1_mod._engine.expand(u)  # (n, r) values in [0, L)
-        dc = _d1(self.module.mats, self.group._np_table, cbar, range(self.group.order))
-        if (dc % self.L).any():
-            raise DomainError("table is not a 1-cocycle mod L")
-        return dc // self.L
-
-    def rep_tables(self):
-        return [self.cocycle_from_h1_coords(w) for w in self.structure.witness_generators]
-
-    def _d1_solver(self):
-        """Howell factorization of the degree-one coboundary map mod L^2:
-        one row per (s, h, component), s a generator and h != 1, one column
-        per value of a normalized 1-cochain.
-
-        The generator rows suffice.  Let z be an integer 2-cocycle and c a
-        1-cochain with d1(c) = L z mod L^2 at every (s, h).  Then
-        D = d1(c) - L z is a normalized 2-cocycle mod L^2 with D(s, h) = 0.
-        dD = 0 at (p, x, h), x a generator, gives D(px, h) = p.D(x, h)
-        + D(p, xh) - D(p, x), so by induction on the depth of px in the BFS
-        tree D vanishes everywhere: c solves the system at every (g, h)."""
-        if self._solver_cache is not None:
-            return self._solver_cache
-        n, r, L = self.group.order, self.r, self.L
-        cols = (n - 1) * r
-        d = _d1(self.module.mats, self.group._np_table, _unit_1cochains(n, r),
-                self.group.generators)
-        rows = d[:, 1:].reshape(-1, cols).tolist()
-        self._solver_cache = [p for p in augmented_echelon(rows, L * L, cols) if any(p[0])]
-        return self._solver_cache
-
-    def reduce(self, ztable):
-        """Coordinates of an integer 2-cocycle table."""
-        n, r, L = self.group.order, self.r, self.L
-        arr = np.asarray(ztable, dtype=np.int64)
-        _require_zero(_d2(self.module.mats, self.group._np_table, arr, range(n)),
-                      "table is not an integer 2-cocycle")
-        L2 = L * L
-        pairs = self._d1_solver()
-        gens = np.array(self.group.generators, dtype=np.int64)
-        target = [(L * int(x)) % L2 for x in arr[gens, 1:].reshape(-1)]
-        coeffs = howell_solve([image for image, _ in pairs], target, L2)
-        if coeffs is None:
-            raise DomainError("2-cocycle is not in the image of the connecting map")
-        chat = [0] * ((n - 1) * r)
-        for c, (_, carry) in zip(coeffs, pairs):
-            if c:
-                chat = [x + c * y for x, y in zip(chat, carry)]
-        cbar = np.zeros((n, r), dtype=np.int64)
-        cbar[1:] = np.array([x % L for x in chat], dtype=np.int64).reshape(n - 1, r)
-        inner = self.h1_mod._reducer(cbar)
-        return self.structure.coords(list(inner))
-
-
-def _h2_lattice(module, max_order=None):
+    L kills H^k(G, M), so an integer k-cocycle z (k = 1, 2) has L z = d(c)
+    for an integer (k-1)-cochain c, and the class of z is the connecting
+    image of the class of c mod L in H^(k-1)(M/L).  The returned function
+    validates z and gives c mod L, solved from d(c) = L z mod L^2 at the
+    generator rows.  Those rows suffice: D = d(c) - L z is then a normalized
+    k-cocycle mod L^2 that vanishes at the generator rows.  In degree one
+    D(px) = D(p) + p.D(x); in degree two dD = 0 at (p, x, h), x a
+    generator, gives D(px, h) = p.D(x, h) + D(p, xh) - D(p, x).  By
+    induction on the depth of px in the BFS tree, D vanishes everywhere.
+    """
     group = module.group
-    _lattice_limit_check(group, max_order)
-    if group.order == 1:
-        return _trivial_cohomology(group, module, 2, None)
-    engine = _LatticeH2Engine(module, max_order=max_order)
-    return CohomologyGroup(group, module, 2, engine.structure, engine, None,
-                           engine.rep_tables(), engine.reduce)
+    L, L2 = group.order, group.order ** 2
+    d = _d1 if degree == 1 else _d2
+    at_gens = (np.array(group.generators),) + (slice(1, None),) * (degree - 1)
+
+    @cache
+    def span():  # Howell factorization of the generator rows mod L^2
+        rows = _generator_rows(module.mats, group._np_table, list(group.generators), degree)
+        return [p for p in augmented_echelon(rows.tolist(), L2, rows.shape[1]) if any(p[0])]
+
+    def lift(table):
+        _require_zero(d(module.mats, group._np_table, table, range(L)),
+                      f"table is not an integer {degree}-cocycle")
+        target = [L * int(x) % L2 for x in table[at_gens].reshape(-1)]
+        coeffs = howell_solve([image for image, _ in span()], target, L2)
+        if coeffs is None:
+            raise DomainError(f"{degree}-cocycle is not in the image of the connecting map")
+        out = np.zeros((L,) * (degree - 1) + (module.rank,), dtype=np.int64)
+        unknowns = out.reshape(-1)[(degree - 1) * module.rank:]  # all but c(1) in degree two
+        c = [0] * len(unknowns)
+        for k, (_, carry) in zip(coeffs, span()):
+            if k:
+                c = [x + k * y for x, y in zip(c, carry)]
+        unknowns[:] = [x % L for x in c]
+        return out
+
+    return lift
+
+
+def _h1_lattice(module):
+    """H^1(G, M) of a lattice as (M/L)^G / (M^G mod L): x in (M/L)^G goes
+    to the cocycle g -> (A_g x - x)/L, and M^G mod L is the kernel."""
+    group, L, r = module.group, module.group.order, module.rank
+    rows = _generator_rows(module.mats, group._np_table, list(group.generators), 1).tolist()
+    invariants = [[x % L for x in v] for v in kernel(rows, None, r)]
+    structure = subquotient_structure(r, L, kernel(rows, L, r), invariants)
+    rep_tables = [(module.mats @ x - x) // L
+                  for x in np.array(structure.witness_generators, dtype=np.int64)]
+    lift = _connecting_lift(module, 1)
+    return CohomologyGroup(group, module, 1, structure, None, rep_tables,
+                           lambda z: structure.coords(lift(z)))
+
+
+def _h2_lattice(module, max_order):
+    """H^2(G, M) of a lattice as H^1(M/L) modulo the image of H^1(M): a
+    class of M/L with cocycle c in [0, L) goes to the 2-cocycle d(c)/L."""
+    group, L = module.group, module.group.order
+    finite = GModule(group, "finite", factors=[L] * module.rank, element_mats=module.mats % L)
+    h1_mod = h1(finite, max_order=max_order)
+    image = [h1_mod.reduce(tab % L) for tab in _h1_lattice(module).rep_tables]
+    structure = quotient_of_structure(h1_mod.structure, image)
+    rep_tables = [_d1(module.mats, group._np_table, h1_mod.expand(w), range(L)) // L
+                  for w in structure.witness_generators]
+    lift = _connecting_lift(module, 2)
+    return CohomologyGroup(group, module, 2, structure, None, rep_tables,
+                           lambda z: structure.coords(h1_mod.reduce(lift(z))))
 
 
 # ---------------------------------------------------------------------------
@@ -710,7 +678,7 @@ _COHOMOLOGY_CACHE = {}
 def _cached_h2_qz(group, modulus, max_order):
     # The order limit is checked before the lookup, so a class computed
     # under a higher limit is not handed to a caller with a lower one.
-    _finite_limit_check(group, max_order, _h2_unknowns(group, 1))
+    _order_limit_check(group, max_order, _h2_unknowns(group, 1))
     key = ("h2qz", group.cayley_key(), modulus)
     if key not in _COHOMOLOGY_CACHE:
         _COHOMOLOGY_CACHE[key] = h2_qz(group, modulus, max_order=max_order)

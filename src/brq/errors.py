@@ -5,12 +5,12 @@ to exit 2, SizeLimitError to exit 3.  The size limits, and what sets each:
 
 - group construction: at most `groups.MAX_ORDER` (4096) elements, a
   constant;
-- finite-coefficient cohomology: group order at most 96, or the value of
-  the environment variable `BRQ_MAX_ORDER`; witness {order, unknowns};
-- lattice cohomology: group order at most 24; witness {order, limit};
-- `--max-order` (the `max_order` argument) replaces the finite-coefficient
-  and the lattice limit of one computation; the subgroup solves behind a
-  restriction take the order of their group as their limit;
+- cohomology, with any coefficients: group order at most 96, or the value
+  of the environment variable `BRQ_MAX_ORDER`; witness {order, unknowns},
+  the unknowns of the largest linear system the computation would build;
+- `--max-order` (the `max_order` argument) replaces that limit for one
+  computation; the subgroup solves behind a restriction take the order of
+  their group as their limit;
 - a limit must be an integer >= 1: any other `max_order` or
   `BRQ_MAX_ORDER` is a ValidationError with witness {field, value};
 - the modulus: a coefficient module whose factors have an lcm above

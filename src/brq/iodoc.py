@@ -51,30 +51,50 @@ def _field(doc, field, convert=None, default=None):
                               witness={"field": field, "value": value}) from None
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _object(value):
+    """A JSON object, for `_field`."""
+    if not isinstance(value, dict):
+        raise TypeError("not an object")
+    return value
+
+
+def _int_rows(value, shape=None):
+    """A list of lists of ints, of the given (rows, columns) when one is
+    given, for `_field`."""
+    if not (isinstance(value, list) and all(isinstance(row, list) and all(map(_is_int, row))
+                                            for row in value)):
+        raise TypeError("not a list of integer lists")
+    if shape is not None and (len(value) != shape[0]
+                              or any(len(row) != shape[1] for row in value)):
+        raise ValueError(f"not a {shape[0]} x {shape[1]} table")
+    return value
+
+
 def parse_group(doc):
     kind = _field(doc, "kind")
     if kind == "permutation":
-        return from_permutation_generators(_field(doc, "degree", int), _field(doc, "generators"))
+        return from_permutation_generators(_field(doc, "degree", int),
+                                           _field(doc, "generators", _int_rows))
     if kind == "cayley":
-        return from_cayley_table(_field(doc, "table"))
+        return from_cayley_table(_field(doc, "table", _int_rows))
     if kind == "semidirect":
         normal = parse_group(_field(doc, "normal"))
         acting = parse_group(_field(doc, "acting"))
-        action = _field(doc, "action")
-        if len(action) != acting.order:
-            raise ValidationError("semidirect action needs one permutation per "
-                                  "acting element")
-        return semidirect_product(normal, acting, [list(map(int, p)) for p in action])
+        shape = (acting.order, normal.order)
+        return semidirect_product(normal, acting,
+                                  _field(doc, "action", lambda v: _int_rows(v, shape)))
     if kind == "central_extension":
         from .groups import central_extension_from_cocycle
 
         base = parse_group(_field(doc, "base"))
-        return central_extension_from_cocycle(base, _field(doc, "n", int), _field(doc, "cocycle"))
+        shape = (base.order, base.order)
+        return central_extension_from_cocycle(base, _field(doc, "n", int),
+                                              _field(doc, "cocycle", lambda v: _int_rows(v, shape)))
     raise ValidationError(f"unknown group kind {kind!r}")
-
-
-def _is_int(x):
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _parse_rational(x, field):
@@ -149,10 +169,10 @@ def parse_action_document(doc, max_order=None):
     The payload may contain: 'projective' (a ProjectiveAction), 'correlation'
     (a CorrelationAction), 'toric' (a ToricAction), 'pic' (a GModule),
     'grassmannian_r', 'flag_r_list', and 'flags'.  `max_order` is the
-    finite-coefficient order limit of the H^2 that checks a projective class.
+    order limit of the H^2 that checks a projective class.
     """
     group = parse_group(_field(doc, "group"))
-    payload = {"group": group, "flags": _field(doc, "flags", dict, {})}
+    payload = {"group": group, "flags": _field(doc, "flags", _object, {})}
     proj = doc.get("projective")
     corr = doc.get("correlation")
     if corr is not None:
@@ -181,7 +201,7 @@ def parse_action_document(doc, max_order=None):
                                                   lambda m: m))
         payload["toric"] = ToricAction(group, module)
     if "pic" in doc:
-        payload["pic"] = parse_module(group, doc["pic"])
+        payload["pic"] = parse_module(group, _field(doc, "pic", _object))
     if "grassmannian" in doc:
         payload["grassmannian_r"] = _field(doc["grassmannian"], "r", int)
     if "flag" in doc:

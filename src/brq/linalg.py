@@ -18,6 +18,9 @@ Hermite) form of the span, so it is the same whichever path computes it:
 - Otherwise the pure-Python loop `howell_rows` (`hnf_rows` over Z) runs
   alone.  It is the reference, and the one fallback above INT64_BOUND.
 
+The cohomology solvers work mod N; the Z path (modulus None) serves only the
+`small_complex_h` oracle and the r-column kernel of lattice invariants M^G.
+
 INT64_BOUND = 2^20 keeps residue products below 2^40, so the sweep's row
 operations and extended-gcd combinations, and the bar-complex sums of the
 cohomology solvers, stay inside int64.  Those solvers build their
@@ -317,7 +320,7 @@ def invariant_factors_of(matrix):
 
 
 # ---------------------------------------------------------------------------
-# Hermite form over Z (internal work-horse for lattices)
+# Hermite form over Z (the small-complex oracle and lattice invariants)
 
 
 def hnf_rows(rows):

@@ -26,6 +26,7 @@ from brq.cohomology import GModule, h2, h2_qz_cached
 from brq.cyclotomic import CycloMatrix, CycloNumber, plucker_vector
 from brq.errors import DomainError, SizeLimitError, UnsupportedCaseError, ValidationError
 from brq.groups import cyclic_group, from_permutation_generators
+from brq.verify import toric_group_from_matrices
 
 
 def pauli_action():
@@ -318,48 +319,22 @@ def test_br_nr_toric_bicyclic_gl2z():
     for name, gens in corpus.gl2z_bicyclic_cases():
         g = from_permutation_generators if False else None
         del g
-        grp, module = _toric_from_matrices(gens)
+        grp, module = toric_group_from_matrices(gens)
         rep = br_nr_toric(ToricAction(grp, module))
         assert rep.unramified_group.invariant_factors == (), name
 
 
-def _toric_from_matrices(int_mats):
-    """Group generated by integer matrices + its lattice module."""
-    import numpy as np
-
-    mats = [np.array(m, dtype=np.int64) for m in int_mats]
-    seen = {tuple(np.eye(len(mats[0]), dtype=np.int64).flatten())}
-    elems = [np.eye(len(mats[0]), dtype=np.int64)]
-    frontier = [elems[0]]
-    while frontier:
-        cur = frontier.pop()
-        for m in mats:
-            nxt = cur @ m
-            key = tuple(nxt.flatten())
-            if key not in seen:
-                seen.add(key)
-                elems.append(nxt)
-                frontier.append(nxt)
-    # identity-first deterministic ordering
-    elems = [elems[0]] + sorted(elems[1:], key=lambda m: tuple(m.flatten()))
-    index = {tuple(m.flatten()): i for i, m in enumerate(elems)}
-    table = [[index[tuple((a @ b).flatten())] for b in elems] for a in elems]
-    from brq.groups import FiniteGroup
-
-    grp = FiniteGroup(table)
-    module = GModule.lattice(grp, len(mats[0]),
-                             {s: elems[s].tolist() for s in grp.generators})
-    return grp, module
-
-
-def test_br_nr_toric_passes_max_order_to_the_subgroups():
+def test_br_nr_toric_passes_max_order_to_the_subgroups(monkeypatch):
     # C6 x C6 on Z^4: an order-6 rotation on each plane; order 36 is above
-    # the default lattice limit, so every subgroup solve needs the raised one
+    # the order limit 8 set here, so every subgroup solve needs the raised one
+    monkeypatch.setenv("BRQ_MAX_ORDER", "8")
     rot = [[0, -1], [1, 1]]
     a = [rot[0] + [0, 0], rot[1] + [0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     b = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0] + rot[0], [0, 0] + rot[1]]
-    grp, module = _toric_from_matrices([a, b])
+    grp, module = toric_group_from_matrices([a, b])
     assert grp.order == 36
+    with pytest.raises(SizeLimitError):
+        br_nr_toric(ToricAction(grp, module))
     rep = br_nr_toric(ToricAction(grp, module), max_order=36)
     assert rep.unramified_group.invariant_factors == ()
 
@@ -374,7 +349,7 @@ def test_lattice_h2_passes_max_order_to_its_inner_h1():
         for a in range(2):
             m[2 * i + a][2 * i:2 * i + 2] = rot[a]
         gens.append(m)
-    grp, module = _toric_from_matrices(gens)
+    grp, module = toric_group_from_matrices(gens)
     assert grp.order == 108
     h2(module, max_order=128)  # computes; its value has no independent check here
     with pytest.raises(SizeLimitError):

@@ -147,7 +147,7 @@ def test_max_order_limits_toric_brnr(capsys):
     assert main(["brnr", "toric", toric, "--json", "--max-order", "4"]) == 3
     err = json.loads(capsys.readouterr().out)["error"]
     assert err["type"] == "SizeLimitError"
-    assert err["witness"] == {"order": 6, "limit": 4}
+    assert err["witness"] == {"order": 6, "unknowns": 10}
 
 
 @pytest.mark.parametrize("matrix", [[[2]], [[0, 1], [2, 0]], [[1, 1], [0, 2]]])
@@ -249,6 +249,36 @@ def test_malformed_document_exits_2_with_the_field(tmp_path, capsys, doc, witnes
     err = json.loads(capsys.readouterr().out)["error"]
     assert err["type"] == "ValidationError"
     assert err["witness"] == witness
+
+
+C2 = {"kind": "permutation", "degree": 2, "generators": [[1, 0]]}
+
+
+@pytest.mark.parametrize("group, field, value", [
+    ({"kind": "cayley", "table": 5}, "table", 5),
+    ({"kind": "cayley", "table": [["a"]]}, "table", [["a"]]),
+    ({"kind": "permutation", "degree": 2, "generators": 5}, "generators", 5),
+    ({"kind": "central_extension", "base": KLEIN, "n": 2, "cocycle": 5}, "cocycle", 5),
+    ({"kind": "central_extension", "base": KLEIN, "n": 2, "cocycle": [[0]]}, "cocycle", [[0]]),
+    ({"kind": "semidirect", "normal": C2, "acting": C2, "action": 5}, "action", 5),
+])
+def test_malformed_group_field_exits_2(tmp_path, capsys, group, field, value):
+    path = write(tmp_path, "doc.json", {"group": group})
+    assert main(["stack", path, "--json"]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "ValidationError"
+    assert err["witness"] == {"field": field, "value": value}
+
+
+@pytest.mark.parametrize("field, value", [("flags", [[1, 2]]), ("pic", [1])])
+def test_action_document_blocks_must_be_objects(tmp_path, capsys, field, value):
+    doc = {"group": KLEIN, "pic": {"kind": "lattice", "rank": 1},
+           "flags": {"fixed_point": True}, field: value}
+    path = write(tmp_path, "doc.json", doc)
+    assert main(["stack", path, "--json"]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "ValidationError"
+    assert err["witness"] == {"field": field, "value": value}
 
 
 @pytest.mark.parametrize("limit", [0, -1])

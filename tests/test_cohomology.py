@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brq import corpus
+from brq import corpus, verify
 from brq.cohomology import (
     GModule,
     _BarH2Solver,
@@ -28,9 +28,12 @@ from brq.cohomology import (
 from brq.errors import DomainError, SizeLimitError, ValidationError
 from brq.groups import (
     Subgroup,
+    abelian_structure,
+    abelianization,
     bicyclic_subgroups,
     cyclic_group,
     direct_product,
+    from_permutation_generators,
     homs_to_cyclic,
 )
 from brq.iodoc import parse_action_document
@@ -455,18 +458,77 @@ LATTICES = {
 
 @pytest.mark.parametrize("name", list(LATTICES))
 def test_lattice_reduce_is_constant_on_classes(name):
-    # reduce solves d1(c) = L z mod L^2 on the generator rows only; shifting
-    # z by an integer coboundary must not move its coordinates
+    # reduce solves d(c) = L z mod L^2 on the generator rows only; shifting
+    # z by an integer coboundary must not move its coordinates: by
+    # g -> A_g b - b in degree one, by d1(b) in degree two
     module = LATTICES[name]
-    coh = h2(module)
     n, t = module.group.order, module.group._np_table
     rng = np.random.default_rng(20240117)
-    for _ in range(4):
-        coords = tuple(int(rng.integers(0, f)) for f in coh.invariant_factors)
-        b = rng.integers(-5, 6, size=(n, module.rank))
-        b[0] = 0
-        table = coh.expand(coords) + _d1(module.mats, t, b, range(n))
-        assert tuple(coh.reduce(table)) == coords
+    for coh in (h1(module), h2(module)):
+        for _ in range(4):
+            coords = tuple(int(rng.integers(0, f)) for f in coh.invariant_factors)
+            if coh.degree == 1:
+                b = rng.integers(-5, 6, size=module.rank)
+                shift = module.mats @ b - b
+            else:
+                b = rng.integers(-5, 6, size=(n, module.rank))
+                b[0] = 0
+                shift = _d1(module.mats, t, b, range(n))
+            assert tuple(coh.reduce(coh.expand(coords) + shift)) == coords
+
+
+ROUND_TRIP_LATTICES = dict(LATTICES)
+ROUND_TRIP_LATTICES.update((f"gl2z_{name}", verify.toric_group_from_matrices(gens)[1])
+                           for name, gens in corpus.gl2z_bicyclic_cases())
+
+
+@pytest.mark.parametrize("name", list(ROUND_TRIP_LATTICES))
+def test_lattice_reduce_inverts_expand_on_unit_classes(name):
+    module = ROUND_TRIP_LATTICES[name]
+    for coh in (h1(module), h2(module)):
+        k = len(coh.invariant_factors)
+        for i in range(k):
+            unit = tuple(int(i == j) for j in range(k))
+            assert tuple(coh.reduce(coh.expand(unit))) == unit
+
+
+IDENTITY_GROUPS = dict(corpus.b0_vanishing_corpus())
+IDENTITY_GROUPS.update(dihedral_64=corpus.dihedral(32), dicyclic_64=corpus.dicyclic(16),
+                       cyclic_96=cyclic_group(96))
+
+
+def test_cohomology_of_the_trivial_lattice_is_the_dual_of_the_abelianization():
+    # H^1(G, Z) = Hom(G, Z) = 0 and H^2(G, Z) = Hom(G, Q/Z), whose invariant
+    # factors are those of G^ab
+    assert len(IDENTITY_GROUPS) == 35
+    for name, group in IDENTITY_GROUPS.items():
+        trivial = GModule.lattice(group, 1)
+        assert h1(trivial).invariant_factors == [], name
+        want = abelian_structure(abelianization(group)[0])[0]
+        assert h2(trivial).invariant_factors == want, name
+
+
+def _permutation_lattice(group, perms, copies):
+    """Z[G/H]^copies for G acting on points through `perms`, one
+    permutation per generator of `group`."""
+    d = len(perms[0])
+    mats = {}
+    for s, p in zip(group.generators, perms):
+        block = np.zeros((d, d), dtype=np.int64)
+        block[p, range(d)] = 1  # e_i -> e_p(i)
+        mats[s] = np.kron(np.eye(copies, dtype=np.int64), block).tolist()
+    return GModule.lattice(group, d * copies, mats)
+
+
+@pytest.mark.parametrize("degree, copies, want, max_order", [
+    (4, 3, [2, 2, 2], None), (5, 2, [2, 2], 120)])
+def test_shapiro_on_permutation_lattices(degree, copies, want, max_order):
+    # H^2(S_d, Z[S_d/S_(d-1)]) = H^2(S_(d-1), Z), which is Z/2 for d - 1 >= 2
+    perms = [[1, 0] + list(range(2, degree)), list(range(1, degree)) + [0]]
+    group = from_permutation_generators(degree, perms)
+    assert [group.element_order(s) for s in group.generators] == [2, degree]
+    module = _permutation_lattice(group, perms, copies)
+    assert h2(module, max_order=max_order).invariant_factors == want
 
 
 def test_d2_after_d1_vanishes():
