@@ -30,7 +30,8 @@ from .brauer import (
 from .cohomology import GModule, h1 as h1_op, h2 as h2_op, h2_qz, h2_qz_cached
 from .errors import BrqError, SizeLimitError, ValidationError
 from .groups import abelian_structure, bicyclic_subgroups
-from .iodoc import load_document, parse_action_document, parse_group, parse_module
+from .iodoc import (_field, _object, load_document, parse_action_document, parse_group,
+                    parse_module)
 from .reports import BrauerReport, describe_factors
 from .verify import SUITES, run_suite
 
@@ -75,8 +76,8 @@ def cmd_group_info(doc, options):
 
 def cmd_h(doc, options, degree):
     group = parse_group(doc["group"] if "group" in doc else doc)
-    module_doc = doc.get("module", {"kind": "trivial_qz"})
-    if isinstance(module_doc, dict) and module_doc.get("kind") == "trivial_qz":
+    module_doc = _field(doc, "module", _object, {"kind": "trivial_qz"})
+    if module_doc.get("kind") == "trivial_qz":
         if degree == 2:
             coh = h2_qz(group, max_order=options.max_order)
         else:

@@ -54,6 +54,7 @@ from .linalg import (
     augmented_echelon,
     howell_solve,
     kernel,
+    pivot_columns,
     quotient_of_structure,
     subquotient_structure,
 )
@@ -362,7 +363,7 @@ class _BarSolver:
             # component i of the module is Z/f_i, so it vanishes when
             # (L / f_i) times it vanishes mod L
             acc.ingest((f % self.L * self.scale[:, None] % self.L).reshape(-1, U))
-        return kernel(acc.canonical_rows(), self.L, U)
+        return kernel([acc.rows[p] for p in sorted(acc.rows)], self.L, U)
 
     def gauge_gens(self):
         """f_i at each slot of a component i whose factor f_i is below L:
@@ -618,19 +619,22 @@ def _connecting_lift(module, degree):
     @cache
     def span():  # Howell factorization of the generator rows mod L^2
         rows = _generator_rows(module.mats, group._np_table, list(group.generators), degree)
-        return [p for p in augmented_echelon(rows.tolist(), L2, rows.shape[1]) if any(p[0])]
+        pairs = [p for p in augmented_echelon(rows.tolist(), L2, rows.shape[1]) if any(p[0])]
+        images = [image for image, _ in pairs]
+        return images, pivot_columns(images), [carry for _, carry in pairs]
 
     def lift(table):
         _require_zero(d(module.mats, group._np_table, table, range(L)),
                       f"table is not an integer {degree}-cocycle")
         target = [L * int(x) % L2 for x in table[at_gens].reshape(-1)]
-        coeffs = howell_solve([image for image, _ in span()], target, L2)
+        images, pivots, carries = span()
+        coeffs = howell_solve(images, target, L2, pivots)
         if coeffs is None:
             raise DomainError(f"{degree}-cocycle is not in the image of the connecting map")
         out = np.zeros((L,) * (degree - 1) + (module.rank,), dtype=np.int64)
         unknowns = out.reshape(-1)[(degree - 1) * module.rank:]  # all but c(1) in degree two
         c = [0] * len(unknowns)
-        for k, (_, carry) in zip(coeffs, span()):
+        for k, carry in zip(coeffs, carries):
             if k:
                 c = [x + k * y for x, y in zip(c, carry)]
         unknowns[:] = [x % L for x in c]

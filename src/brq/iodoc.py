@@ -62,6 +62,11 @@ def _object(value):
     return value
 
 
+def _block(doc, field):
+    """The optional object-valued `field` of doc, or None when it is absent."""
+    return _field(doc, field, _object) if field in doc else None
+
+
 def _int_rows(value, shape=None):
     """A list of lists of ints, of the given (rows, columns) when one is
     given, for `_field`."""
@@ -173,8 +178,8 @@ def parse_action_document(doc, max_order=None):
     """
     group = parse_group(_field(doc, "group"))
     payload = {"group": group, "flags": _field(doc, "flags", _object, {})}
-    proj = doc.get("projective")
-    corr = doc.get("correlation")
+    proj = _block(doc, "projective")
+    corr = _block(doc, "correlation")
     if corr is not None:
         if proj is None:
             raise ValidationError("correlation input needs the collineation block")
@@ -194,7 +199,7 @@ def parse_action_document(doc, max_order=None):
         if "dimension" in proj and \
                 payload["projective"].dimension != _field(proj, "dimension", int):
             raise ValidationError("declared dimension does not match the matrices")
-    toric = doc.get("toric")
+    toric = _block(doc, "toric")
     if toric is not None:
         module = GModule.lattice(group, _field(toric, "rank"),
                                  _gen_by_position(group, _field(toric, "matrices", default={}),
@@ -203,7 +208,8 @@ def parse_action_document(doc, max_order=None):
     if "pic" in doc:
         payload["pic"] = parse_module(group, _field(doc, "pic", _object))
     if "grassmannian" in doc:
-        payload["grassmannian_r"] = _field(doc["grassmannian"], "r", int)
+        payload["grassmannian_r"] = _field(_field(doc, "grassmannian", _object), "r", int)
     if "flag" in doc:
-        payload["flag_r_list"] = _field(doc["flag"], "r_list", lambda v: [int(r) for r in v])
+        payload["flag_r_list"] = _field(_field(doc, "flag", _object), "r_list",
+                                        lambda v: [int(r) for r in v])
     return payload

@@ -13,10 +13,13 @@ from its (image, transform) pairs.  Its output is the canonical Howell (or
 Hermite) form of the span, so it is the same whichever path computes it:
 
 - Over Z/N with at least NUMPY_MIN_ROWS rows to reduce and N <= INT64_BOUND,
-  the numpy sweep `HowellAccumulator` reduces the rows first and
-  `howell_rows` canonicalises what is left.
+  the numpy sweep `HowellAccumulator` reduces the rows first, and its
+  `canonical_rows` canonicalises what is left: the insertion of
+  `howell_rows`, then a numpy finish that reduces the entries above the
+  pivots one pivot column at a time.
 - Otherwise the pure-Python loop `howell_rows` (`hnf_rows` over Z) runs
-  alone.  It is the reference, and the one fallback above INT64_BOUND.
+  alone.  Its pure finish is the reference for the numpy one, and it is
+  the one fallback above INT64_BOUND.
 
 The cohomology solvers work mod N; the Z path (modulus None) serves only the
 `small_complex_h` oracle and the r-column kernel of lattice invariants M^G.
@@ -159,18 +162,26 @@ def _identity(k):
     return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
 
 
+def pivot_columns(rows):
+    """The column of the first nonzero entry of each (nonzero) row."""
+    return [next(j for j, x in enumerate(row) if x != 0) for row in rows]
+
+
 # ---------------------------------------------------------------------------
 # Smith normal form
 
 
 def smith_transforms(matrix):
-    """Smith normal form core: (U, D, V, W) as lists of rows.
+    """Smith normal form core: (U, D, column_ops, W), U, D and W as lists
+    of rows.
 
     U*M*V = D with U and V unimodular and D diagonal with d1 | d2 | ... >= 0.
     W = U^-1 is carried through the reduction: every row operation applied
     to U is matched by the inverse column operation on W, so no inverse is
-    ever computed.  Pivot choice: smallest nonzero absolute value, ties
-    broken row-major.
+    ever computed.  V is not built: `column_ops` records the column
+    operations in order, (i, j) for a swap and (dst, src, q) for adding q
+    times column src to column dst, and `smith_normal_form` replays them.
+    Pivot choice: smallest nonzero absolute value, ties broken row-major.
     """
     if isinstance(matrix, IntMatrix):
         a = matrix.to_lists()
@@ -180,7 +191,7 @@ def smith_transforms(matrix):
     n = len(a[0]) if a else 0
     u = _identity(m)
     w = _identity(m)
-    v = _identity(n)
+    column_ops = []
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -191,8 +202,7 @@ def smith_transforms(matrix):
     def swap_cols(i, j):
         for r in a:
             r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
+        column_ops.append((i, j))
 
     def add_row(dst, src, q):
         # row_dst += q * row_src
@@ -209,8 +219,7 @@ def smith_transforms(matrix):
     def add_col(dst, src, q):
         for r in a:
             r[dst] += q * r[src]
-        for r in v:
-            r[dst] += q * r[src]
+        column_ops.append((dst, src, q))
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
@@ -279,7 +288,7 @@ def smith_transforms(matrix):
             negate_row(t)
         t += 1
 
-    return u, a, v, w
+    return u, a, column_ops, w
 
 
 def smith_normal_form(matrix):
@@ -288,8 +297,19 @@ def smith_normal_form(matrix):
     Returns (U, D, V) as IntMatrix with U*M*V = D, U and V unimodular, D
     diagonal with d1 | d2 | ... >= 0.  U^-1 is carried through the same
     reduction, not computed afterwards; `smith_transforms` returns it too.
+    V is the identity with the recorded column operations replayed on it.
     """
-    u, d, v, _ = smith_transforms(matrix)
+    u, d, column_ops, _ = smith_transforms(matrix)
+    v = _identity(len(d[0]) if d else 0)
+    for op in column_ops:
+        if len(op) == 2:
+            i, j = op
+            for r in v:
+                r[i], r[j] = r[j], r[i]
+        else:
+            dst, src, q = op
+            for r in v:
+                r[dst] += q * r[src]
     return IntMatrix.from_rows(u), IntMatrix.from_rows(d), IntMatrix.from_rows(v)
 
 
@@ -374,8 +394,7 @@ def hnf_solve(basis_rows, target):
     """
     coeffs = [0] * len(basis_rows)
     res = [int(x) for x in target]
-    pivots = [next(j for j, x in enumerate(r) if x != 0) for r in basis_rows]
-    for i, (row, p) in enumerate(zip(basis_rows, pivots)):
+    for i, (row, p) in enumerate(zip(basis_rows, pivot_columns(basis_rows))):
         if res[p] % row[p] != 0:
             return None
         c = res[p] // row[p]
@@ -391,16 +410,13 @@ def hnf_solve(basis_rows, target):
 # Howell form over Z/N
 
 
-def howell_rows(rows, n):
-    """Canonical Howell form of the row span of `rows` over Z/n.
+def _howell_basis(rows, n):
+    """Insert rows into a Howell basis over Z/n, closing under annihilators.
 
-    The result is the unique minimal echelon generating set: strictly
-    increasing pivot columns, each pivot a divisor of n, entries above a
-    pivot reduced mod the pivot, and the span closed under leading-zero
-    truncation (annihilator rows are included).
+    Returns {pivot column: row} with each pivot a divisor of n and the span
+    closed under leading-zero truncation; the entries above the pivots are
+    not yet reduced.
     """
-    if n == 1:
-        return []
     basis = {}  # pivot col -> row list, entries in [0, n)
     queue = [[int(x) % n for x in r] for r in rows]
     while queue:
@@ -433,6 +449,21 @@ def howell_rows(rows, n):
                 a = annihilator(new_cur[p], n)
                 if a != n and a > 1:
                     queue.append([(a * x) % n for x in new_cur])
+    return basis
+
+
+def howell_rows(rows, n):
+    """Canonical Howell form of the row span of `rows` over Z/n.
+
+    The result is the unique minimal echelon generating set: strictly
+    increasing pivot columns, each pivot a divisor of n, entries above a
+    pivot reduced mod the pivot, and the span closed under leading-zero
+    truncation (annihilator rows are included).  This pure loop is the
+    reference for `HowellAccumulator.canonical_rows`.
+    """
+    if n == 1:
+        return []
+    basis = _howell_basis(rows, n)
     pivots = sorted(basis)
     # normalize entries above pivots; ascending column order per row, since
     # reducing at one column can alter entries at later columns
@@ -456,16 +487,18 @@ def howell_form(matrix):
     return ModMatrix.from_rows(rows, matrix.modulus)
 
 
-def howell_solve(basis_rows, target, n):
+def howell_solve(basis_rows, target, n, pivots=None):
     """Express target in the span of canonical Howell rows over Z/n.
 
     Returns canonical (smallest nonnegative) coefficients, or None when the
-    target is outside the span.
+    target is outside the span.  `pivots` are the rows' `pivot_columns`;
+    a caller that solves against one basis many times passes them in.
     """
+    if pivots is None:
+        pivots = pivot_columns(basis_rows)
     coeffs = [0] * len(basis_rows)
     res = [int(x) % n for x in target]
-    for i, row in enumerate(basis_rows):
-        p = next(j for j, x in enumerate(row) if x != 0)
+    for i, (row, p) in enumerate(zip(basis_rows, pivots)):
         if res[p] == 0:
             continue
         g = gcd(row[p], n)
@@ -488,9 +521,9 @@ def howell_solve(basis_rows, target, n):
 class HowellAccumulator:
     """Howell reduction of a stream of int64 rows mod N (the numpy sweep).
 
-    Keeps one reduced row per pivot column; `canonical_rows` hands the kept
-    rows to `howell_rows`, so the result is the canonical Howell form of
-    everything ingested.  Valid only for N <= INT64_BOUND.
+    Keeps one reduced row per pivot column in `rows`; those rows span
+    everything ingested, and `canonical_rows` turns them into its canonical
+    Howell form.  Valid only for N <= INT64_BOUND.
     """
 
     def __init__(self, modulus):
@@ -548,9 +581,25 @@ class HowellAccumulator:
             chunk = chunk[take:]
 
     def canonical_rows(self):
-        """Exact canonical Howell form of everything ingested so far."""
-        rows = [self.rows[p].tolist() for p in sorted(self.rows)]
-        return howell_rows(rows, self.n)
+        """Exact canonical Howell form of everything ingested so far.
+
+        The kept rows go through the insertion of `howell_rows`; the entries
+        above the pivots are then reduced by one numpy step per pivot column,
+        in ascending order.  Row q meets the later pivot rows in the same
+        order, each still unreduced, as in the pure loop, so the rows are the
+        same.  Entries stay below N <= INT64_BOUND, so products fit int64.
+        """
+        n = self.n
+        basis = _howell_basis([self.rows[p].tolist() for p in sorted(self.rows)], n)
+        pivots = sorted(basis)
+        m = np.array([basis[p] for p in pivots], dtype=np.int64)
+        del basis
+        for i, p in enumerate(pivots):
+            f = m[:i, p] // m[i, p]
+            nz = np.flatnonzero(f)
+            if nz.size:
+                m[nz, p:] = (m[nz, p:] - f[nz, None] * m[i, p:]) % n
+        return m.tolist()
 
 
 def augmented_echelon(rows, modulus, cols):
@@ -663,9 +712,10 @@ def subquotient_structure(ambient_dim, modulus, kernel_gens, image_gens):
             return _trivial_structure()
         span = "kernel span"
         basis = howell_rows(kernel_gens, n)
+        pivots = pivot_columns(basis)
 
         def solve_in_basis(v):
-            return howell_solve(basis, v, n)
+            return howell_solve(basis, v, n, pivots)
     else:
         n = None
         span = "kernel lattice"

@@ -270,12 +270,15 @@ def test_malformed_group_field_exits_2(tmp_path, capsys, group, field, value):
     assert err["witness"] == {"field": field, "value": value}
 
 
-@pytest.mark.parametrize("field, value", [("flags", [[1, 2]]), ("pic", [1])])
+@pytest.mark.parametrize("field, value", [
+    ("flags", [[1, 2]]), ("pic", [1]), ("module", [1]), ("toric", [1]),
+    ("projective", [1]), ("correlation", [1]), ("grassmannian", 3), ("flag", [1, 2])])
 def test_action_document_blocks_must_be_objects(tmp_path, capsys, field, value):
     doc = {"group": KLEIN, "pic": {"kind": "lattice", "rank": 1},
            "flags": {"fixed_point": True}, field: value}
     path = write(tmp_path, "doc.json", doc)
-    assert main(["stack", path, "--json"]) == 2
+    # `module` is read by h1 and h2, the other blocks by every action verb
+    assert main(["h1" if field == "module" else "stack", path, "--json"]) == 2
     err = json.loads(capsys.readouterr().out)["error"]
     assert err["type"] == "ValidationError"
     assert err["witness"] == {"field": field, "value": value}

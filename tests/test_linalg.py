@@ -21,7 +21,9 @@ from brq.linalg import (
     howell_form,
     howell_rows,
     howell_solve,
+    invariant_presentation,
     kernel,
+    pivot_columns,
     quotient_of_structure,
     smith_normal_form,
     smith_transforms,
@@ -135,6 +137,10 @@ def test_howell_span_preserved_and_idempotent():
         # membership of original rows in the span of the form
         for r in rows:
             assert howell_solve(h, r, n) is not None
+        # pivots handed in give the same answers, inside the span or not
+        pivots = pivot_columns(h)
+        for r in rows + [[rng.randrange(n) for _ in range(3)] for _ in range(4)]:
+            assert howell_solve(h, r, n, pivots) == howell_solve(h, r, n)
 
 
 def test_howell_canonical_for_equal_spans():
@@ -327,14 +333,38 @@ def snf_cases(rng):
 def test_snf_carries_inverse_transform():
     rng = random.Random(20261018)
     for rows in snf_cases(rng):
-        u, d, v, w = smith_transforms(rows)
+        u, d, _, w = smith_transforms(rows)
         m = len(rows)
         n = len(rows[0]) if rows else 0
-        assert mul(mul(u, rows, n), v, n) == d
         assert mul(u, w, m) == identity(m)
         assert mul(w, u, m) == identity(m)
-        wrapped = smith_normal_form(IntMatrix.from_rows(rows))
-        assert [x.to_lists() for x in wrapped] == [u, d, v]
+        # V is the recorded column operations replayed on the identity
+        wrapped = [x.to_lists() for x in smith_normal_form(IntMatrix.from_rows(rows))]
+        assert wrapped[:2] == [u, d]
+        assert mul(mul(u, rows, n), wrapped[2], n) == d
+        factors, pu, pw = invariant_presentation(rows)
+        assert (pu, pw) == (u, w)
+        assert factors == [d[i][i] if i < n else 0 for i in range(m)]
+
+
+# (M, U, D, V, W) pinned from a reduction that updated V in place; the V
+# replayed from the recorded column operations must be the same.
+FROZEN_SNF = [
+    ([[2, 4, 4], [-6, 6, 12], [10, -4, -16]],
+     [[1, 0, 0], [3, 1, 0], [1, 2, 1]], [[2, 0, 0], [0, 6, 0], [0, 0, 12]],
+     [[1, 0, -2], [0, -1, 4], [0, 1, -3]], [[1, 0, 0], [-3, 1, 0], [5, -2, 1]]),
+    ([[0, 6, 4], [9, 0, 3]],
+     [[1, -1], [3, -4]], [[1, 0, 0], [0, 18, 0]],
+     [[0, 0, 1], [0, 1, 2], [1, -6, -3]], [[4, -1], [3, -1]]),
+]
+
+
+@pytest.mark.parametrize("rows, u, d, v, w", FROZEN_SNF)
+def test_snf_transforms_are_unchanged(rows, u, d, v, w):
+    wrapped = smith_normal_form(IntMatrix.from_rows(rows))
+    assert [x.to_lists() for x in wrapped] == [u, d, v]
+    factors, pu, pw = invariant_presentation(rows)
+    assert (factors, pu, pw) == ([d[i][i] for i in range(len(rows))], u, w)
 
 
 def assert_witnesses_are_unit_classes(s):
@@ -420,15 +450,29 @@ def matvec(rows, x):
     return [sum(a * b for a, b in zip(r, x)) for r in rows]
 
 
-@pytest.mark.parametrize("n", ENGINE_MODULI[:-1])
-@pytest.mark.parametrize("cols", ENGINE_COLS)
+def has_annihilator_rows(rows, n):
+    """Whether some row times n / (its pivot) is nonzero, so that the Howell
+    form needs further rows (annihilator rows) to span that multiple."""
+    return any(any((n // row[p]) * x % n for x in row)
+               for row, p in zip(rows, pivot_columns(rows)))
+
+
+# The widest case gives the numpy finish at least NUMPY_MIN_ROWS pivots.
+@pytest.mark.parametrize("n", ENGINE_MODULI[:-1] + [2, 64, 96])
+@pytest.mark.parametrize("cols", ENGINE_COLS + [2 * NUMPY_MIN_ROWS + 4])
 def test_sweep_then_canonical_equals_howell_rows(n, cols):
     rng = random.Random(cols * 1000 + n % 997)
     rows = random_rows(rng, cols // 2 + 2, cols, n)
     acc = HowellAccumulator(n)
     acc.ingest(rows[:3])
     acc.ingest(rows[3:])
-    assert acc.canonical_rows() == howell_rows(rows, n)
+    want = howell_rows(rows, n)
+    assert acc.canonical_rows() == want
+    # the kept rows have the same span, so they have the same right kernel
+    kept = [acc.rows[p] for p in sorted(acc.rows)]
+    assert kernel(kept, n, cols) == kernel(want, n, cols)
+    if n in (64, 96) and cols > 2 * NUMPY_MIN_ROWS:
+        assert len(want) >= NUMPY_MIN_ROWS and has_annihilator_rows(want, n)
 
 
 def test_sweep_refuses_a_modulus_above_the_int64_bound():
