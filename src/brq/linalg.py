@@ -24,6 +24,21 @@ Hermite) form of the span, so it is the same whichever path computes it:
 The cohomology solvers work mod N; the Z path (modulus None) serves only the
 `small_complex_h` oracle and the r-column kernel of lattice invariants M^G.
 
+`subquotient_structure` over Z/N reads the quotient from the canonical
+Howell form of its relations (`canonical_howell`, so on the same path
+choice): the relations among the kernel basis come from its annihilator
+rows, and each unit pivot of that form eliminates its coordinate.  The
+integer SNF (`smith_transforms`) then runs only on the f coordinates left,
+about as many as the answer has invariant factors, on entries below N with
+N times the identity among the relations, so its numbers stay small.  The
+SNF over Z of the stacked k-row relation matrix that this replaces let them
+grow: on C_96 (95 x 191) its transforms reached 184-digit entries, though
+every use of them was mod N (the growth that Domich, Kannan and
+Trotter, "Hermite normal form computation using modulo determinant
+arithmetic", 1987, avoid by working mod N).  Over Z (the lattice case of
+`small_complex_h`, at most 4r coordinates) the SNF still runs on the image
+coordinates in the kernel lattice.
+
 INT64_BOUND = 2^20 keeps residue products below 2^40, so the sweep's row
 operations and extended-gcd combinations, and the bar-complex sums of the
 cohomology solvers, stay inside int64.  Those solvers build their
@@ -602,6 +617,24 @@ class HowellAccumulator:
         return m.tolist()
 
 
+def _numpy_path(row_count, modulus):
+    """Whether the Howell engine reduces `row_count` rows mod `modulus` with
+    the numpy sweep (module docstring); the Z path (None) never does."""
+    return modulus is not None and row_count >= NUMPY_MIN_ROWS and modulus <= INT64_BOUND
+
+
+def canonical_howell(rows, n):
+    """Canonical Howell form of the row span of `rows` over Z/n, on the
+    engine's path: the numpy sweep and its finish from NUMPY_MIN_ROWS rows
+    when n <= INT64_BOUND, `howell_rows` otherwise.  On the numpy path
+    `rows` may be a 2-D int64 array."""
+    if _numpy_path(len(rows), n):
+        acc = HowellAccumulator(n)
+        acc.ingest(rows)
+        return acc.canonical_rows()
+    return howell_rows(rows, n)
+
+
 def augmented_echelon(rows, modulus, cols):
     """Canonical echelon of [M^T | I] for the matrix M with the given rows.
 
@@ -610,18 +643,16 @@ def augmented_echelon(rows, modulus, cols):
     (image, transform) pairs, one per row of the Howell form (Z/N) or the
     Hermite form (Z): transform t satisfies M t = image.  The pairs with a
     zero image are the canonical form of the right kernel of M; the others
-    solve M x = b.  The reduction path is chosen here (module docstring).
+    solve M x = b.  `canonical_howell` chooses the reduction path.
     """
     r = len(rows)
-    if modulus is not None and cols >= NUMPY_MIN_ROWS and modulus <= INT64_BOUND:
+    if _numpy_path(cols, modulus):
         mat = np.array(rows, dtype=np.int64).reshape(r, cols)
-        acc = HowellAccumulator(modulus)
-        acc.ingest(np.concatenate([mat.T, np.eye(cols, dtype=np.int64)], axis=1))
-        reduced = acc.canonical_rows()
+        aug = np.concatenate([mat.T, np.eye(cols, dtype=np.int64)], axis=1)
     else:
         columns = zip(*rows) if rows else [()] * cols
         aug = [list(c) + [int(i == j) for j in range(cols)] for i, c in enumerate(columns)]
-        reduced = hnf_rows(aug) if modulus is None else howell_rows(aug, modulus)
+    reduced = hnf_rows(aug) if modulus is None else canonical_howell(aug, modulus)
     return [(row[:r], row[r:]) for row in reduced]
 
 
@@ -737,12 +768,9 @@ def subquotient_structure(ambient_dim, modulus, kernel_gens, image_gens):
             raise ContainmentError(f"image generator outside {span}", witness=v)
         img_coords.append(c)
     if n:
-        # relation lattice in kernel coordinates: combinations that vanish
-        rel = kernel([list(c) for c in zip(*basis)], n, k)
-        rel += [[n if i == j else 0 for j in range(k)] for i in range(k)]
-        rel += img_coords
+        free, lift, rel = _mod_n_relations(basis, pivots, img_coords, n)
     elif img_coords:
-        rel = img_coords
+        free, lift, rel = range(k), _identity(k), img_coords
     else:
         raise DomainError("subquotient is not finite")
     factors_all, u, uinv = invariant_presentation([list(c) for c in zip(*rel)])
@@ -752,12 +780,14 @@ def subquotient_structure(ambient_dim, modulus, kernel_gens, image_gens):
     witnesses = []
     for i in kept:
         w = [0] * ambient_dim
-        for j in range(k):
-            cij = uinv[j][i]
+        for t, j in enumerate(free):
+            cij = uinv[t][i]
             if cij:
                 w = [x + cij * y for x, y in zip(w, basis[j])]
         witnesses.append(tuple(x % n for x in w) if n else tuple(w))
-    factor_rows = [(u[i], factors_all[i]) for i in kept]
+    # basis coordinate j -> factor i, reduced mod the factor
+    factor_rows = [([sum(x * y for x, y in zip(row, u[i])) % factors_all[i] for row in lift],
+                    factors_all[i]) for i in kept]
 
     def class_map(vector):
         c = solve_in_basis(list(vector))
@@ -766,6 +796,46 @@ def subquotient_structure(ambient_dim, modulus, kernel_gens, image_gens):
         return tuple(sum(x * y for x, y in zip(row, c)) % f for row, f in factor_rows)
 
     return AbelianStructure(tuple(factors_all[i] for i in kept), tuple(witnesses), class_map)
+
+
+def _annihilator_relations(basis, pivots, n):
+    """Generators of the relations over Z/n among canonical Howell rows.
+
+    Row b_j with pivot d_j != 1 gives (n/d_j) e_j - c, c the coordinates of
+    (n/d_j) b_j.  These generate every relation: in a relation c, the first
+    nonzero c_j is a multiple of n/d_j, since only b_j is nonzero at its
+    pivot column; subtracting that multiple of its relation leaves a
+    relation with a later first nonzero entry.
+    """
+    relations = []
+    for j, (row, p) in enumerate(zip(basis, pivots)):
+        if row[p] != 1:
+            a = n // row[p]
+            rel = [-c % n for c in howell_solve(basis, [a * x for x in row], n, pivots)]
+            rel[j] = a
+            relations.append(rel)
+    return relations
+
+
+def _mod_n_relations(basis, pivots, img_coords, n):
+    """The quotient of (Z/n)^k, k = len(basis), by the relations among the
+    basis and the image coordinates, cut to its few non-unit coordinates.
+
+    In the canonical Howell form of those relations, a row with pivot 1 is
+    the only row nonzero at its pivot column q (entries above a pivot are
+    reduced mod it), so it eliminates e_q.  Returns (free, lift, rel): the
+    remaining coordinates, the k x len(free) matrix of the elimination, and
+    the relations over Z among the free coordinates (the non-unit rows and
+    n times the identity), for `invariant_presentation`.
+    """
+    howell = canonical_howell(_annihilator_relations(basis, pivots, n) + img_coords, n)
+    pairs = list(zip(howell, pivot_columns(howell)))
+    unit = {p: row for row, p in pairs if row[p] == 1}
+    free = [j for j in range(len(basis)) if j not in unit]
+    lift = [[-unit[j][t] if j in unit else int(j == t) for t in free] for j in range(len(basis))]
+    rel = [[row[t] for t in free] for row, p in pairs if row[p] != 1]
+    rel += [[n if s == t else 0 for t in free] for s in free]
+    return free, lift, rel
 
 
 def _scaled_unit_structure(factors, relation_coord_vectors):

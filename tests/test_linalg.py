@@ -15,7 +15,9 @@ from brq.linalg import (
     HowellAccumulator,
     IntMatrix,
     ModMatrix,
+    _annihilator_relations,
     _scaled_unit_structure,
+    canonical_howell,
     direct_sum_structure,
     hnf_rows,
     howell_form,
@@ -259,6 +261,71 @@ def test_subquotient_order_counts():
         ispan = span_set_mod(igens, n, 2)
         s = subquotient_structure(2, n, kgens, igens)
         assert s.order * len(ispan) == len(kspan)
+    # larger cases against the SNF of the stacked relation matrix
+    for dim, n, kgens, igens in random_subquotients(random.Random(12)):
+        s = subquotient_structure(dim, n, kgens, igens)
+        assert s.invariant_factors == stacked_invariant_factors(kgens, igens, n)
+
+
+# 3 * 2^20 is above INT64_BOUND, so its relations take the pure path.
+SUBQUOTIENT_MODULI = [2, 12, 32, 96, 3 * 2**20]
+
+
+def random_kernel_gens(rng, count, dim, n):
+    """Rows mod n, some scaled by a small divisor of n so that pivots are not
+    units."""
+    divisors = [d for d in range(1, 13) if n % d == 0]
+    return [[rng.choice(divisors) * rng.randrange(n) % n for _ in range(dim)]
+            for _ in range(count)]
+
+
+def random_subquotients(rng):
+    """(dim, n, kernel gens, image gens) with the image inside the kernel
+    span; the last case has NUMPY_MIN_ROWS relations and image coordinates,
+    so its relations take the numpy path."""
+    cases = []
+    for n in SUBQUOTIENT_MODULI:
+        for _ in range(8):
+            dim = rng.randrange(1, 8)
+            kgens = random_kernel_gens(rng, rng.randrange(1, 8), dim, n)
+            mix = [[rng.randrange(n) for _ in kgens] for _ in range(rng.randrange(0, 4))]
+            cases.append((dim, n, kgens, [[x % n for x in row] for row in mul(mix, kgens, dim)]))
+    kgens = [[2 * rng.randrange(48) for _ in range(50)] for _ in range(50)]
+    mix = [[rng.randrange(2) for _ in kgens] for _ in range(10)]
+    cases.append((50, 96, kgens, [[x % 96 for x in row] for row in mul(mix, kgens, 50)]))
+    return cases
+
+
+def stacked_invariant_factors(kgens, igens, n):
+    """Invariant factors of span(kgens)/span(igens) over Z/n from the integer
+    SNF of the stacked matrix [relations among the Howell basis | n I |
+    image coordinates], relations from the right kernel of the basis."""
+    basis = howell_rows(kgens, n)
+    k = len(basis)
+    rel = kernel([list(c) for c in zip(*basis)], n, k)
+    rel += [[n * (i == j) for j in range(k)] for i in range(k)]
+    rel += [howell_solve(basis, v, n) for v in igens]
+    factors, _, _ = invariant_presentation([list(c) for c in zip(*rel)])
+    return tuple(f for f in factors if f > 1)
+
+
+@pytest.mark.parametrize("n", [2, 12, 32, 63, 96])
+def test_annihilator_relations_are_all_the_relations(n):
+    rng = random.Random(n)
+    for _ in range(30):
+        dim = rng.randrange(1, 8)
+        basis = howell_rows(random_kernel_gens(rng, rng.randrange(1, 8), dim, n), n)
+        relations = _annihilator_relations(basis, pivot_columns(basis), n)
+        assert all(not any(x % n for x in matvec(list(zip(*basis)), rel)) for rel in relations)
+        assert howell_rows(relations, n) == kernel([list(c) for c in zip(*basis)], n, len(basis))
+
+
+def test_canonical_howell_is_the_same_on_both_paths():
+    rng = random.Random(5)
+    for n in (12, 96):
+        rows = random_rows(rng, NUMPY_MIN_ROWS, 30, n)
+        assert len(rows) >= NUMPY_MIN_ROWS
+        assert canonical_howell(rows, n) == howell_rows(rows, n)
 
 
 def test_class_map_retraction():
@@ -385,6 +452,18 @@ def test_subquotient_witnesses_map_to_unit_vectors_mod_n():
         assert_witnesses_are_unit_classes(s)
         for v in igens:
             assert not any(s.coords(v))
+    for dim, n, kgens, igens in random_subquotients(random.Random(43)):
+        s = subquotient_structure(dim, n, kgens, igens)
+        assert_witnesses_are_unit_classes(s)
+        for v in igens:
+            assert not any(s.coords(v))
+        # additive on the kernel span
+        for _ in range(3):
+            a, b = ([x % n for x in mul([[rng.randrange(n) for _ in kgens]], kgens, dim)[0]]
+                    for _ in range(2))
+            total = [(x + y) % n for x, y in zip(a, b)]
+            assert s.coords(total) == tuple((x + y) % f for x, y, f in
+                                            zip(s.coords(a), s.coords(b), s.invariant_factors))
 
 
 def test_subquotient_witnesses_map_to_unit_vectors_over_z():

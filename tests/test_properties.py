@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+from math import gcd
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brq import corpus
+from brq import corpus, verify
 from brq.brauer import bogomolov_multiplier
 from brq.cohomology import h2_qz
-from brq.groups import from_cayley_table
+from brq.groups import direct_product, from_cayley_table
 
 # group and its Schur multiplier H^2(G, Q/Z); B0 is zero for all of them
 GROUPS = {
@@ -51,3 +53,73 @@ def test_relabelling_keeps_h2_and_b0(name):
         assert invariants(relabel(group, perm)) == expected
 
     check()
+
+
+def invariant_form(orders):
+    """Invariant factors (ascending, units dropped) of the direct sum of the
+    cyclic groups Z/m, m in `orders`, from their primary parts."""
+    powers = {}
+    for m in orders:
+        p = 2
+        while m > 1:
+            q = 1
+            while m % p == 0:
+                m, q = m // p, q * p
+            if q > 1:
+                powers.setdefault(p, []).append(q)
+            p += 1
+    length = max((len(qs) for qs in powers.values()), default=0)
+    out = [1] * length
+    for qs in powers.values():
+        for i, q in enumerate(sorted(qs)):
+            out[length - len(qs) + i] *= q
+    return tuple(out)
+
+
+# group and its abelianization, for the Kunneth formula
+ABELIANIZATION = {
+    "S3": [2], "D4": [2, 2], "Q8": [2, 2], "C2xC4": [2, 4], "A4": [3],
+    "C2": [2], "C3": [3], "C4": [4],
+}
+CYCLIC = {"C2": corpus.abelian_group([2]), "C3": corpus.abelian_group([3]),
+          "C4": corpus.abelian_group([4])}
+
+
+def group_and_schur(name):
+    return GROUPS[name] if name in GROUPS else (CYCLIC[name], [])
+
+
+@pytest.mark.parametrize("left, right", [
+    ("S3", "C2"), ("D4", "C2"), ("Q8", "C2"), ("S3", "C3"), ("A4", "C2"),
+    ("C2xC4", "C4"), ("D4", "S3"),
+])
+def test_kunneth_for_h2_of_a_direct_product(left, right):
+    """H^2(G x H, Q/Z) = H^2(G) + H^2(H) + G^ab (x) H^ab."""
+    (g, schur_g), (h, schur_h) = group_and_schur(left), group_and_schur(right)
+    tensor = [gcd(a, b) for a in ABELIANIZATION[left] for b in ABELIANIZATION[right]]
+    expected = invariant_form(schur_g + schur_h + tensor)
+    assert tuple(h2_qz(direct_product(g, h)).invariant_factors) == expected
+
+
+def test_invariant_form_merges_primary_parts():
+    assert invariant_form([2, 3, 4, 1, 6]) == (2, 6, 12)
+    assert invariant_form([]) == ()
+
+
+@settings(max_examples=6, deadline=None, database=None)
+@given(st.sampled_from(sorted(GROUPS)), st.sampled_from(sorted(CYCLIC)))
+def test_b0_of_a_product_with_a_cyclic_group_is_unchanged(name, cyclic):
+    """B0(G x A) = B0(G) for abelian A (B0 is an isoclinism invariant)."""
+    g, _ = GROUPS[name]
+    product = direct_product(g, CYCLIC[cyclic])
+    assert (bogomolov_multiplier(product).unramified_group.invariant_factors
+            == bogomolov_multiplier(g).unramified_group.invariant_factors)
+
+
+def test_b0_of_the_order64_witness_times_c2_is_z2():
+    doc = verify.load_fixture_json("b0_order64.json")
+    witness = from_cayley_table(doc["group"]["table"])
+    product = direct_product(witness, CYCLIC["C2"])
+    assert bogomolov_multiplier(witness).unramified_group.invariant_factors == (2,)
+    report = bogomolov_multiplier(product, max_order=product.order)
+    assert report.unramified_group.invariant_factors == (2,)

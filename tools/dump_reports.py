@@ -2,11 +2,13 @@
 """Dump the reports and class representatives of a fixed set of inputs as
 one deterministic JSON document, to compare two versions of the code.
 
-    python3 tools/dump_reports.py OUT.json
+    python3 tools/dump_reports.py OUT.json [--diff OLD.json]
 
 Prints the number of results and the sha256 of OUT.json.  A change that
-must keep every report byte-identical keeps this hash.  The results, in
-order:
+must keep every report byte-identical keeps this hash.  With --diff, it
+then prints each result whose value differs from the one of the same name
+in OLD.json (a dump of another version), with the fields that moved, and
+the names present in only one of the two.  The results, in order:
 
 - for each of the 32 groups of `corpus.b0_vanishing_corpus()`: the B0
   report with witnesses, then H^2(G, Q/Z) and H^1(G, Z/4) (trivial action)
@@ -151,15 +153,51 @@ def results():
         yield f"h2_qz relabelled {name}", _classes(h2_qz(_relabelled(group, rng)))
 
 
+def moved_fields(old, new, path=""):
+    """Paths of the fields where `new` differs from `old`: object keys
+    joined by dots, and `[]` for the elements of equally long lists of
+    objects."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        out = []
+        for key in sorted(old.keys() | new.keys()):
+            if old.get(key) != new.get(key):
+                out += moved_fields(old.get(key), new.get(key), f"{path}.{key}" if path else key)
+        return out
+    if (isinstance(old, list) and isinstance(new, list) and len(old) == len(new)
+            and any(isinstance(x, dict) for x in old)):
+        out = []
+        for x, y in zip(old, new):
+            out += [f for f in moved_fields(x, y, path + "[]") if f not in out]
+        return out
+    return [] if old == new else [path or "(value)"]
+
+
+def diff_lines(old_doc, new_doc):
+    """One line per result that moved, appeared or disappeared."""
+    old, new = dict(map(tuple, old_doc)), dict(map(tuple, new_doc))
+    lines = [f"{label}: {', '.join(moved_fields(old[label], value))}"
+             for label, value in new.items() if label in old and old[label] != value]
+    lines += [f"{label}: only in the new dump" for label in new if label not in old]
+    lines += [f"{label}: only in the old dump" for label in old if label not in new]
+    return lines
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", help="path of the JSON document to write")
+    parser.add_argument("--diff", metavar="OLD.json",
+                        help="list the results that differ from this earlier dump")
     args = parser.parse_args(argv)
     doc = [[label, _plain(value)] for label, value in results()]
     text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     Path(args.out).write_text(text, encoding="utf-8")
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     print(f"{len(doc)} results, sha256 {digest}")
+    if args.diff:
+        lines = diff_lines(json.loads(Path(args.diff).read_text(encoding="utf-8")), doc)
+        print(f"{len(lines)} results moved")
+        for line in lines:
+            print(line)
     return 0
 
 
