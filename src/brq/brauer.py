@@ -54,20 +54,11 @@ class ProjectiveAction:
     conductor: int
 
     def cocycle_denominator(self):
-        d = 1
-        for row in self.frac_table:
-            for v in row:
-                d = lcm(d, v.denominator)
-        return d
+        return lcm(*(v.denominator for row in self.frac_table for v in row))
 
     def int_table(self, modulus):
-        n = self.group.order
-        out = np.zeros((n, n, 1), dtype=np.int64)
-        for a in range(n):
-            for b in range(n):
-                v = self.frac_table[a][b]
-                out[a, b, 0] = (v.numerator * (modulus // v.denominator)) % modulus
-        return out
+        return np.array([[[v.numerator * (modulus // v.denominator) % modulus] for v in row]
+                         for row in self.frac_table], dtype=np.int64)
 
     def gamma_coords(self, modulus, max_order=None):
         coh = h2_qz_cached(self.group, modulus, max_order)
@@ -78,12 +69,8 @@ def _tree_matrices(group, gen_matrices):
     """Deterministic matrix lifts for every element along the BFS tree."""
     mats = [None] * group.order
     dim = next(iter(gen_matrices.values())).nrows
-    conductor = 1
-    for m in gen_matrices.values():
-        conductor = lcm(conductor, m.m)
-    conductor = lcm(conductor, group.exponent())
-    ident = CycloMatrix.identity(dim, conductor)
-    mats[0] = ident
+    conductor = lcm(group.exponent(), *(m.m for m in gen_matrices.values()))
+    mats[0] = CycloMatrix.identity(dim, conductor)
     given = {g: m.promote(conductor) for g, m in gen_matrices.items()}
     for g, p, x in bfs_tree(group):
         mats[g] = mats[p] * given[x]
@@ -98,38 +85,63 @@ def gamma_from_projective_action(group, matrices, max_order=None):
     of unity at the working conductor (the lcm of the input conductors and
     the group exponent); anything else is rejected with the witness pair.
     `max_order` is the order limit of the H^2 used to check the class.
+
+    Only the generator edges go through the matrix check: M_a M_x against
+    M_{ax} for each element a (ascending) and generator x (in
+    `group.generators` order); the first failing pair (a, x) is the witness.
+    `_tree_matrices` builds M_b = M_p M_x exactly along the BFS tree (M_x is
+    the given matrix: each generator is a child of the root), so
+
+        M_a M_b = M_a M_p M_x = c(a, p) M_{ap} M_x = c(a, p) c(ap, x) M_{ab},
+
+    c(a, b) = c(a, p) + c(ap, x) in Q/Z, c(a, 1) = 0, and row a fills in tree
+    order.  By induction on the tree depth of b, if every edge defect is a
+    scalar, so is every defect; if every edge defect is a root of unity at
+    the working conductor, so is every defect, as sums in Q/Z of such
+    fractions are again such fractions.  The edges are among the pairs, so
+    this accepts exactly what a check of all n^2 pairs accepts, with the
+    same table.
     """
     gen_matrices = {int(g): m for g, m in dict(matrices).items()}
     if set(gen_matrices) != set(group.generators):
         raise ValidationError(
             "need exactly one matrix per group generator",
             witness=sorted(set(group.generators) ^ set(gen_matrices)))
-    dims = {m.nrows for m in gen_matrices.values()} | {m.ncols for m in gen_matrices.values()}
-    if len(dims) != 1:
-        raise ValidationError("matrices must be square of a common dimension")
+    dim = gen_matrices[group.generators[0]].nrows if group.generators else None
+    for g in group.generators or [None]:  # the trivial group gives no matrix at all
+        shape = [gen_matrices[g].nrows, gen_matrices[g].ncols] if g is not None else None
+        if shape != [dim, dim]:
+            raise ValidationError("matrices must be square of a common dimension",
+                                  witness={"generator": g, "shape": shape})
     for g, m in gen_matrices.items():
         if m.determinant().is_zero():
             raise ValidationError("matrix for a generator is singular", witness=g)
     mats, conductor = _tree_matrices(group, gen_matrices)
-    n = group.order
-    table = [[Fraction(0)] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            prod = mats[a] * mats[b]
-            ratio = prod.scalar_ratio(mats[group.table[a][b]])
-            if ratio is None:
-                raise ValidationError(
-                    "matrix defect is not scalar: input is not a projective action",
-                    witness=(a, b))
-            frac = as_unit_fraction(ratio)
-            if frac is None:
-                raise ValidationError(
-                    "scalar defect is not a root of unity at the working conductor",
-                    witness=(a, b))
-            table[a][b] = frac
-    action = ProjectiveAction(group, next(iter(dims)),
+
+    def edge_defect(a, x):
+        ratio = (mats[a] * mats[x]).scalar_ratio(mats[group.table[a][x]])
+        if ratio is None:
+            raise ValidationError(
+                "matrix defect is not scalar: input is not a projective action",
+                witness=(a, x))
+        frac = as_unit_fraction(ratio)
+        if frac is None:
+            raise ValidationError(
+                "scalar defect is not a root of unity at the working conductor",
+                witness=(a, x))
+        return frac
+
+    edges = [{x: edge_defect(a, x) for x in group.generators} for a in range(group.order)]
+    tree = bfs_tree(group)
+    table = []
+    for a in range(group.order):
+        row = [Fraction(0)] * group.order
+        for b, p, x in tree:
+            row[b] = (row[p] + edges[group.table[a][p]][x]) % 1
+        table.append(tuple(row))
+    action = ProjectiveAction(group, dim,
                               {g: m.promote(conductor) for g, m in gen_matrices.items()},
-                              tuple(tuple(r) for r in table), conductor)
+                              tuple(table), conductor)
     # torsion bound: the class is killed by the matrix dimension
     N = lcm(group.order, action.cocycle_denominator())
     coh = h2_qz_cached(group, N, max_order)
@@ -143,20 +155,9 @@ def gamma_from_projective_action(group, matrices, max_order=None):
 
 def tensor_product_matrices(a, b):
     """Kronecker products of the generator matrices of two actions."""
-    out = {}
-    for g in a.gen_matrices:
-        ma = a.gen_matrices[g]
-        mb = b.gen_matrices[g]
-        rows = []
-        for i in range(ma.nrows):
-            for k in range(mb.nrows):
-                row = []
-                for j in range(ma.ncols):
-                    for l in range(mb.ncols):
-                        row.append(ma.entries[i][j] * mb.entries[k][l])
-                rows.append(row)
-        out[g] = CycloMatrix(rows)
-    return out
+    return {g: CycloMatrix([[x * y for x in row_a for y in row_b] for row_a in ma.entries
+                            for row_b in b.gen_matrices[g].entries])
+            for g, ma in a.gen_matrices.items()}
 
 
 @dataclass
@@ -193,12 +194,12 @@ def correlation_action(group, collineation_matrices, phi, coset_witness):
             "group generators must be the collineation generators plus the witness",
             witness=sorted(set(group.generators) ^ expected))
     if w in coll:
-        raise ValidationError("coset witness cannot carry a collineation matrix")
+        raise ValidationError("coset witness cannot carry a collineation matrix", witness=w)
     dim = phi.nrows
     if phi.ncols != dim:
-        raise ValidationError("phi must be square")
+        raise ValidationError("phi must be square", witness={"shape": [dim, phi.ncols]})
     if phi.determinant().is_zero():
-        raise ValidationError("phi is singular")
+        raise ValidationError("phi is singular", witness={"shape": [dim, dim]})
     # parity character: odd exactly on the witness coset
     parity = [None] * group.order
     parity[0] = 0
@@ -219,10 +220,7 @@ def correlation_action(group, collineation_matrices, phi, coset_witness):
                 raise ValidationError(
                     "duality compatibility fails for a commuting collineation",
                     witness=s)
-    conductor = phi.m
-    for m in coll.values():
-        conductor = lcm(conductor, m.m)
-    conductor = lcm(conductor, group.exponent())
+    conductor = lcm(phi.m, group.exponent(), *(m.m for m in coll.values()))
     gen_pairs = {g: (0, m.promote(conductor)) for g, m in coll.items()}
     gen_pairs[w] = (1, phi.promote(conductor))
     pairs = [None] * group.order
@@ -253,9 +251,7 @@ def _plucker_generator_matrices(action, r):
     if n != 2 * r:
         raise DomainError(f"correlations need dimension {2 * r}, got {n}")
     star = CycloMatrix(hodge_star(n, r))
-    out = {}
-    for g, m in action.collineation_matrices.items():
-        out[g] = exterior_power(m, r)
+    out = {g: exterior_power(m, r) for g, m in action.collineation_matrices.items()}
     out[action.coset_witness] = star * exterior_power(action.phi, r)
     return out
 

@@ -196,9 +196,11 @@ def parse_action_document(doc, max_order=None):
         mats = _gen_by_position(group, _field(proj, "matrices", default={}),
                                 parse_cyclo_matrix)
         payload["projective"] = gamma_from_projective_action(group, mats, max_order)
-        if "dimension" in proj and \
-                payload["projective"].dimension != _field(proj, "dimension", int):
-            raise ValidationError("declared dimension does not match the matrices")
+        dimension = payload["projective"].dimension
+        declared = _field(proj, "dimension", int, dimension)
+        if declared != dimension:
+            raise ValidationError("declared dimension does not match the matrices",
+                                  witness={"declared": declared, "dimension": dimension})
     toric = _block(doc, "toric")
     if toric is not None:
         module = GModule.lattice(group, _field(toric, "rank"),

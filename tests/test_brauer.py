@@ -9,6 +9,7 @@ from brq import corpus
 from brq.brauer import (
     CorrelationAction,
     ToricAction,
+    _tree_matrices,
     bogomolov_multiplier,
     br_nr_flag,
     br_nr_grassmannian,
@@ -23,10 +24,15 @@ from brq.brauer import (
     tensor_product_matrices,
 )
 from brq.cohomology import GModule, h2, h2_qz_cached
-from brq.cyclotomic import CycloMatrix, CycloNumber, plucker_vector
+from brq.cyclotomic import CycloMatrix, CycloNumber, as_unit_fraction, plucker_vector
 from brq.errors import DomainError, SizeLimitError, UnsupportedCaseError, ValidationError
 from brq.groups import cyclic_group, from_permutation_generators
-from brq.verify import toric_group_from_matrices
+from brq.verify import (
+    catalog_actions,
+    clock_shift_action,
+    correlation_klein_gr24,
+    toric_group_from_matrices,
+)
 
 
 def pauli_action():
@@ -97,6 +103,77 @@ def test_gamma_rejects_non_projective_input():
     bad = CycloMatrix([[1, 1], [0, 1]])
     with pytest.raises(ValidationError):
         gamma_from_projective_action(g, {2: bad, 1: CycloMatrix([[1, 0], [0, -1]])})
+
+
+def all_pairs_table(group, matrices):
+    """The scalar-defect table by its definition: every product M_a M_b of
+    the tree lifts compared with M_ab.  An entry is None where the defect is
+    not a scalar or not a root of unity at the working conductor."""
+    mats, _ = _tree_matrices(group, {int(g): m for g, m in matrices.items()})
+
+    def defect(a, b):
+        ratio = (mats[a] * mats[b]).scalar_ratio(mats[group.table[a][b]])
+        return None if ratio is None else as_unit_fraction(ratio)
+
+    return tuple(tuple(defect(a, b) for b in range(group.order)) for a in range(group.order))
+
+
+def assert_table_is_the_oracle(act):
+    assert act.frac_table == all_pairs_table(act.group, act.gen_matrices)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_clock_shift_table_equals_the_all_pairs_oracle(n):
+    assert_table_is_the_oracle(clock_shift_action(n))
+
+
+def test_catalog_tables_equal_the_all_pairs_oracle():
+    actions = catalog_actions()
+    assert len(actions) == 10
+    for _, act in actions:
+        assert_table_is_the_oracle(act)
+
+
+def test_correlation_plucker_table_equals_the_all_pairs_oracle():
+    assert_table_is_the_oracle(plucker_beta(correlation_klein_gr24(), 2))
+
+
+KLEIN_PERM = from_permutation_generators(4, [[1, 0, 3, 2], [2, 3, 0, 1]])
+
+
+@pytest.mark.parametrize("first, message, witness", [
+    ([[1, 1], [0, 1]], "matrix defect is not scalar", (1, 1)),
+    ([[0, 2], [2, 0]], "scalar defect is not a root of unity", (1, 1)),
+])
+def test_gamma_witness_is_an_element_and_a_generator(first, message, witness):
+    g = KLEIN_PERM
+    mats = {g.generators[0]: CycloMatrix(first), g.generators[1]: CycloMatrix([[1, 0], [0, -1]])}
+    with pytest.raises(ValidationError) as info:
+        gamma_from_projective_action(g, mats)
+    assert info.value.message.startswith(message)
+    assert info.value.witness == witness
+    a, x = info.value.witness
+    assert x in g.generators
+    assert all_pairs_table(g, mats)[a][x] is None
+
+
+@pytest.mark.parametrize("matrices, witness", [
+    ({1: [[1, 0], [0, 1]], 2: [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+     {"generator": 2, "shape": [3, 3]}),
+    ({1: [[1, 0, 0], [0, 1, 0]], 2: [[1, 0], [0, 1]]},
+     {"generator": 1, "shape": [2, 3]}),
+])
+def test_gamma_names_the_first_matrix_of_a_wrong_shape(matrices, witness):
+    with pytest.raises(ValidationError) as info:
+        gamma_from_projective_action(KLEIN_PERM, {g: CycloMatrix(m) for g, m in matrices.items()})
+    assert info.value.message == "matrices must be square of a common dimension"
+    assert info.value.witness == witness
+
+
+def test_gamma_of_the_trivial_group_has_no_matrix_to_read():
+    with pytest.raises(ValidationError) as info:
+        gamma_from_projective_action(cyclic_group(1), {})
+    assert info.value.witness == {"generator": None, "shape": None}
 
 
 def test_gamma_torsion_bound():
@@ -187,6 +264,21 @@ def test_correlation_action_validation():
     act = correlation_klein_on_gr24()
     assert act.parity[2] == 1 and act.parity[1] == 0
     assert act.collineation_subgroup().order == 2
+
+
+def test_correlation_action_errors_carry_witnesses():
+    g = corpus.klein_four()
+    psi = CycloMatrix([[1, 0], [0, -1]])
+    with pytest.raises(ValidationError) as info:
+        correlation_action(g, {1: psi, 2: psi}, CycloMatrix.identity(2), 2)
+    assert info.value.message == "coset witness cannot carry a collineation matrix"
+    assert info.value.witness == 2
+    with pytest.raises(ValidationError) as info:
+        correlation_action(g, {1: psi}, CycloMatrix([[1, 0, 0], [0, 1, 0]]), 2)
+    assert (info.value.message, info.value.witness) == ("phi must be square", {"shape": [2, 3]})
+    with pytest.raises(ValidationError) as info:
+        correlation_action(g, {1: psi}, CycloMatrix([[1, 1], [1, 1]]), 2)
+    assert (info.value.message, info.value.witness) == ("phi is singular", {"shape": [2, 2]})
 
 
 def test_correlation_action_rejects_a_parity_that_is_no_homomorphism():

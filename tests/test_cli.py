@@ -301,3 +301,35 @@ def test_brq_max_order_must_be_a_positive_integer(tmp_path, capsys, monkeypatch,
     err = json.loads(capsys.readouterr().out)["error"]
     assert err["type"] == "ValidationError"
     assert err["witness"] == {"field": "BRQ_MAX_ORDER", "value": value}
+
+
+GR24 = str(Path(PAULI).parent / "gr24_correlation.json")
+ID3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize("fixture, edit, message, witness", [
+    # a non-projective pair: the first failing (element, generator) edge
+    (PAULI, {"projective.matrices.0": [[1, 1], [0, 1]], "projective.matrices.1": [[1, 0], [0, -1]]},
+     "matrix defect is not scalar: input is not a projective action", [1, 1]),
+    (PAULI, {"projective.matrices.0": [[0, 2], [2, 0]]},
+     "scalar defect is not a root of unity at the working conductor", [1, 1]),
+    (PAULI, {"projective.matrices.1": ID3},
+     "matrices must be square of a common dimension", {"generator": 2, "shape": [3, 3]}),
+    (PAULI, {"projective.dimension": 3},
+     "declared dimension does not match the matrices", {"declared": 3, "dimension": 2}),
+    (GR24, {"correlation.phi": ID3 + [[0, 0, 0]]}, "phi must be square", {"shape": [4, 3]}),
+    (GR24, {"correlation.phi": [[1, 1, 0, 0]] * 4}, "phi is singular", {"shape": [4, 4]}),
+])
+def test_action_errors_exit_2_with_their_witness(tmp_path, capsys, fixture, edit, message,
+                                                 witness):
+    doc = json.loads(Path(fixture).read_text())["document"]
+    for dotted, value in edit.items():
+        *path, key = dotted.split(".")
+        block = doc
+        for part in path:
+            block = block[part]
+        block[key] = value
+    path = write(tmp_path, "action.json", doc)
+    assert main(["brnr", path, "--json"]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err == {"type": "ValidationError", "message": message, "witness": witness}

@@ -5,13 +5,17 @@ from __future__ import annotations
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from brq import corpus, verify
-from brq.brauer import bogomolov_multiplier
+from brq.brauer import bogomolov_multiplier, gamma_from_projective_action
 from brq.cohomology import h2_qz
+from brq.cyclotomic import CycloMatrix, CycloNumber
+from brq.errors import ValidationError
 from brq.groups import direct_product, from_cayley_table
+
+from test_brauer import KLEIN_PERM, all_pairs_table
 
 # group and its Schur multiplier H^2(G, Q/Z); B0 is zero for all of them
 GROUPS = {
@@ -123,3 +127,41 @@ def test_b0_of_the_order64_witness_times_c2_is_z2():
     assert bogomolov_multiplier(witness).unramified_group.invariant_factors == (2,)
     report = bogomolov_multiplier(product, max_order=product.order)
     assert report.unramified_group.invariant_factors == (2,)
+
+
+# entries of the random Klein-four matrices: -2..2 and i = zeta_4.  A draw
+# keeps all four entries, or only the diagonal or the anti-diagonal ones, so
+# that projective (monomial) pairs are common.
+ENTRIES = [CycloNumber.from_rational(v) for v in range(-2, 3)] + [CycloNumber.zeta(4)]
+SHAPES = {"full": (1, 1, 1, 1), "diagonal": (1, 0, 0, 1), "anti-diagonal": (0, 1, 1, 0)}
+klein_matrix = st.tuples(st.sampled_from(sorted(SHAPES)),
+                         st.lists(st.integers(0, len(ENTRIES) - 1), min_size=4, max_size=4))
+PAULI_X, PAULI_Z = ("full", [2, 3, 3, 2]), ("diagonal", [3, 0, 0, 1])
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(klein_matrix, klein_matrix)
+@example(PAULI_X, PAULI_Z)
+@example(("full", [3, 3, 2, 3]), PAULI_Z)
+@example(("anti-diagonal", [0, 4, 4, 0]), PAULI_Z)
+def test_gamma_accepts_exactly_what_the_all_pairs_oracle_accepts(first, second):
+    """Random 2 x 2 matrices on the Klein four: the generator-edge check
+    accepts exactly when every pair's defect is a root of unity, with the
+    oracle's table, and a rejection names a pair (element, generator) that
+    fails in the oracle."""
+    g = KLEIN_PERM
+    mats = {}
+    for x, (shape, picks) in zip(g.generators, (first, second)):
+        entries = [ENTRIES[i] if keep else ENTRIES[2] for i, keep in zip(picks, SHAPES[shape])]
+        mats[x] = CycloMatrix([entries[:2], entries[2:]])
+        assume(not mats[x].determinant().is_zero())
+    oracle = all_pairs_table(g, mats)
+    accepted = all(v is not None for row in oracle for v in row)
+    try:
+        act = gamma_from_projective_action(g, mats)
+    except ValidationError as err:
+        assert not accepted
+        a, x = err.witness
+        assert x in g.generators and oracle[a][x] is None
+    else:
+        assert accepted and act.frac_table == oracle
