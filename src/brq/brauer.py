@@ -20,7 +20,7 @@ import numpy as np
 from .cohomology import (
     GModule,
     _d1,
-    _require_zero,
+    _require_cocycle,
     bfs_tree,
     corestrict_qz_class,
     h1,
@@ -205,10 +205,9 @@ def correlation_action(group, collineation_matrices, phi, coset_witness):
     parity[0] = 0
     for g, p, x in bfs_tree(group):
         parity[g] = (parity[p] + (1 if x == w else 0)) % 2
-    trivial = np.ones((group.order, 1, 1), dtype=np.int64)
-    dparity = _d1(trivial, group._np_table, np.array(parity, dtype=np.int64)[:, None],
-                  range(group.order))
-    _require_zero(dparity % 2, "collineation subgroup is not well defined")
+    _require_cocycle(_d1, np.ones((group.order, 1, 1), dtype=np.int64), group._np_table,
+                     np.array(parity, dtype=np.int64)[:, None], group.generators,
+                     "collineation subgroup is not well defined", lambda diff: diff % 2)
     if parity[w] != 1:
         raise ValidationError("coset witness lies in the collineation subgroup")
     # compatibility where the group says the witness and a collineation commute

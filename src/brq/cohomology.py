@@ -274,11 +274,20 @@ def _generator_rows(mats, t, gens, degree):
     return _d1(mats, t, _unit_1cochains(n, r), gens)[:, 1:].reshape(-1, (n - 1) * r)
 
 
-def _require_zero(diff, message):
-    """Raise a ValidationError unless `diff` vanishes.  The witness is the
-    first failing index, in row-major order, of all axes but the last."""
-    if diff.any():
-        bad = np.argwhere(diff.any(axis=-1))[0]
+def _require_cocycle(d, mats, t, table, gens, message, reduce=None):
+    """Raise a ValidationError unless d(table) vanishes (after `reduce`,
+    when given).  It is checked where the first argument is 1 or one of the
+    generators `gens`, which implies it everywhere (proof at `_BarSolver`);
+    only when that fails is d(table) computed at every first argument, for
+    the witness: the first failing index, in row-major order, of all axes
+    but the last.
+    """
+    def diff(firsts):
+        out = d(mats, t, table, firsts)
+        return out if reduce is None else reduce(out)
+
+    if diff([0, *gens]).any():
+        bad = np.argwhere(diff(range(len(mats))).any(axis=-1))[0]
         raise ValidationError(message, witness=tuple(int(x) for x in bad))
 
 
@@ -320,6 +329,14 @@ class _BarSolver:
       - then at (g, h, q, y): z(g, h, qy) = z(g, h, q); by induction on the
         depth of k = qy, z(g, h, k) = 0 for every k.
     The kernel is the same, so its canonical Howell rows are the same.
+
+    A given table c of either degree is a cocycle once z = dc vanishes where
+    its first argument is 1 or a generator (`_require_cocycle`): z is a
+    cocycle, and dz = 0 at (p, x, ...), x a generator, gives z(px, ...) as
+    a combination of p.z(x, ...) and values of z(p, ...), so by induction on
+    the depth of px in the BFS tree, from the base case p = 1, z vanishes
+    everywhere.  This needs no normalisation of c, and holds in any module
+    on which the action is a homomorphism.
     """
 
     degree = None
@@ -363,7 +380,7 @@ class _BarSolver:
             # component i of the module is Z/f_i, so it vanishes when
             # (L / f_i) times it vanishes mod L
             acc.ingest((f % self.L * self.scale[:, None] % self.L).reshape(-1, U))
-        return kernel([acc.rows[p] for p in sorted(acc.rows)], self.L, U)
+        return kernel(acc.rows, self.L, U)
 
     def gauge_gens(self):
         """f_i at each slot of a component i whose factor f_i is below L:
@@ -390,9 +407,9 @@ class _BarSolver:
     def cocycle_slots(self, values):
         """Slot vector of a cocycle table (reduced and validated)."""
         values = values % self.L
-        diff = self._d(self.mats, self.t, values, range(self.n))
-        _require_zero(diff % self.L * self.scale % self.L,
-                      f"table is not a {self.degree}-cocycle")
+        _require_cocycle(self._d, self.mats, self.t, values, self.gens,
+                         f"table is not a {self.degree}-cocycle",
+                         lambda diff: diff % self.L * self.scale % self.L)
         return values[self.at_gens].reshape(-1)
 
 
@@ -568,9 +585,9 @@ def connecting_bockstein(group, chi, modulus):
     n = group.order
     lift = np.array([[int(c) % modulus] for c in chi], dtype=np.int64)
     trivial = np.ones((n, 1, 1), dtype=np.int64)
-    dchi = _d1(trivial, group._np_table, lift, range(n))
-    _require_zero(dchi % modulus, "chi is not a homomorphism to Z/N")
-    return dchi // modulus % modulus
+    _require_cocycle(_d1, trivial, group._np_table, lift, group.generators,
+                     "chi is not a homomorphism to Z/N", lambda diff: diff % modulus)
+    return _d1(trivial, group._np_table, lift, range(n)) // modulus % modulus
 
 
 def h2_qz(group, modulus=None, max_order=None):
@@ -624,8 +641,8 @@ def _connecting_lift(module, degree):
         return images, pivot_columns(images), [carry for _, carry in pairs]
 
     def lift(table):
-        _require_zero(d(module.mats, group._np_table, table, range(L)),
-                      f"table is not an integer {degree}-cocycle")
+        _require_cocycle(d, module.mats, group._np_table, table, group.generators,
+                         f"table is not an integer {degree}-cocycle")
         target = [L * int(x) % L2 for x in table[at_gens].reshape(-1)]
         images, pivots, carries = span()
         coeffs = howell_solve(images, target, L2, pivots)

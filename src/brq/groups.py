@@ -383,11 +383,11 @@ def central_extension_from_cocycle(g, n, cocycle):
     for x in range(m):
         if c[0][x] or c[x][0]:
             raise ValidationError("cocycle is not normalized", witness=x)
-    from .cohomology import _d2, _require_zero  # cohomology imports this module
+    from .cohomology import _d2, _require_cocycle  # cohomology imports this module
 
-    trivial = np.ones((m, 1, 1), dtype=np.int64)
-    dc = _d2(trivial, g._np_table, np.array(c, dtype=np.int64)[:, :, None], range(m))
-    _require_zero(dc % n, "cocycle identity fails")
+    _require_cocycle(_d2, np.ones((m, 1, 1), dtype=np.int64), g._np_table,
+                     np.array(c, dtype=np.int64)[:, :, None], g.generators,
+                     "cocycle identity fails", lambda diff: diff % n)
 
     def enc(z, x):
         return z * m + x

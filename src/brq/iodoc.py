@@ -190,7 +190,6 @@ def parse_action_document(doc, max_order=None):
         if not 0 <= witness_pos < len(group.generators):
             raise ValidationError("coset witness position out of range")
         witness = group.generators[witness_pos]
-        coll.pop(witness, None)
         payload["correlation"] = correlation_action(group, coll, phi, witness)
     elif proj is not None:
         mats = _gen_by_position(group, _field(proj, "matrices", default={}),

@@ -13,21 +13,29 @@ from its (image, transform) pairs.  Its output is the canonical Howell (or
 Hermite) form of the span, so it is the same whichever path computes it:
 
 - Over Z/N with at least NUMPY_MIN_ROWS rows to reduce and N <= INT64_BOUND,
-  the numpy sweep `HowellAccumulator` reduces the rows first, and its
-  `canonical_rows` canonicalises what is left: the insertion of
-  `howell_rows`, then a numpy finish that reduces the entries above the
-  pivots one pivot column at a time.
+  the numpy sweep `HowellAccumulator` reduces the rows.  It keeps them
+  unit-reduced: each kept row is zero at the unit-pivot columns (pivot
+  entry 1) of the others.  So one scattered product clears a chunk at every
+  unit pivot, a chunk cleared there stays clear, and after the first sweep
+  only the pivots that the last batch of inserted rows found or changed
+  meet it again; the insertion of each row reduces it at the few non-unit
+  pivots.  Its `canonical_rows` closes
+  the non-unit rows under annihilators with the same insertion, then
+  reduces the entries above the non-unit pivots one pivot column at a time.
 - Otherwise the pure-Python loop `howell_rows` (`hnf_rows` over Z) runs
-  alone.  Its pure finish is the reference for the numpy one, and it is
-  the one fallback above INT64_BOUND.
+  alone: on fewer rows (most of the many small solves of B0), and as the
+  one fallback above INT64_BOUND.  It is also the reference the tests hold
+  the sweep to.
 
 The cohomology solvers work mod N; the Z path (modulus None) serves only the
 `small_complex_h` oracle and the r-column kernel of lattice invariants M^G.
 
-`subquotient_structure` over Z/N reads the quotient from the canonical
-Howell form of its relations (`canonical_howell`, so on the same path
-choice): the relations among the kernel basis come from its annihilator
-rows, and each unit pivot of that form eliminates its coordinate.  The
+`subquotient_structure` over Z/N canonicalises its kernel generators with
+`canonical_howell` (so on the same path choice) and solves every image
+generator against that basis in one numpy sweep (`howell_solve_rows`).  It
+reads the quotient from the canonical Howell form of the relations: the
+relations among the kernel basis come from its annihilator rows, and each
+unit pivot of that form eliminates its coordinate.  The
 integer SNF (`smith_transforms`) then runs only on the f coordinates left,
 about as many as the answer has invariant factors, on entries below N with
 N times the identity among the relations, so its numbers stay small.  The
@@ -40,17 +48,20 @@ arithmetic", 1987, avoid by working mod N).  Over Z (the lattice case of
 coordinates in the kernel lattice.
 
 INT64_BOUND = 2^20 keeps residue products below 2^40, so the sweep's row
-operations and extended-gcd combinations, and the bar-complex sums of the
-cohomology solvers, stay inside int64.  Those solvers build their
+operations, extended-gcd combinations and sums of fewer than 2^23 products,
+and the bar-complex sums of the cohomology solvers, stay inside int64.
+Those solvers build their
 constraints in int64 too, so `GModule` refuses coefficients whose lcm
 exceeds the bound with a SizeLimitError (CLI exit 3).
-NUMPY_MIN_ROWS is measured once, not tuned per call.  On 2 CPUs (Python
-3.11, numpy 2.4), the 849 Z/N reductions of one pass of each benchmark
-workload gave identical output on both paths; the pure loop was faster on
-all 742 with fewer than 16 rows (means 0.02-0.18 ms against 0.12-0.45 ms),
-the paths were level from 32 to 96 rows, and numpy won every one from 96
-rows (means 26-210 ms against 45-560 ms).  The total over all 849 was 2.04 s
-pure, 1.16 s numpy from 8 rows, and lowest at 1.09 s from 48 rows.
+NUMPY_MIN_ROWS is measured, not tuned per call.  On 2 CPUs (Python 3.11,
+numpy 2.4), the 1301 nonempty Z/N reductions of one pass of each benchmark
+workload (with the unit-reduced sweep) gave identical output on both paths.
+The pure loop was faster on all 1149 with fewer than 16 rows (means
+0.015-0.12 ms against 0.18-0.38 ms), the paths were level from 16 to 96
+rows, and numpy won every one from 96 rows (means 17 ms against 147 ms).
+Over three runs the total was 1.59-2.20 s pure and 0.35-0.48 s numpy from
+8 rows; it was lowest from 24 or 32 rows and within 3% of that from 48
+rows, inside the spread between runs, so NUMPY_MIN_ROWS stays 48.
 """
 
 from __future__ import annotations
@@ -65,6 +76,8 @@ from .errors import ContainmentError, DomainError, SizeLimitError, ValidationErr
 INT64_BOUND = 1 << 20
 # Rows of [M^T | I] from which the numpy sweep beats the pure loop.
 NUMPY_MIN_ROWS = 48
+# Entries of the largest product array the sweep builds at once (512 KiB).
+_SCATTER_CELLS = 1 << 16
 
 
 def check_int64_modulus(modulus):
@@ -442,7 +455,8 @@ def _howell_basis(rows, n):
                 break
             if p not in basis:
                 u = stab_unit(vec[p], n)
-                vec = [(u * x) % n for x in vec]  # pivot becomes gcd(vec[p], n)
+                if u != 1:
+                    vec = [(u * x) % n for x in vec]  # pivot becomes gcd(vec[p], n)
                 basis[p] = vec
                 a = annihilator(vec[p], n)
                 if a != n and a > 1:
@@ -529,6 +543,42 @@ def howell_solve(basis_rows, target, n, pivots=None):
     return coeffs
 
 
+def howell_solve_rows(basis_rows, targets, n, pivots=None):
+    """`howell_solve` of every target against one basis, in one numpy sweep:
+    per target, the same coefficients, or None when it is outside the span.
+
+    The rows must be canonical Howell rows, so the pivot column of a unit
+    row is zero in every other row: the coefficient of a unit row is the
+    target's entry at its pivot, and all of those come off in one product.
+    The non-unit rows (zero at the unit-pivot columns) then take theirs in
+    row order, one step each.  Products stay in int64 for n <= INT64_BOUND;
+    above it the arrays hold Python ints.
+    """
+    if not targets:
+        return []
+    if pivots is None:
+        pivots = pivot_columns(basis_rows)
+    dtype = np.int64 if n <= INT64_BOUND else object
+    res = np.array(targets, dtype=dtype) % n
+    k = len(basis_rows)
+    basis = np.array(basis_rows, dtype=dtype).reshape(k, res.shape[1])
+    lead = [int(row[p]) for row, p in zip(basis_rows, pivots)]
+    coeffs = res[:, pivots] * np.array([d == 1 for d in lead], dtype=bool)
+    res = (res - coeffs @ basis) % n
+    outside = False
+    for i, d in enumerate(lead):
+        if d == 1:
+            continue
+        g = gcd(d, n)
+        col = res[:, pivots[i]]
+        outside = outside | (col % g != 0)
+        c = (col // g) * modinv(d // g, n // g) % (n // g)
+        coeffs[:, i] = c
+        res = (res - c[:, None] * basis[i]) % n
+    outside = res.any(axis=1) | outside
+    return [None if out else c for out, c in zip(outside.tolist(), coeffs.tolist())]
+
+
 # ---------------------------------------------------------------------------
 # the Howell engine: one augmented echelon for kernels and solves
 
@@ -536,30 +586,112 @@ def howell_solve(basis_rows, target, n, pivots=None):
 class HowellAccumulator:
     """Howell reduction of a stream of int64 rows mod N (the numpy sweep).
 
-    Keeps one reduced row per pivot column in `rows`; those rows span
-    everything ingested, and `canonical_rows` turns them into its canonical
-    Howell form.  Valid only for N <= INT64_BOUND.
+    Keeps one row per pivot column, stacked in one array in the order the
+    pivots were found; those rows span everything ingested, and
+    `canonical_rows` turns them into its canonical Howell form.  Every kept
+    row is zero at the unit-pivot columns (pivot entry 1) other than its
+    own, so the unit rows clear a chunk at those columns in one step and in
+    any order, and a row once cleared at a unit column stays clear there.
+    Valid only for N <= INT64_BOUND.
     """
 
     def __init__(self, modulus):
         check_int64_modulus(modulus)
         self.n = int(modulus)
-        self.rows = {}  # pivot column -> np.int64 row
+        self._k = 0  # rows kept
+        self._units = 0  # of which unit rows
+        self._row_at = {}  # pivot column -> index of its row
+        self._m = np.zeros((0, 0), dtype=np.int64)  # the first _place sizes it
+        self._piv = np.zeros(0, dtype=np.int64)
 
-    def _insert_slow(self, vec):
+    def _grow(self, width, cap):
+        """Room for `cap` rows of the given width, keeping the rows so far."""
+        k, units = self._k, self._units
+        m = np.zeros((cap, width), dtype=np.int64)
+        piv, unit_cols, unit_rows = (np.zeros(cap, dtype=np.int64) for _ in range(3))
+        if k:
+            m[:k] = self._m[:k]
+            piv[:k] = self._piv[:k]
+            unit_cols[:units] = self._unit_cols[:units]
+            unit_rows[:units] = self._unit_rows[:units]
+        self._m = m  # kept rows, in the order their pivots were found
+        self._piv = piv  # pivot column of each kept row
+        self._unit_cols, self._unit_rows = unit_cols, unit_rows  # the unit pivots
+
+    @property
+    def rows(self):
+        """The kept rows in ascending pivot order, as one array."""
+        k = self._k
+        return self._m[:k][np.argsort(self._piv[:k])]
+
+    def _place(self, p, vec, i=None):
+        """Keep `vec`, zero before column p and at every unit-pivot column,
+        as the row of pivot p (replacing row i, if given), with its pivot
+        normalised to gcd(vec[p], N); a unit pivot is then cleared from the
+        other rows.  Returns the row's index."""
         n = self.n
+        u = stab_unit(int(vec[p]), n)
+        if u != 1:
+            vec = (u * vec) % n
+        if i is None:
+            i = self._k
+            if i == len(self._m):
+                self._grow(len(vec), 2 * i or 64)
+            self._k += 1
+            self._piv[i] = p
+            self._row_at[p] = i
+        m = self._m
+        m[i] = vec
+        if vec[p] == 1:
+            self._unit_cols[self._units] = p
+            self._unit_rows[self._units] = i
+            self._units += 1
+            nz = m[:self._k, p].nonzero()[0]
+            nz = nz[nz != i]
+            if nz.size:
+                m[nz] = (m[nz] - m[nz, p, None] * vec) % n
+        return i
+
+    def _clear_units(self, chunk):
+        """Zero the chunk's entries at the unit-pivot columns (in place):
+        subtract each nonzero entry times its unit row, the products of at
+        most _SCATTER_CELLS // width entries at a time."""
+        units = self._units
+        if not units:
+            return
+        coeff = chunk[:, self._unit_cols[:units]]
+        ri, ci = coeff.nonzero()
+        vals = coeff[ri, ci]
+        rows = self._unit_rows[ci]
+        step = max(1, _SCATTER_CELLS // chunk.shape[1])
+        for lo in range(0, len(ri), step):
+            r = ri[lo:lo + step]
+            starts = np.flatnonzero(np.diff(r, prepend=-1))
+            sums = np.add.reduceat(vals[lo:lo + step, None] * self._m[rows[lo:lo + step]], starts)
+            touched = r[starts]
+            chunk[touched] = (chunk[touched] - sums) % self.n
+
+    def _insert(self, vec):
+        """Absorb one row (reduced mod N) into the kept rows; returns the
+        indices of the rows placed or replaced."""
+        n, units = self.n, self._units
+        if units:
+            coeff = vec[self._unit_cols[:units]]
+            nz = coeff.nonzero()[0]
+            if nz.size:
+                vec = (vec - coeff[nz] @ self._m[self._unit_rows[nz]]) % n
+        placed = []
+        # vec stays zero at the unit columns: it only meets non-unit rows
         while True:
-            nz = np.flatnonzero(vec)
-            if len(nz) == 0:
-                return
+            nz = vec.nonzero()[0]
+            if not nz.size:
+                return placed
             p = int(nz[0])
-            if p not in self.rows:
-                u = stab_unit(int(vec[p]), n)
-                if u != 1:
-                    vec = (u * vec) % n
-                self.rows[p] = vec
-                return
-            cur = self.rows[p]
+            i = self._row_at.get(p)
+            if i is None:
+                placed.append(self._place(p, vec))
+                return placed
+            cur = self._m[i]
             cp, vp = int(cur[p]), int(vec[p])
             if vp % cp == 0:
                 vec = (vec - (vp // cp) * cur) % n
@@ -567,49 +699,51 @@ class HowellAccumulator:
                 g, s, t = xgcd(cp, vp)
                 new_cur = (s * cur + t * vec) % n
                 vec = ((-(vp // g)) * cur + (cp // g) * vec) % n
-                u = stab_unit(int(new_cur[p]), n)
-                if u != 1:
-                    new_cur = (u * new_cur) % n
-                self.rows[p] = new_cur
+                placed.append(self._place(p, new_cur, i))
 
     def ingest(self, chunk):
         """Reduce and absorb a 2-D int64 array of rows (mod N)."""
-        n = self.n
-        chunk = np.asarray(chunk, dtype=np.int64) % n
+        chunk = np.asarray(chunk, dtype=np.int64) % self.n
         chunk = chunk[chunk.any(axis=1)]
         if chunk.size:
             chunk = np.unique(chunk, axis=0)
         while chunk.size:
-            for p in sorted(self.rows):
-                row = self.rows[p]
-                q = chunk[:, p] // int(row[p])
-                nz = np.nonzero(q)[0]
-                if nz.size:
-                    chunk[nz] = (chunk[nz] - q[nz, None] * row[None, :]) % n
+            # After the first pass only the unit pivots that the last batch
+            # found or changed meet nonzero entries here.  The insertion
+            # reduces each row at the non-unit pivots, which are few: a
+            # sweep over them as well changed no output and was slower.
+            self._clear_units(chunk)
             chunk = chunk[chunk.any(axis=1)]
-            if not chunk.size:
-                break
-            # establish or refine pivots in small batches, then re-sweep
             take = min(len(chunk), 32)
             for i in range(take):
-                self._insert_slow(chunk[i].copy())
+                self._insert(chunk[i].copy())
             chunk = chunk[take:]
 
     def canonical_rows(self):
         """Exact canonical Howell form of everything ingested so far.
 
-        The kept rows go through the insertion of `howell_rows`; the entries
-        above the pivots are then reduced by one numpy step per pivot column,
-        in ascending order.  Row q meets the later pivot rows in the same
-        order, each still unreduced, as in the pure loop, so the rows are the
-        same.  Entries stay below N <= INT64_BOUND, so products fit int64.
+        Each non-unit row b with pivot d has (N/d) b inserted in turn, and so
+        does each non-unit row that this places, which closes the span of
+        the rows from each pivot on under annihilators, as the insertion of
+        `howell_rows` does.  The entries above the non-unit pivots are then
+        reduced mod the pivot by one numpy step per pivot, in ascending
+        order; the unit-pivot columns are already zero off their own rows,
+        and the non-unit rows stay zero there.  The Howell form is unique,
+        so these are the rows of `howell_rows`.  Entries stay below
+        N <= INT64_BOUND, so products fit int64.
         """
-        n = self.n
-        basis = _howell_basis([self.rows[p].tolist() for p in sorted(self.rows)], n)
-        pivots = sorted(basis)
-        m = np.array([basis[p] for p in pivots], dtype=np.int64)
-        del basis
-        for i, p in enumerate(pivots):
+        n, k = self.n, self._k
+        todo = np.flatnonzero(self._m[np.arange(k), self._piv[:k]] != 1).tolist()
+        while todo:
+            i = todo.pop()
+            row = self._m[i]
+            placed = self._insert(((n // row[self._piv[i]]) * row) % n)
+            todo += [j for j in placed if self._m[j, self._piv[j]] != 1]
+        order = np.argsort(self._piv[:self._k])
+        m = self._m[order]
+        pivots = self._piv[order]
+        for i in np.flatnonzero(m[np.arange(len(m)), pivots] != 1):
+            p = pivots[i]
             f = m[:i, p] // m[i, p]
             nz = np.flatnonzero(f)
             if nz.size:
@@ -650,7 +784,7 @@ def augmented_echelon(rows, modulus, cols):
         mat = np.array(rows, dtype=np.int64).reshape(r, cols)
         aug = np.concatenate([mat.T, np.eye(cols, dtype=np.int64)], axis=1)
     else:
-        columns = zip(*rows) if rows else [()] * cols
+        columns = zip(*rows) if len(rows) else [()] * cols
         aug = [list(c) + [int(i == j) for j in range(cols)] for i, c in enumerate(columns)]
     reduced = hnf_rows(aug) if modulus is None else canonical_howell(aug, modulus)
     return [(row[:r], row[r:]) for row in reduced]
@@ -742,7 +876,7 @@ def subquotient_structure(ambient_dim, modulus, kernel_gens, image_gens):
         if n == 1:
             return _trivial_structure()
         span = "kernel span"
-        basis = howell_rows(kernel_gens, n)
+        basis = canonical_howell(kernel_gens, n)
         pivots = pivot_columns(basis)
 
         def solve_in_basis(v):
@@ -761,12 +895,13 @@ def subquotient_structure(ambient_dim, modulus, kernel_gens, image_gens):
                 raise ContainmentError(f"image generator outside {span}", witness=v)
         return _trivial_structure()
     k = len(basis)
-    img_coords = []
-    for v in image_gens:
-        c = solve_in_basis(v)
+    if n:
+        img_coords = howell_solve_rows(basis, image_gens, n, pivots)
+    else:
+        img_coords = [solve_in_basis(v) for v in image_gens]
+    for v, c in zip(image_gens, img_coords):
         if c is None:
             raise ContainmentError(f"image generator outside {span}", witness=v)
-        img_coords.append(c)
     if n:
         free, lift, rel = _mod_n_relations(basis, pivots, img_coords, n)
     elif img_coords:

@@ -319,6 +319,9 @@ ID3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
      "declared dimension does not match the matrices", {"declared": 3, "dimension": 2}),
     (GR24, {"correlation.phi": ID3 + [[0, 0, 0]]}, "phi must be square", {"shape": [4, 3]}),
     (GR24, {"correlation.phi": [[1, 1, 0, 0]] * 4}, "phi is singular", {"shape": [4, 4]}),
+    # a matrix at the coset witness's position (0, element 1) is refused, not dropped
+    (GR24, {"projective.matrices.0": [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
+     "coset witness cannot carry a collineation matrix", 1),
 ])
 def test_action_errors_exit_2_with_their_witness(tmp_path, capsys, fixture, edit, message,
                                                  witness):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from brq.groups import (
     abelian_structure,
     abelianization,
     bicyclic_subgroups,
+    central_extension_from_cocycle,
     cyclic_group,
     direct_product,
     from_permutation_generators,
@@ -624,3 +626,100 @@ def test_reduce_rejects_a_perturbation_off_the_generator_rows():
     with pytest.raises(ValidationError) as info:
         coh.reduce(table)
     assert info.value.witness == want
+
+
+# ---------------------------------------------------------------------------
+# the cocycle check on the rows whose first argument is 1 or a generator
+
+
+def _check_modules():
+    s3 = _s3_lattice()
+    d4, q8, a4 = corpus.dihedral(4), corpus.quaternion8(), corpus.alternating4()
+    return [
+        s3,
+        GModule(s3.group, "finite", factors=[4, 4], element_mats=s3.mats),
+        GModule.finite(d4, [4, 2], {d4.generators[0]: [[1, 2], [1, 1]],
+                                    d4.generators[1]: [[3, 0], [1, 1]]}),
+        GModule.finite(q8, [4], {q8.generators[0]: [[3]]}),
+        GModule(a4, "trivial_qz", factors=[12], rank=1),
+    ]
+
+
+CHECK_MODULES = _check_modules()
+
+
+@cache
+def _check_cohomology(index, degree):
+    return (h1 if degree == 1 else h2)(CHECK_MODULES[index])
+
+
+def _random_cocycle(coh, rng):
+    """A normalized cocycle: a class representative plus the coboundary of
+    a random normalized integer cochain."""
+    module = coh.module
+    n, r = module.group.order, module.rank
+    table = coh.expand([int(rng.integers(0, f)) for f in coh.invariant_factors])
+    b = rng.integers(-5, 6, size=(n,) * (coh.degree - 1) + (r,))
+    if coh.degree == 1:
+        return table + np.einsum("gij,j->gi", module.mats, b) - b
+    b[0] = 0
+    return table + _d1(module.mats, module.group._np_table, b, range(n))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.integers(0, len(CHECK_MODULES) - 1), st.sampled_from([1, 2]),
+       st.integers(-2, 2), st.integers(0, 2**32 - 1))
+def test_cocycle_check_accepts_exactly_the_cocycles(index, degree, delta, seed):
+    # a cocycle perturbed at one entry, anywhere (the row g = 1 included),
+    # against the plain loop over every argument
+    coh = _check_cohomology(index, degree)
+    rng = np.random.default_rng(seed)
+    table = _random_cocycle(coh, rng)
+    table[tuple(int(rng.integers(0, m)) for m in table.shape)] += delta
+    want = _first_cocycle_failure(coh.module, table, degree)
+    if want is None:
+        coh.reduce(table)
+        return
+    with pytest.raises(ValidationError) as info:
+        coh.reduce(table)
+    assert info.value.witness == want
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(st.sampled_from(["s3", "d4", "q8", "a4"]), st.integers(0, 2**32 - 1))
+def test_bockstein_and_extension_checks_match_the_full_check(name, seed):
+    group = {"s3": corpus.symmetric(3), "d4": corpus.dihedral(4),
+             "q8": corpus.quaternion8(), "a4": corpus.alternating4()}[name]
+    n = group.order
+    rng = np.random.default_rng(seed)
+    trivial = GModule(group, "trivial_qz", factors=[n], rank=1)
+    # a homomorphism to Z/n, perturbed at one element
+    homs = homs_to_cyclic(group, n)
+    chi = np.array(homs[int(rng.integers(0, len(homs)))], dtype=np.int64)
+    chi[int(rng.integers(0, n))] += int(rng.integers(0, 3))
+    want = _first_cocycle_failure(trivial, chi[:, None], 1)
+    if want is None:
+        connecting_bockstein(group, chi.tolist(), n)
+    else:
+        with pytest.raises(ValidationError) as info:
+            connecting_bockstein(group, chi.tolist(), n)
+        assert info.value.witness == want
+    # a normalized 2-cocycle mod n, perturbed off the rows and columns of 1
+    table = _random_cocycle(_check_cohomology(4, 2) if name == "a4" else h2(trivial), rng) % n
+    table[int(rng.integers(1, n)), int(rng.integers(1, n))] += int(rng.integers(0, 3))
+    table %= n
+    want = _first_cocycle_failure(trivial, table, 2)
+    if want is None:
+        central_extension_from_cocycle(group, n, table[:, :, 0].tolist())
+    else:
+        with pytest.raises(ValidationError) as info:
+            central_extension_from_cocycle(group, n, table[:, :, 0].tolist())
+        assert info.value.witness == want
+
+
+def test_cocycle_check_on_the_trivial_group_reads_the_row_of_1():
+    # with no generators the row g = 1 is the whole check: chi(1) = 1 gives
+    # chi(1) - chi(1) + chi(1) = 1 at (1, 1)
+    with pytest.raises(ValidationError) as info:
+        connecting_bockstein(cyclic_group(1), [1], 4)
+    assert info.value.witness == (0, 0)

@@ -4,7 +4,10 @@ import itertools
 import random
 from math import gcd, prod
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brq.errors import ContainmentError, DomainError, SizeLimitError
 from brq.groups import abelian_structure, cyclic_group, direct_product, from_cayley_table
@@ -23,6 +26,7 @@ from brq.linalg import (
     howell_form,
     howell_rows,
     howell_solve,
+    howell_solve_rows,
     invariant_presentation,
     kernel,
     pivot_columns,
@@ -548,7 +552,7 @@ def test_sweep_then_canonical_equals_howell_rows(n, cols):
     want = howell_rows(rows, n)
     assert acc.canonical_rows() == want
     # the kept rows have the same span, so they have the same right kernel
-    kept = [acc.rows[p] for p in sorted(acc.rows)]
+    kept = acc.rows.tolist()
     assert kernel(kept, n, cols) == kernel(want, n, cols)
     if n in (64, 96) and cols > 2 * NUMPY_MIN_ROWS:
         assert len(want) >= NUMPY_MIN_ROWS and has_annihilator_rows(want, n)
@@ -604,3 +608,99 @@ def test_solve_solution_satisfies_the_system(n, cols):
 def test_empty_system_kernel_is_the_identity(n, cols):
     # over Z/1 every vector is zero, so the kernel has no generators
     assert kernel([], n, cols) == ([] if n == 1 else identity(cols))
+
+
+# ---------------------------------------------------------------------------
+# the unit-reduced sweep and the batched solve against the pure loop
+
+SWEEP_MODULI = [12, 64, 96, INT64_BOUND]
+
+
+def divisor_rows(rng, count, cols, n):
+    """Rows mod n with random leading zeros whose entries are multiples of a
+    random divisor of n, so that many pivots of their Howell form are not
+    units."""
+    divisors = [d for d in range(1, 97) if n % d == 0]
+    rows = []
+    for _ in range(count):
+        d, lead = rng.choice(divisors), rng.randrange(cols)
+        rows.append([0] * lead + [d * rng.randrange(n) % n for _ in range(cols - lead)])
+    return rows
+
+
+def non_unit_pivots(rows):
+    return sum(row[p] != 1 for row, p in zip(rows, pivot_columns(rows)))
+
+
+def assert_unit_reduced(acc):
+    """Each kept row is zero at the unit pivots of the other kept rows."""
+    rows = acc.rows
+    for i, p in enumerate(pivot_columns(rows.tolist())):
+        if rows[i, p] == 1:
+            assert not np.delete(rows[:, p], i).any()
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.sampled_from(SWEEP_MODULI), st.integers(1, 40), st.integers(1, 90),
+       st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_accumulator_fed_in_parts_gives_howell_rows(n, cols, count, parts, seed):
+    rng = random.Random(seed)
+    rows = divisor_rows(rng, count, cols, n)
+    cuts = sorted(rng.randrange(count + 1) for _ in range(parts - 1))
+    acc = HowellAccumulator(n)
+    for lo, hi in zip([0] + cuts, cuts + [count]):
+        acc.ingest(np.array(rows[lo:hi], dtype=np.int64).reshape(hi - lo, cols))
+        assert_unit_reduced(acc)
+    assert acc.canonical_rows() == howell_rows(rows, n)
+
+
+@pytest.mark.parametrize("n", SWEEP_MODULI)
+def test_accumulator_with_many_non_unit_pivots(n):
+    # several batches of 32 rows per ingest, so the later sweeps meet pivots
+    # that earlier batches found and refined
+    rng = random.Random(n)
+    rows = divisor_rows(rng, 150, 60, n)
+    acc = HowellAccumulator(n)
+    for lo in range(0, 150, 50):
+        acc.ingest(rows[lo:lo + 50])
+    assert_unit_reduced(acc)
+    want = howell_rows(rows, n)
+    assert non_unit_pivots(want) >= 5
+    assert acc.canonical_rows() == want
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.sampled_from(SWEEP_MODULI + [INT64_BOUND + 2]), st.integers(1, 30),
+       st.integers(0, 40), st.integers(0, 30), st.integers(0, 2**32 - 1))
+def test_batched_solve_equals_howell_solve(n, cols, count, targets, seed):
+    rng = random.Random(seed)
+    basis = howell_rows(divisor_rows(rng, count, cols, n), n)
+    inside = [[sum(rng.randrange(n) * row[j] for row in basis) % n for j in range(cols)]
+              for _ in range(targets)]
+    anywhere = [[rng.randrange(n) for _ in range(cols)] for _ in range(targets)]
+    mixed = inside + anywhere
+    rng.shuffle(mixed)
+    assert howell_solve_rows(basis, mixed, n) == [howell_solve(basis, v, n) for v in mixed]
+
+
+@pytest.mark.parametrize("n", SWEEP_MODULI + [INT64_BOUND + 2])
+def test_subquotient_reports_the_first_image_generator_outside_the_span(n):
+    # NUMPY_MIN_ROWS kernel generators, so they are canonicalised by the
+    # numpy sweep where the modulus allows it
+    rng = random.Random(n + 1)
+    cols = 60
+    gens = divisor_rows(rng, NUMPY_MIN_ROWS, cols, n)
+    basis = howell_rows(gens, n)
+    image = [[sum(rng.randrange(n) * row[j] for row in basis) % n for j in range(cols)]
+             for _ in range(20)]
+    outside = []
+    while len(outside) < 3:
+        v = [rng.randrange(n) for _ in range(cols)]
+        if howell_solve(basis, v, n) is None:
+            outside.append(v)
+    for v in outside:
+        image.insert(rng.randrange(len(image) + 1), v)
+    first = next(v for v in image if howell_solve(basis, v, n) is None)
+    with pytest.raises(ContainmentError) as info:
+        subquotient_structure(cols, n, gens, image)
+    assert info.value.witness == first
