@@ -19,9 +19,9 @@ Hermite) form of the span, so it is the same whichever path computes it:
   unit pivot, a chunk cleared there stays clear, and after the first sweep
   only the pivots that the last batch of inserted rows found or changed
   meet it again; the insertion of each row reduces it at the few non-unit
-  pivots.  Its `canonical_rows` closes
-  the non-unit rows under annihilators with the same insertion, then
-  reduces the entries above the non-unit pivots one pivot column at a time.
+  pivots.  Its `canonical_rows` closes the non-unit rows under annihilators
+  with the same insertion, then reduces the entries above the non-unit
+  pivots one pivot column at a time.
 - Otherwise the pure-Python loop `howell_rows` (`hnf_rows` over Z) runs
   alone: on fewer rows (most of the many small solves of B0), and as the
   one fallback above INT64_BOUND.  It is also the reference the tests hold
@@ -50,15 +50,15 @@ coordinates in the kernel lattice.
 INT64_BOUND = 2^20 keeps residue products below 2^40, so the sweep's row
 operations, extended-gcd combinations and sums of fewer than 2^23 products,
 and the bar-complex sums of the cohomology solvers, stay inside int64.
-Those solvers build their
-constraints in int64 too, so `GModule` refuses coefficients whose lcm
-exceeds the bound with a SizeLimitError (CLI exit 3).
+Those solvers build their constraints in int64 too, so `GModule` refuses
+coefficients whose lcm exceeds the bound with a SizeLimitError (CLI exit 3).
 NUMPY_MIN_ROWS is measured, not tuned per call.  On 2 CPUs (Python 3.11,
 numpy 2.4), the 1301 nonempty Z/N reductions of one pass of each benchmark
 workload (with the unit-reduced sweep) gave identical output on both paths.
 The pure loop was faster on all 1149 with fewer than 16 rows (means
-0.015-0.12 ms against 0.18-0.38 ms), the paths were level from 16 to 96
-rows, and numpy won every one from 96 rows (means 17 ms against 147 ms).
+0.012-0.12 ms against 0.12-0.38 ms), the paths were level from 16 to 96
+rows, and numpy won every one from 96 rows (means 12-17 ms against
+105-147 ms).
 Over three runs the total was 1.59-2.20 s pure and 0.35-0.48 s numpy from
 8 rows; it was lowest from 24 or 32 rows and within 3% of that from 48
 rows, inside the spread between runs, so NUMPY_MIN_ROWS stays 48.
