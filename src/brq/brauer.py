@@ -7,6 +7,17 @@ toric actions.  Every kernel over the bicyclic family is computed by one
 engine: stack the restriction-then-quotient conditions into a single
 integer matrix on class coordinates and present the solution set through
 `subquotient_structure`.
+
+The engine restricts a Q/Z class to a bicyclic subgroup A = <a, b> through
+the commutator pairing (`CohomologyGroup.restrict_bicyclic`), with no
+subgroup solve: H^2(A, Q/Z) = Hom(A ^ A, Q/Z) is cyclic of order
+e = |A| / exp(A), and a class with Z/N representative c restricts to
+(c(a, b) - c(b, a)) / (N/e) mod e.  Coboundaries, Bocksteins of
+homomorphisms G -> Q/Z and d of constant 1-cochains are symmetric on a
+commuting pair, so the value does not depend on the cocycle.  The bar
+restriction `CohomologyGroup.restrict` stays where a subgroup's own classes
+are needed or no pairing applies: lattice blocks (`br_nr_toric`), the
+soundness pass of `_kernel_report`, and `corestrict_qz_class`.
 """
 
 from __future__ import annotations
@@ -291,27 +302,33 @@ class ToricAction:
 # the kernel engine
 
 
-def _restrict_direct(cohs, sub, vec):
-    """Restriction of a class, in concatenated coordinates, block by block;
-    a zero block restricts to zero."""
-    out, off = [], 0
+def _restrict_direct(cohs, sub, vec, bar=False):
+    """Restriction of a class, in concatenated coordinates, block by block:
+    (the subgroup's factors, the restricted coordinates).  A Q/Z block is
+    read from the commutator pairing unless `bar` asks for the bar
+    restriction, which every other block takes; a zero block restricts to
+    zero."""
+    factors, out, off = [], [], 0
     for coh in cohs:
         part = [int(x) for x in vec[off:off + len(coh.invariant_factors)]]
-        if any(part):
-            out += coh.restrict(part, sub)[1]
-        else:
-            out += [0] * len(coh.subgroup_cohomology(sub).invariant_factors)
         off += len(part)
-    return out
+        if coh.qz and not bar:
+            f, res = coh.restrict_bicyclic(part, sub)
+        else:
+            f = coh.subgroup_cohomology(sub).invariant_factors
+            res = coh.restrict(part, sub)[1] if any(part) else [0] * len(f)
+        factors += f
+        out += res
+    return factors, out
 
 
 def _restrictions(cohs, sub, am_coords):
     """The subgroup's factors, the restriction of each unit class and the
     restricted relations, all in the concatenated subgroup coordinates."""
-    factors = [d for coh in cohs for d in coh.subgroup_cohomology(sub).invariant_factors]
     k = sum(len(coh.invariant_factors) for coh in cohs)
-    cols = [_restrict_direct(cohs, sub, [int(i == j) for i in range(k)]) for j in range(k)]
-    return factors, cols, [_restrict_direct(cohs, sub, rel) for rel in am_coords]
+    factors = _restrict_direct(cohs, sub, [0] * k)[0]
+    cols = [_restrict_direct(cohs, sub, [int(i == j) for i in range(k)])[1] for j in range(k)]
+    return factors, cols, [_restrict_direct(cohs, sub, rel)[1] for rel in am_coords]
 
 
 def _kernel_gens(restricted, k, n_rel, modulus):
@@ -342,7 +359,18 @@ def _kernel_report(kind, group, cohs, am_coords, modulus, subgroup_mode="conj",
                    flags=None, notes=None):
     """Br_nr as the classes of the parent H^2 groups `cohs` (concatenated)
     whose restriction to every bicyclic subgroup lies in the span of the
-    restricted relations `am_coords`, modulo those relations."""
+    restricted relations `am_coords`, modulo those relations.
+
+    The kernel reads Q/Z blocks from the commutator pairing.  The soundness
+    pass, which runs only when the unramified group is nonzero, restricts
+    each witness through the bar restriction instead and tests it against
+    the quotient built in the pairing basis.  That is sound because the two
+    bases of the cyclic H^2(A, Q/Z) differ by a unit, which preserves every
+    subgroup of it, the span of the restricted relations included: the
+    relations live in the one Q/Z block whenever there are any (the toric
+    report, with a lattice block, has none), and with none the test is that
+    the witness restricts to zero.
+    """
     subs = bicyclic_subgroups(group, up_to_conjugacy=(subgroup_mode == "conj"))
     factors = [d for coh in cohs for d in coh.invariant_factors]
     k = len(factors)
@@ -353,8 +381,9 @@ def _kernel_report(kind, group, cohs, am_coords, modulus, subgroup_mode="conj",
     kernel_gens = _kernel_gens(restricted, k, len(am_coords), modulus)
     unram = subquotient_structure(k, modulus, kernel_gens + gauge, relations)
     # Diagnostics: which stack generators survive in each subgroup quotient.
-    # Soundness: every unramified witness, restricted directly and not
-    # through the columns or the kernel solver, vanishes there.
+    # Soundness: every unramified witness, restricted through the bar
+    # complex and not through the columns or the kernel solver, vanishes
+    # there.
     diagnostics = []
     killer = {}
     for sub, (a_factors, cols, rels) in zip(subs, restricted):
@@ -369,7 +398,7 @@ def _kernel_report(kind, group, cohs, am_coords, modulus, subgroup_mode="conj",
                 if survives and wi not in killer:
                     killer[wi] = sub.elements
             for w in unram.witness_generators:
-                if any(quotient.coords(_restrict_direct(cohs, sub, w))):
+                if any(quotient.coords(_restrict_direct(cohs, sub, w, bar=True)[1])):
                     raise DomainError(
                         "internal soundness failure: witness does not vanish on a subgroup",
                         witness={"subgroup": list(sub.elements)})

@@ -28,13 +28,16 @@ check, the Bockstein and the lattice d1 system are built from them.
 `small_complex_h` deliberately does not use them: it is the independent
 oracle the bar computations are checked against.
 
-Restriction has one mechanism, `CohomologyGroup.restrict`: it reduces the
-restricted cocycle table in the subgroup's H^2 with the same coefficients
-(`subgroup_h2_qz` for an `h2_qz` result, the restricted module otherwise),
-solved once per subgroup and kept on the parent.  That solve takes the
-parent's order as its limit: a subgroup is never larger than its group,
-whose own solve already passed the caller's limit, so a raised limit
-reaches every restriction.
+Restriction to any subgroup goes through `CohomologyGroup.restrict`: it
+reduces the restricted cocycle table in the subgroup's H^2 with the same
+coefficients (`subgroup_h2_qz` for an `h2_qz` result, the restricted module
+otherwise), solved once per subgroup and kept on the parent.  That solve
+takes the parent's order as its limit: a subgroup is never larger than its
+group, whose own solve already passed the caller's limit, so a raised limit
+reaches every restriction.  A Q/Z class restricted to a bicyclic subgroup
+given with its generating pair can instead be read from the commutator
+pairing (`CohomologyGroup.restrict_bicyclic`), with no subgroup solve; the
+bar restriction is the oracle it is checked against.
 """
 
 from __future__ import annotations
@@ -459,9 +462,17 @@ class CohomologyGroup:
         return list(self.structure.invariant_factors)
 
     def reduce(self, table):
-        """Class coordinates of a cocycle table (validated)."""
-        return self._reducer(_cochain_array(table, self.degree, self.group.order,
-                                            self.module.rank))
+        """Class coordinates of a cocycle table (validated).
+
+        A 2-cocycle c has c(1, h) = c(1, 1) and c(g, 1) = g.c(1, 1); the
+        reducers read only the slot values, so c is first normalised by
+        subtracting the coboundary (g, h) -> g.m of the constant 1-cochain
+        m = c(1, 1), which leaves its class unchanged.
+        """
+        arr = _cochain_array(table, self.degree, self.group.order, self.module.rank)
+        if self.degree == 2:
+            arr = arr - (self.module.mats @ arr[0, 0])[:, None]
+        return self._reducer(arr)
 
     def expand(self, coords):
         """A representative table for the class with the given coordinates."""
@@ -493,6 +504,41 @@ class CohomologyGroup:
         coh_a = self.subgroup_cohomology(sub)
         idx = np.array(sub.elements, dtype=np.int64)
         return coh_a, coh_a.reduce(self.expand(coords)[np.ix_(idx, idx)])
+
+    def restrict_bicyclic(self, coords, sub):
+        """Restrict a Q/Z class to a subgroup A = <a, b> given with its
+        commuting pair `sub.pair`, through the commutator pairing, with no
+        subgroup solve: (the factor list of H^2(A, Q/Z), the coordinates).
+
+        H^2(A, Q/Z) = Hom(A ^ A, Q/Z) is cyclic of order e = |A| / exp(A),
+        generated by the class whose pairing sends a ^ b to 1/e (Bogomolov
+        1987; Moravec 2012).  With c the Z/N representative of the class,
+        N the modulus, the coordinate is (c(a, b) - c(b, a)) / (N/e) mod e;
+        a cyclic A (e = 1) gives the empty factor list.  This does not depend
+        on the cocycle chosen: a coboundary d(b)(g, h) = b(g) + b(h) - b(gh),
+        the Bockstein of a homomorphism G -> Q/Z (the coboundary of a lift
+        divided by N) and d of a constant 1-cochain are all symmetric on a
+        commuting pair, so their pairing vanishes.  The basis can differ from
+        that of `restrict` by a unit mod e, which keeps every subgroup of
+        Z/e, so zero tests and spans agree with it.
+        """
+        if not self.qz:
+            raise DomainError("the commutator pairing needs Q/Z coefficients")
+        if sub.pair is None:
+            raise DomainError("the subgroup carries no generating pair",
+                              witness={"subgroup": list(sub.elements)})
+        a, b = sub.pair
+        e = sub.order // lcm(self.group.element_order(a), self.group.element_order(b))
+        if e == 1:
+            return [], []
+        value = sum(int(x) * int(tab[a, b, 0] - tab[b, a, 0])
+                    for x, tab in zip(coords, self.rep_tables))
+        step = self.modulus // e
+        if value % step:
+            raise DomainError("internal: commutator pairing is not divisible by N/e",
+                              witness={"pair": [a, b], "value": value % self.modulus,
+                                       "step": step})
+        return [e], [value // step % e]
 
 
 def _env_order_limit():

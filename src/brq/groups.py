@@ -10,7 +10,7 @@ impose tighter per-computation limits of their own.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 
 import numpy as np
@@ -182,10 +182,15 @@ class FiniteGroup:
 
 @dataclass(frozen=True)
 class Subgroup:
-    """Subgroup of a parent group, stored as a sorted element list."""
+    """Subgroup of a parent group, stored as a sorted element list.
+
+    `pair`, when given, is a commuting pair (a, b) of members that generates
+    the subgroup; it does not take part in equality or hashing.
+    """
 
     parent: FiniteGroup
     elements: tuple
+    pair: tuple = field(default=None, compare=False)
 
     def __post_init__(self):
         els = set(self.elements)
@@ -197,6 +202,21 @@ class Subgroup:
             for b in self.elements:
                 if self.parent.table[a][b] not in els:
                     raise ValidationError("subgroup not closed under product", witness=(a, b))
+        if self.pair is not None:
+            self._check_pair(els)
+
+    def _check_pair(self, els):
+        """The pair commutes, lies in the subgroup and generates it: <a><b>
+        is a subgroup of order |a| |b| / |<a> n <b>|, inside this one."""
+        g = self.parent
+        a, b = self.pair
+        if a not in els or b not in els or g.table[a][b] != g.table[b][a]:
+            raise ValidationError("generating pair does not commute inside the subgroup",
+                                  witness=(a, b))
+        powers_a = set(_powers(g, a))
+        meet = sum(1 for y in _powers(g, b) if y in powers_a)
+        if len(powers_a) * g.element_order(b) != meet * self.order:
+            raise ValidationError("pair does not generate the subgroup", witness=(a, b))
 
     @property
     def order(self):
@@ -437,37 +457,54 @@ def abelianization(g):
 # subgroup enumeration
 
 
+def _powers(g, a):
+    """[1, a, a^2, ..., a^(|a| - 1)]."""
+    out, y = [0], a
+    while y != 0:
+        out.append(y)
+        y = g.table[y][a]
+    return out
+
+
 def bicyclic_subgroups(g, up_to_conjugacy=True):
     """All subgroups generated by a commuting pair of elements.
 
     Includes the trivial and cyclic subgroups.  With `up_to_conjugacy` one
     representative per conjugacy class is kept (the minimal element list).
-    Sorted by (order, element list).
+    Sorted by (order, element list).  Each subgroup carries a generating
+    pair.
+
+    A commuting pair generates <a><b> = {x y : x in <a>, y in <b>}, and
+    replacing a and b by generators of <a> and <b> changes neither that set
+    nor commutation.  So the pairs of the smallest generators of the cyclic
+    subgroups give every such subgroup; a pair with one member in the
+    other's cyclic subgroup gives a cyclic one, which its own (c, c) gives.
     """
-    seen = {}
+    t = g.table
+    cyclic = {}
     for a in range(g.order):
-        for b in range(a, g.order):
-            if g.table[a][b] != g.table[b][a]:
+        cyclic.setdefault(frozenset(_powers(g, a)), a)
+    seen = {tuple(sorted(members)): (a, a) for members, a in cyclic.items()}
+    gens = sorted((a, members) for members, a in cyclic.items())
+    for i, (a, in_a) in enumerate(gens):
+        for b, in_b in gens[i + 1:]:
+            if t[a][b] != t[b][a] or b in in_a or a in in_b:
                 continue
-            members = tuple(g.closure([a, b]))
+            members = tuple(sorted({t[x][y] for x in in_a for y in in_b}))
             seen.setdefault(members, (a, b))
-    subs = [Subgroup(g, members) for members in seen]
-    subs.sort(key=lambda s: (s.order, s.elements))
-    if not up_to_conjugacy:
-        return subs
-    reps = []
-    claimed = set()
-    for s in subs:
-        if s.elements in claimed:
-            continue
-        orbit = {s.elements}
-        for x in range(g.order):
-            orbit.add(tuple(sorted(g.conj(x, a) for a in s.elements)))
-        rep = min(orbit)
-        claimed |= orbit
-        reps.append(Subgroup(g, rep))
-    reps.sort(key=lambda s: (s.order, s.elements))
-    return reps
+    ordered = sorted(seen, key=lambda members: (len(members), members))
+    if up_to_conjugacy:
+        conj = g._np_table[g._np_table, np.array(g.inverse)[:, None]]  # [x, a] -> x a x^-1
+        reps = []
+        claimed = set()
+        for members in ordered:
+            if members in claimed:
+                continue
+            orbit = set(map(tuple, np.sort(conj[:, list(members)], axis=1).tolist()))
+            claimed |= orbit
+            reps.append(min(orbit))
+        ordered = sorted(reps, key=lambda members: (len(members), members))
+    return [Subgroup(g, members, seen[members]) for members in ordered]
 
 
 def all_subgroups(g, max_count=20000):

@@ -23,14 +23,15 @@ from brq.brauer import (
     plucker_beta,
     tensor_product_matrices,
 )
-from brq.cohomology import GModule, h2, h2_qz_cached
+from brq.cohomology import CohomologyGroup, GModule, h2, h2_qz_cached
 from brq.cyclotomic import CycloMatrix, CycloNumber, as_unit_fraction, plucker_vector
 from brq.errors import DomainError, SizeLimitError, UnsupportedCaseError, ValidationError
-from brq.groups import cyclic_group, from_permutation_generators
+from brq.groups import cyclic_group, from_cayley_table, from_permutation_generators
 from brq.verify import (
     catalog_actions,
     clock_shift_action,
     correlation_klein_gr24,
+    load_fixture_json,
     toric_group_from_matrices,
 )
 
@@ -509,3 +510,20 @@ def test_max_order_is_checked_before_a_cache_hit():
         bogomolov_multiplier(g, max_order=8)
     assert info.value.witness["order"] == 12
     assert bogomolov_multiplier(g, max_order=12).unramified_group.invariant_factors == ()
+
+
+def test_soundness_pass_catches_a_pairing_that_reads_zero(monkeypatch):
+    # with every pairing read as zero the kernel keeps all of H^2 of the
+    # order-64 witness; the bar restriction of the soundness pass must see
+    # a witness that does not vanish
+    pairing = CohomologyGroup.restrict_bicyclic
+
+    def zero(self, coords, sub):
+        factors, values = pairing(self, coords, sub)
+        return factors, [0] * len(values)
+
+    monkeypatch.setattr(CohomologyGroup, "restrict_bicyclic", zero)
+    witness = from_cayley_table(load_fixture_json("b0_order64.json")["group"]["table"])
+    with pytest.raises(DomainError, match="internal soundness failure: witness does not "
+                                          "vanish on a subgroup"):
+        bogomolov_multiplier(witness)

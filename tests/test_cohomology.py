@@ -3,11 +3,12 @@ from __future__ import annotations
 import itertools
 import json
 from functools import cache
+from math import gcd
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brq import corpus, verify
@@ -35,6 +36,7 @@ from brq.groups import (
     central_extension_from_cocycle,
     cyclic_group,
     direct_product,
+    from_cayley_table,
     from_permutation_generators,
     homs_to_cyclic,
 )
@@ -268,6 +270,86 @@ def test_restriction_keeps_finite_coefficients():
     coh_a, _ = coh.restrict((1, 0, 0), sub)
     assert coh_a.invariant_factors == h2(GModule.trivial_qz(sub.as_group()[0])).invariant_factors
     assert coh_a.invariant_factors == [2]
+
+
+# ---------------------------------------------------------------------------
+# restriction to bicyclic subgroups through the commutator pairing
+
+
+def _pairing_groups():
+    groups = dict(corpus.b0_vanishing_corpus())
+    doc = verify.load_fixture_json("b0_order64.json")
+    groups["witness_order64"] = from_cayley_table(doc["group"]["table"])
+    return groups
+
+
+PAIRING_GROUPS = _pairing_groups()
+
+
+def _pairing_agrees_with_bar(coh, sub):
+    """The pairing's factor list is the bar one, and one unit u mod e has
+    pairing(c) = u bar(c) for every unit class c of the parent."""
+    k = len(coh.invariant_factors)
+    factors, _ = coh.restrict_bicyclic([0] * k, sub)
+    assert factors == coh.subgroup_cohomology(sub).invariant_factors
+    if not factors:
+        return
+    e = factors[0]
+    values = []
+    for j in range(k):
+        unit = [int(i == j) for i in range(k)]
+        values.append((coh.restrict_bicyclic(unit, sub)[1][0], coh.restrict(unit, sub)[1][0]))
+    assert any(all((p - u * q) % e == 0 for p, q in values)
+               for u in range(1, e) if gcd(u, e) == 1), values
+
+
+@pytest.mark.parametrize("name", list(PAIRING_GROUPS))
+def test_pairing_restriction_matches_the_bar_restriction(name):
+    g = PAIRING_GROUPS[name]
+    coh = h2_qz_cached(g, max(g.order, 2))
+    for mode in (True, False):
+        for sub in bicyclic_subgroups(g, up_to_conjugacy=mode):
+            _pairing_agrees_with_bar(coh, sub)
+
+
+@pytest.mark.parametrize("orders, modulus, pair", [
+    ((2, 4), 16, (4, 1)), ((2, 4), 16, (1, 4)), ((3, 3), 27, (3, 1)), ((3, 3), 27, (1, 3)),
+])
+def test_pairing_of_a_hand_cocycle_above_the_group_order(orders, modulus, pair):
+    # element (x, y) of Z/m x Z/n sits at x n + y; c(g, h) = (N/e) t x(g) y(h)
+    # pairs a = (1, 0) with b = (0, 1) to t (N/e), coordinate t mod e
+    m, n = orders
+    g = direct_product(cyclic_group(m), cyclic_group(n))
+    e = gcd(m, n)
+    coh = h2_qz(g, modulus)
+    assert coh.invariant_factors == [e]
+    sub = Subgroup(g, tuple(range(g.order)), pair)
+    sign = 1 if pair == (n, 1) else -1
+    for t in range(e):
+        table = [[(modulus // e) * t * (a // n) * (b % n) % modulus for b in range(g.order)]
+                 for a in range(g.order)]
+        assert coh.restrict_bicyclic(coh.reduce(table), sub) == ([e], [sign * t % e])
+    _pairing_agrees_with_bar(coh, sub)
+    # the cyclic subgroups generated by a and by b carry H^2 = 0
+    for x in pair:
+        cyc = Subgroup(g, tuple(g.closure([x])), (x, x))
+        assert coh.restrict_bicyclic([1], cyc) == ([], [])
+
+
+def test_pairing_refuses_finite_coefficients_a_missing_pair_and_an_indivisible_value():
+    g = direct_product(cyclic_group(2), cyclic_group(4))
+    sub = Subgroup(g, tuple(range(8)), (4, 1))
+    with pytest.raises(DomainError, match="Q/Z coefficients"):
+        h2(GModule.trivial_qz(g)).restrict_bicyclic((1, 0, 0), sub)
+    coh = h2_qz(g, 16)
+    with pytest.raises(DomainError, match="no generating pair"):
+        coh.restrict_bicyclic([1], Subgroup(g, sub.elements))
+    table = np.zeros((8, 8, 1), dtype=np.int64)
+    table[4, 1, 0] = 1  # c(a, b) - c(b, a) = 1 is not a multiple of N/e = 8
+    coh.rep_tables = [table]
+    with pytest.raises(DomainError, match="not divisible by N/e") as info:
+        coh.restrict_bicyclic([1], sub)
+    assert info.value.witness == {"pair": [4, 1], "value": 1, "step": 8}
 
 
 def test_corestriction_of_trivial_subgroup():
@@ -715,6 +797,40 @@ def test_bockstein_and_extension_checks_match_the_full_check(name, seed):
         with pytest.raises(ValidationError) as info:
             central_extension_from_cocycle(group, n, table[:, :, 0].tolist())
         assert info.value.witness == want
+
+
+def test_reduce_reads_the_coboundary_of_a_non_normalised_cochain_as_zero():
+    # d(b) for b = 1 everywhere is the constant table 1: a 2-cocycle of class
+    # zero with c(1, h) = 1, on a non-abelian group
+    g = corpus.dihedral(4)
+    coh = h2_qz(g)
+    ones = np.ones((g.order, g.order), dtype=np.int64)
+    assert tuple(coh.reduce(ones)) == (0,)
+    assert tuple(coh.reduce(coh.rep_tables[0] + ones[:, :, None])) == (1,)
+
+
+SHIFT_CASES = {
+    "d4_qz": lambda: h2_qz_cached(corpus.dihedral(4), 8),
+    "d4_finite_action": lambda: _check_cohomology(2, 2),
+    "s3_lattice": lambda: _check_cohomology(0, 2),
+    "klein_diagonal_lattice": lambda: h2(LATTICES["klein_diagonal"]),
+}
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.sampled_from(sorted(SHIFT_CASES)), st.integers(0, 2**32 - 1))
+@example("d4_qz", 0)
+def test_reduce_is_constant_on_classes_of_non_normalised_cocycles(name, seed):
+    # reduce(c + d(b)) == reduce(c) for a 1-cochain b with b(1) != 0
+    coh = SHIFT_CASES[name]()
+    module = coh.module
+    n, r = module.group.order, module.rank
+    rng = np.random.default_rng(seed)
+    table = coh.expand([int(rng.integers(0, f)) for f in coh.invariant_factors])
+    b = rng.integers(-5, 6, size=(n, r))
+    b[0, 0] = 1 + 2 * int(rng.integers(0, 3))  # odd, so nonzero in every factor
+    shifted = table + _d1(module.mats, module.group._np_table, b, range(n))
+    assert tuple(coh.reduce(shifted)) == tuple(coh.reduce(table))
 
 
 def test_cocycle_check_on_the_trivial_group_reads_the_row_of_1():

@@ -2,9 +2,10 @@ from __future__ import annotations
 
 import pytest
 
-from brq import corpus
+from brq import corpus, verify
 from brq.errors import DomainError, SizeLimitError, ValidationError
 from brq.groups import (
+    Subgroup,
     abelian_invariants,
     abelian_structure,
     all_subgroups,
@@ -112,6 +113,64 @@ def test_bicyclic_conjugacy_vs_full():
     for s in full:
         orbit = {tuple(sorted(g.conj(x, a) for a in s.elements)) for x in range(g.order)}
         assert rep_keys & orbit
+
+
+def _bicyclic_by_closure(g, up_to_conjugacy):
+    """The element tuples of the bicyclic subgroups, in order, by closing
+    every commuting pair: the reference `bicyclic_subgroups` must match."""
+    seen = set()
+    for a in range(g.order):
+        for b in range(a, g.order):
+            if g.table[a][b] == g.table[b][a]:
+                seen.add(tuple(g.closure([a, b])))
+    subs = sorted(seen, key=lambda s: (len(s), s))
+    if not up_to_conjugacy:
+        return subs
+    reps, claimed = [], set()
+    for s in subs:
+        if s in claimed:
+            continue
+        orbit = {s} | {tuple(sorted(g.conj(x, a) for a in s)) for x in range(g.order)}
+        claimed |= orbit
+        reps.append(min(orbit))
+    return sorted(reps, key=lambda s: (len(s), s))
+
+
+def _enumeration_groups():
+    groups = dict(corpus.b0_vanishing_corpus())
+    doc = verify.load_fixture_json("b0_order64.json")
+    groups["witness_order64"] = from_cayley_table(doc["group"]["table"])
+    return groups
+
+
+ENUMERATION_GROUPS = _enumeration_groups()
+
+
+@pytest.mark.parametrize("name", list(ENUMERATION_GROUPS))
+def test_bicyclic_subgroups_match_the_closure_of_every_commuting_pair(name):
+    g = ENUMERATION_GROUPS[name]
+    for mode in (True, False):
+        subs = bicyclic_subgroups(g, up_to_conjugacy=mode)
+        assert [s.elements for s in subs] == _bicyclic_by_closure(g, mode)
+        for s in subs:
+            a, b = s.pair
+            assert g.table[a][b] == g.table[b][a]
+            assert a in s.elements and b in s.elements
+            assert tuple(g.closure([a, b])) == s.elements
+            plain = Subgroup(g, s.elements)
+            assert plain == s and hash(plain) == hash(s)
+
+
+def test_subgroup_rejects_a_pair_that_does_not_generate_it():
+    klein = corpus.klein_four()
+    with pytest.raises(ValidationError, match="does not generate"):
+        Subgroup(klein, (0, 1, 2, 3), (1, 1))
+    s3 = corpus.symmetric(3)
+    a, b = next((a, b) for a in range(6) for b in range(6) if s3.table[a][b] != s3.table[b][a])
+    with pytest.raises(ValidationError, match="does not commute"):
+        Subgroup(s3, tuple(range(6)), (a, b))
+    with pytest.raises(ValidationError, match="does not commute"):
+        Subgroup(klein, (0, 1), (1, 2))
 
 
 def test_abelian_structure_examples():
