@@ -36,12 +36,12 @@ from brq.groups import (
     central_extension_from_cocycle,
     cyclic_group,
     direct_product,
-    from_cayley_table,
     from_permutation_generators,
     homs_to_cyclic,
 )
 from brq.iodoc import parse_action_document
 from brq.linalg import HowellAccumulator, kernel, subquotient_structure
+from test_groups import CORPUS_AND_WITNESS
 from test_properties import relabel
 
 TORIC_S3 = (Path(__file__).resolve().parent.parent / "src" / "brq" / "fixtures" / "inputs"
@@ -276,16 +276,6 @@ def test_restriction_keeps_finite_coefficients():
 # restriction to bicyclic subgroups through the commutator pairing
 
 
-def _pairing_groups():
-    groups = dict(corpus.b0_vanishing_corpus())
-    doc = verify.load_fixture_json("b0_order64.json")
-    groups["witness_order64"] = from_cayley_table(doc["group"]["table"])
-    return groups
-
-
-PAIRING_GROUPS = _pairing_groups()
-
-
 def _pairing_agrees_with_bar(coh, sub):
     """The pairing's factor list is the bar one, and one unit u mod e has
     pairing(c) = u bar(c) for every unit class c of the parent."""
@@ -303,9 +293,9 @@ def _pairing_agrees_with_bar(coh, sub):
                for u in range(1, e) if gcd(u, e) == 1), values
 
 
-@pytest.mark.parametrize("name", list(PAIRING_GROUPS))
+@pytest.mark.parametrize("name", list(CORPUS_AND_WITNESS))
 def test_pairing_restriction_matches_the_bar_restriction(name):
-    g = PAIRING_GROUPS[name]
+    g = CORPUS_AND_WITNESS[name]
     coh = h2_qz_cached(g, max(g.order, 2))
     for mode in (True, False):
         for sub in bicyclic_subgroups(g, up_to_conjugacy=mode):

@@ -136,19 +136,19 @@ def _bicyclic_by_closure(g, up_to_conjugacy):
     return sorted(reps, key=lambda s: (len(s), s))
 
 
-def _enumeration_groups():
+def _corpus_and_witness():
     groups = dict(corpus.b0_vanishing_corpus())
     doc = verify.load_fixture_json("b0_order64.json")
     groups["witness_order64"] = from_cayley_table(doc["group"]["table"])
     return groups
 
 
-ENUMERATION_GROUPS = _enumeration_groups()
+CORPUS_AND_WITNESS = _corpus_and_witness()
 
 
-@pytest.mark.parametrize("name", list(ENUMERATION_GROUPS))
+@pytest.mark.parametrize("name", list(CORPUS_AND_WITNESS))
 def test_bicyclic_subgroups_match_the_closure_of_every_commuting_pair(name):
-    g = ENUMERATION_GROUPS[name]
+    g = CORPUS_AND_WITNESS[name]
     for mode in (True, False):
         subs = bicyclic_subgroups(g, up_to_conjugacy=mode)
         assert [s.elements for s in subs] == _bicyclic_by_closure(g, mode)
