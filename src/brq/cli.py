@@ -249,6 +249,9 @@ def main(argv=None):
             if variant is None:
                 variant = doc.get("variant")
             doc = doc["document"]
+        if not isinstance(doc, dict):
+            raise ValidationError("the document must be a JSON object",
+                                  witness={"field": "document"})
         result = _dispatch(options.verb, variant, doc, options)
         sys.stdout.write(_render(result, options))
         return 0

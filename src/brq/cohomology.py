@@ -3,10 +3,15 @@
 Coefficients are Q/Z with trivial action (realized at a finite modulus),
 finite abelian modules, or integral lattices.  The solver works on the
 normalized bar complex but eliminates all unknowns except the generator
-rows of a cochain, which keeps the linear systems at #generators * (n-1)
-unknowns instead of (n-1)^2.  In degree two the cocycle identity on the
-generator edges (s, h, y), s and y generators, implies it everywhere, so
-#generators^2 * (n-1) rows cut out the cocycles (proof at `_BarSolver`).
+rows of a cochain, |S| (n-1) values per component for a generating set S,
+instead of (n-1)^2.  In degree two the cocycle identity on the generator
+edges (s, h, y), s and y generators, implies it everywhere, so |S|^2 (n-1)
+rows cut out the cocycles.  Degree two also fixes the gauge on a spanning
+tree of the left Cayley graph: every class has a cocycle that vanishes on
+its n - 1 - |S| edges (s, h), h != 1, so (|S| - 1)(n - 1) + |S| unknowns
+per component remain.  The coboundaries that vanish on the tree are the
+d(b_v), b_v fixed by its values v on S, so |S| of them per component span
+them (proofs at `_BarSolver`).
 
 Q/Z with trivial action is realized as Z/N for any N divisible by |G|: the
 cohomology in degree two is the quotient of the mod-N cohomology by the
@@ -202,9 +207,10 @@ def _element_mats_from_gens(group, rank, gen_mats):
     return mats
 
 
-def bfs_tree(group):
+def bfs_tree(group, left=False):
     """Deterministic spanning tree of the Cayley graph: (g, parent, gen)
-    triples with g = parent * gen, in breadth-first discovery order."""
+    triples with g = parent * gen (g = gen * parent when `left`), in
+    breadth-first discovery order."""
     out = []
     discovered = {0}
     level = [0]
@@ -212,7 +218,7 @@ def bfs_tree(group):
         nxt = []
         for p in level:
             for s in group.generators:
-                q = group.table[p][s]
+                q = group.table[s][p] if left else group.table[p][s]
                 if q not in discovered:
                     discovered.add(q)
                     out.append((q, p, s))
@@ -313,14 +319,17 @@ def _cochain_array(table, degree, n, r):
 class _BarSolver:
     """Cocycles of one degree, solved for the generator rows of a cochain.
 
-    The unknowns ("slots") are the values c(s, h) for generators s and
-    h != 1 (degree 2) or c(s) (degree 1), one per component, in the C-order
-    of (generator, [h,] component).  The unit tensor `w` writes every value
-    of the cochain as a combination of the slots.  It holds the units at the
-    generator rows and is extended along the BFS tree by `_tree_step`: the
-    cocycle identity on the tree edge (p, x), solved for c(px, ...).  So
-    z = dc vanishes at every tree edge (p, x, ...).  The modulus L is the
-    lcm of the module's factors.
+    The generator-row values are c(s, h) for generators s and h != 1
+    (degree 2) or c(s) (degree 1), one per component, in the C-order of
+    (generator, [h,] component).  The unknowns ("slots") are the kept ones
+    among them (`kept`, their flat indices): all of them in degree one, and
+    in degree two those off the gauge tree (below).  The unit tensor `w`
+    writes every value of the cochain as a combination of the slots.  It
+    holds the units at the kept generator-row values, zero at the others,
+    and is extended along the BFS tree by `_tree_step`: the cocycle
+    identity on the tree edge (p, x), solved for c(px, ...).  So z = dc
+    vanishes at every tree edge (p, x, ...).  The modulus L is the lcm of
+    the module's factors.
 
     In degree one the kernel of the identities z(s, h) = 0, generators s,
     is the group of cocycles.  In degree two the identities z(s, h, y) = 0
@@ -332,6 +341,27 @@ class _BarSolver:
       - then at (g, h, q, y): z(g, h, qy) = z(g, h, q); by induction on the
         depth of k = qy, z(g, h, k) = 0 for every k.
     The kernel is the same, so its canonical Howell rows are the same.
+
+    The degree-two gauge.  Take the left BFS tree from 1 over the edges
+    h -> s.h, generators s in `group.generators` order; every generator is
+    a child of 1, and the n - 1 - |S| other edges (s, h) have h != 1.  For
+    a normalised 2-cochain c let b(1) = b(s) = 0 and b(sh) = c(s, h) + s.b(h)
+    down the tree; then (c + db)(s, h) = c(s, h) + s.b(h) - b(sh) + b(s)
+    vanishes on every tree edge, and c + db is cohomologous to c (`_gauge`).
+    So each class has a cocycle that vanishes on the tree, and the unknowns
+    are the r ((|S| - 1)(n - 1) + |S|) values off it.  With Z_T the cochains
+    that vanish on the tree, the map Z ∩ Z_T -> H^2 is onto, and its kernel
+    is the gauged image: writing the image as B + G + E (coboundaries mod L,
+    the values that are zero in the module, the extra tables), the gauge N
+    is linear, fixes Z_T and moves each element within its coset of B, so
+    (B + G + E) ∩ Z_T = N(B) + N(G) + N(E).  N(B) = B ∩ Z_T is {d(b_v)},
+    b_v the 1-cochain with values v on the generators propagated by
+    b(sh) = s.b(h) + b(s): db vanishes on the tree exactly when b satisfies
+    that recursion, so b is fixed by its values on S, and |S| r coboundary
+    generators span it.  N(G) = G ∩ Z_T, the values off the tree that are
+    zero in the module: those values form a submodule that the action keeps
+    (it is well defined on the factors), so for c in G the propagated b and
+    db take their values in it too.
 
     A given table c of either degree is a cocycle once z = dc vanishes where
     its first argument is 1 or a generator (`_require_cocycle`): z is a
@@ -358,10 +388,12 @@ class _BarSolver:
         # index of the generator rows: (generators, [h != 1])
         self.at_gens = (np.array(self.gens, dtype=np.int64),) + \
             (slice(1, None),) * (self.degree - 1)
-        shape = (len(self.gens),) + (n - 1,) * (self.degree - 1) + (r,)
-        self.slots = U = prod(shape)
+        self.row_shape = (len(self.gens),) + (n - 1,) * (self.degree - 1) + (r,)
+        self.kept = self._kept_slots()
+        self.slots = U = len(self.kept)
         w = np.zeros((n,) * self.degree + (r, U), dtype=np.int64)
-        w[self.at_gens] = np.eye(U, dtype=np.int64).reshape(shape + (U,))
+        at = np.unravel_index(self.kept, self.row_shape)
+        w[(self.at_gens[0][at[0]], *(i + 1 for i in at[1:-1]), at[-1], np.arange(U))] = 1
         gen_set = set(self.gens)
         for g, p, x in bfs_tree(group):
             if g in gen_set and p == 0:
@@ -369,6 +401,14 @@ class _BarSolver:
             w[g] = self._tree_step(w, p, x) % self.L
         self.w = w
         self.kernel_gens = self._cocycle_kernel()
+
+    def _kept_slots(self):
+        return np.arange(prod(self.row_shape))
+
+    def _gauge(self, values):
+        """Generator-row values, shape `row_shape` + (m,), as slot columns
+        (slots, m) mod L."""
+        return values.reshape(-1, values.shape[-1])[self.kept] % self.L
 
     def _edge_rows(self, s):
         """The cocycle identities with s in the first slot, over the slots."""
@@ -385,35 +425,42 @@ class _BarSolver:
             acc.ingest((f % self.L * self.scale[:, None] % self.L).reshape(-1, U))
         return kernel(acc.rows, self.L, U)
 
-    def gauge_gens(self):
-        """f_i at each slot of a component i whose factor f_i is below L:
-        the slot values that are zero in the module."""
-        out = []
+    def image_gens(self, tables=()):
+        """Generators of the image over the slots: the coboundaries and the
+        classes of the cocycle `tables` (validated), in the gauge, then f_i
+        at each slot of a component i whose factor f_i is below L (the
+        values that are zero in the module)."""
+        cols = [self._coboundaries()] + \
+            [self._checked_rows(tab).reshape(-1, 1) for tab in tables]
+        image = self._gauge(np.concatenate(cols, axis=1).reshape(self.row_shape + (-1,))).T.tolist()
+        comps = self.kept % self.r
         for comp, f in enumerate(self.factors):
             if f == self.L:
                 continue
-            for slot in range(comp, self.slots, self.r):
+            for slot in np.flatnonzero(comps == comp):
                 vec = [0] * self.slots
                 vec[slot] = f
-                out.append(vec)
-        return out
+                image.append(vec)
+        return image
 
     def expand(self, uvec):
-        """The cochain table whose generator rows are the slot vector."""
+        """The cochain table whose kept generator-row values are the slot
+        vector."""
         u = np.asarray(uvec, dtype=np.int64) % self.L
         return self.w @ u % self.L
 
-    def coboundary_gens(self):
-        """The coboundaries of the unit (degree - 1)-cochains, over the slots."""
-        return (_generator_rows(self.mats, self.t, self.gens, self.degree) % self.L).T.tolist()
-
-    def cocycle_slots(self, values):
-        """Slot vector of a cocycle table (reduced and validated)."""
+    def _checked_rows(self, values):
+        """The generator-row values of a cocycle table (reduced and
+        validated)."""
         values = values % self.L
         _require_cocycle(self._d, self.mats, self.t, values, self.gens,
                          f"table is not a {self.degree}-cocycle",
                          lambda diff: diff % self.L * self.scale % self.L)
-        return values[self.at_gens].reshape(-1)
+        return values[self.at_gens]
+
+    def cocycle_slots(self, values):
+        """Slot vector of a cocycle table (reduced, validated, gauged)."""
+        return self._gauge(self._checked_rows(values)[..., None])[:, 0]
 
 
 class _BarH1Solver(_BarSolver):
@@ -424,6 +471,9 @@ class _BarH1Solver(_BarSolver):
         # c(px) = c(p) + p.c(x)
         return w[p] + np.einsum("ij,j...->i...", self.mats[p], w[x])
 
+    def _coboundaries(self):
+        # d of the unit 0-cochains, at the generator rows
+        return _generator_rows(self.mats, self.t, self.gens, 1)
 
 
 class _BarH2Solver(_BarSolver):
@@ -437,6 +487,41 @@ class _BarH2Solver(_BarSolver):
         # c(px, h) = p.c(x, h) + c(p, xh) - c(p, x)
         return np.einsum("ij,kj...->ki...", self.mats[p], w[x]) + w[p][self.t[x]] - w[p, x]
 
+    def _kept_slots(self):
+        """The generator-row values off the left gauge tree; also keeps the
+        tree's edges (s, h), h != 1, grouped by depth for `_gauge`."""
+        depth = [0] * self.n
+        levels = {}
+        on_tree = np.zeros(self.row_shape[:2], dtype=bool)
+        for g, h, s in bfs_tree(self.group, left=True):
+            depth[g] = depth[h] + 1
+            if h:
+                i = self.gens.index(s)
+                levels.setdefault(depth[g], []).append((i, h, g))
+                on_tree[i, h - 1] = True
+        self._levels = [np.array(lv, dtype=np.int64).T for lv in levels.values()]
+        return np.flatnonzero(np.repeat(~on_tree.reshape(-1), self.r))
+
+    def _gauge(self, values):
+        # c + db with b(1) = b(s) = 0 and b(sh) = c(s, h) + s.b(h) down the
+        # tree, one depth at a time for all m columns at once
+        m = values.shape[-1]
+        c = np.zeros((len(self.gens), self.n, self.r, m), dtype=np.int64)
+        c[:, 1:] = values % self.L
+        b = np.zeros((self.n, self.r, m), dtype=np.int64)
+        for i, h, g in self._levels:
+            step = np.einsum("kij,kjm->kim", self.mats[self.at_gens[0][i]], b[h])
+            b[g] = (c[i, h] + step) % self.L
+        c += _d1(self.mats, self.t, b, self.gens)
+        return super()._gauge(c[:, 1:])
+
+    def _coboundaries(self):
+        # d(b_v) for the unit vectors v on the generators; `_gauge`
+        # propagates each b_v down the tree
+        k = len(self.gens) * self.r
+        units = np.zeros((self.n, self.r, k), dtype=np.int64)
+        units[self.gens] = np.eye(k, dtype=np.int64).reshape(len(self.gens), self.r, k)
+        return _d1(self.mats, self.t, units, self.gens)[:, 1:].reshape(-1, k)
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +640,7 @@ def _env_order_limit():
 
 def _order_limit_check(group, max_order, unknowns):
     """Reject a cohomology computation over the order limit; the witness
-    gives the unknowns of the largest system that it would have built."""
+    gives the unknowns of the system that it would have solved."""
     limit = _env_order_limit() if max_order is None else _positive_int("max_order", max_order)
     if group.order > limit:
         raise SizeLimitError(
@@ -564,7 +649,10 @@ def _order_limit_check(group, max_order, unknowns):
 
 
 def _h2_unknowns(group, rank):
-    return len(group.generators) * (group.order - 1) * rank
+    """The bar solver's unknowns: the generator-row values off the gauge
+    tree (`_BarSolver`)."""
+    s = len(group.generators)
+    return ((s - 1) * (group.order - 1) + s) * rank
 
 
 def _trivial_cohomology(group, module, degree, modulus):
@@ -577,11 +665,10 @@ def _bar_cohomology(module, degree, extra_image_tables=None):
     are cocycle tables whose classes are adjoined to the coboundaries."""
     solver_class = _BarH1Solver if degree == 1 else _BarH2Solver
     solver = solver_class(module.group, module.mats, module.factors)
-    image = solver.coboundary_gens() + solver.gauge_gens()
-    for tab in extra_image_tables or ():
-        arr = _cochain_array(tab, degree, module.group.order, module.rank)
-        image.append(solver.cocycle_slots(arr).tolist())
-    structure = subquotient_structure(solver.slots, solver.L, solver.kernel_gens, image)
+    tables = [_cochain_array(tab, degree, module.group.order, module.rank)
+              for tab in extra_image_tables or ()]
+    structure = subquotient_structure(solver.slots, solver.L, solver.kernel_gens,
+                                      solver.image_gens(tables))
     rep_tables = [solver.expand(w) for w in structure.witness_generators]
 
     def reducer(arr):

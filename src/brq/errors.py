@@ -7,7 +7,10 @@ to exit 2, SizeLimitError to exit 3.  The size limits, and what sets each:
   constant;
 - cohomology, with any coefficients: group order at most 96, or the value
   of the environment variable `BRQ_MAX_ORDER`; witness {order, unknowns},
-  the unknowns of the largest linear system the computation would build;
+  the unknowns of the first linear system the computation would solve:
+  for H^2 with finite or Q/Z coefficients the bar solver's
+  ((|S| - 1)(|G| - 1) + |S|) r values off the gauge tree, |S| the
+  generators and r the rank;
 - `--max-order` (the `max_order` argument) replaces that limit for one
   computation; the subgroup solves behind a restriction take the order of
   their group as their limit;

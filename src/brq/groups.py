@@ -55,13 +55,15 @@ class FiniteGroup:
         t = self._np_table
         if n == 0:
             raise ValidationError("empty table")
-        if t.shape != (n, n) or t.min(initial=0) < 0 or t.max(initial=0) >= n:
-            raise ValidationError("table is not a square over 0..n-1")
+        outside = np.argwhere((t < 0) | (t >= n))
+        if t.shape != (n, n) or len(outside):
+            raise ValidationError("table is not a square over 0..n-1",
+                                  witness=tuple(int(x) for x in outside[0]) if len(outside) else None)
         if list(t[0]) != list(range(n)) or list(t[:, 0]) != list(range(n)):
             raise ValidationError("element 0 is not an identity")
         for a in range(n):
             if sorted(t[a]) != list(range(n)) or sorted(t[:, a]) != list(range(n)):
-                raise ValidationError(f"row or column {a} is not a permutation")
+                raise ValidationError(f"row or column {a} is not a permutation", witness=a)
         # Light's associativity test over a generating set
         gens = self._greedy_generators()
         for g in gens:
@@ -302,8 +304,10 @@ def from_cayley_table(table, generators=None):
     """
     rows = [list(map(int, r)) for r in table]
     n = len(rows)
-    if n == 0 or any(len(r) != n for r in rows):
-        raise ValidationError("table must be square and nonempty")
+    short = next((a for a, r in enumerate(rows) if len(r) != n), None)
+    if n == 0 or short is not None:
+        raise ValidationError("table must be square and nonempty",
+                              witness={"rows": n, "row": short})
     if n > MAX_ORDER:
         raise SizeLimitError(f"table larger than the maximum order {MAX_ORDER}",
                              witness={"max_order": MAX_ORDER})
@@ -313,7 +317,7 @@ def from_cayley_table(table, generators=None):
             ident = e
             break
     if ident is None:
-        raise ValidationError("table has no identity element")
+        raise ValidationError("table has no identity element", witness={"order": n})
     if ident != 0:
         # the swap is an involution, so it is its own relabelling inverse
         swap = list(range(n))
@@ -363,7 +367,8 @@ def semidirect_product(a, b, action):
     (x, y) sits at index x*|B| + y, making A the normal factor.
     """
     if not a.is_abelian():
-        raise DomainError("normal factor must be abelian")
+        raise DomainError("normal factor must be abelian", witness=next(
+            (x, y) for x in range(a.order) for y in range(x) if a.table[x][y] != a.table[y][x]))
     perms = [tuple(int(v) for v in action(y)) if callable(action) else tuple(action[y])
              for y in range(b.order)]
     for y, p in enumerate(perms):
@@ -397,7 +402,7 @@ def central_extension_from_cocycle(g, n, cocycle):
     """
     n = int(n)
     if n < 1:
-        raise ValidationError("cyclic kernel order must be positive")
+        raise ValidationError("cyclic kernel order must be positive", witness={"n": n})
     m = g.order
     c = [[int(cocycle[x][y]) % n for y in range(m)] for x in range(m)]
     for x in range(m):

@@ -29,12 +29,16 @@ from .groups import (
 
 def load_document(path):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
+        return json.loads(text)
+    except UnicodeDecodeError as err:
+        raise ValidationError(f"{path} is not UTF-8 text", witness={"byte": err.start}) from err
     except json.JSONDecodeError as err:
-        raise ValidationError(f"malformed JSON in {path}: {err}") from err
+        raise ValidationError(f"malformed JSON in {path}: {err}",
+                              witness={"line": err.lineno, "column": err.colno}) from err
     except OSError as err:
-        raise ValidationError(f"cannot read {path}: {err}") from err
+        raise ValidationError(f"cannot read {path}: {err}", witness={"path": str(path)}) from err
 
 
 def _field(doc, field, convert=None, default=None):
@@ -99,7 +103,7 @@ def parse_group(doc):
         shape = (base.order, base.order)
         return central_extension_from_cocycle(base, _field(doc, "n", int),
                                               _field(doc, "cocycle", lambda v: _int_rows(v, shape)))
-    raise ValidationError(f"unknown group kind {kind!r}")
+    raise ValidationError(f"unknown group kind {kind!r}", witness={"field": "kind", "value": kind})
 
 
 def _parse_rational(x, field):

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from brq.cli import main, run_document_for_fixture
 
@@ -123,8 +128,9 @@ def test_max_order_limits_b0_and_brnr(tmp_path, capsys, argv):
     assert main(argv + [path, "--json", "--max-order", "8"]) == 3
     err = json.loads(capsys.readouterr().out)["error"]
     assert err["type"] == "SizeLimitError"
-    # the bar solver for H^2 has generators x (|G| - 1) unknowns
-    assert err["witness"] == {"order": 12, "unknowns": 2 * 11}
+    # the bar solver for H^2 has (|S| - 1)(|G| - 1) + |S| unknowns, the
+    # generator-row values off the gauge tree: (2 - 1) * 11 + 2 = 13
+    assert err["witness"] == {"order": 12, "unknowns": 13}
 
 
 def test_max_order_limits_projective_brnr(capsys):
@@ -147,7 +153,9 @@ def test_max_order_limits_toric_brnr(capsys):
     assert main(["brnr", "toric", toric, "--json", "--max-order", "4"]) == 3
     err = json.loads(capsys.readouterr().out)["error"]
     assert err["type"] == "SizeLimitError"
-    assert err["witness"] == {"order": 6, "unknowns": 10}
+    # the Q/Z solve is checked before the lattice one: S3 on two
+    # generators, (2 - 1) * 5 + 2 = 7 unknowns
+    assert err["witness"] == {"order": 6, "unknowns": 7}
 
 
 @pytest.mark.parametrize("matrix", [[[2]], [[0, 1], [2, 0]], [[1, 1], [0, 2]]])
@@ -336,3 +344,106 @@ def test_action_errors_exit_2_with_their_witness(tmp_path, capsys, fixture, edit
     assert main(["brnr", path, "--json"]) == 2
     err = json.loads(capsys.readouterr().out)["error"]
     assert err == {"type": "ValidationError", "message": message, "witness": witness}
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the group document
+
+
+def _is_group_table(table):
+    """Whether `table` is the Cayley table of a group, by a plain check."""
+    n = len(table) if isinstance(table, list) else 0
+    if not n or any(not isinstance(row, list) or len(row) != n for row in table):
+        return False
+    if any(type(x) is not int or not 0 <= x < n for row in table for x in row):
+        return False
+    if any(table[a][table[b][c]] != table[table[a][b]][c]
+           for a in range(n) for b in range(n) for c in range(n)):
+        return False
+    ones = [e for e in range(n) if all(table[e][x] == x == table[x][e] for x in range(n))]
+    return bool(ones) and all(ones[0] in row for row in table)
+
+
+_SMALL_INT = st.integers(-2, 7)
+_JSON = st.recursive(
+    st.none() | st.booleans() | _SMALL_INT | st.floats(-3, 8) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["kind", "table", "degree", "generators", "group", "normal",
+                         "acting", "action", "base", "n", "cocycle"]), inner, max_size=4),
+    max_leaves=12)
+
+
+def _square(n, entries):
+    return st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+def _perturbed_cyclic(n, a, b, v):
+    table = [[(x + y) % n for y in range(n)] for x in range(n)]
+    table[a % n][b % n] = v
+    return table
+
+
+C3 = {"kind": "permutation", "degree": 3, "generators": [[1, 2, 0]]}
+S3 = {"kind": "permutation", "degree": 3, "generators": [[1, 0, 2], [1, 2, 0]]}
+_SMALL_GROUPS = st.sampled_from([(C2, 2), (C3, 3), (KLEIN, 4), (S3, 6)])
+
+
+def _maps(rows, k):
+    """`rows` lists over 0..k-1, some of them permutations."""
+    row = st.permutations(range(k)).map(list) | st.lists(st.integers(-1, k), min_size=k,
+                                                         max_size=k)
+    return st.lists(row, min_size=rows, max_size=rows)
+
+
+_GROUP_DOCS = st.one_of(
+    # Cayley tables: ragged, random, and one entry off a cyclic group
+    st.integers(1, 5).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-1, n), min_size=n - 1, max_size=n + 1), min_size=n, max_size=n)),
+    st.integers(1, 5).flatmap(lambda n: _square(n, st.integers(0, n - 1))),
+    st.builds(_perturbed_cyclic, st.integers(2, 6), _SMALL_INT, _SMALL_INT, _SMALL_INT),
+).map(lambda t: {"kind": "cayley", "table": t}) | st.one_of(
+    st.fixed_dictionaries({"kind": st.just("permutation"), "degree": _SMALL_INT,
+                           "generators": st.lists(st.lists(_SMALL_INT, max_size=5), max_size=3)}),
+    st.tuples(_SMALL_GROUPS, _SMALL_GROUPS).flatmap(lambda pair: _maps(pair[1][1], pair[0][1]).map(
+        lambda action: {"kind": "semidirect", "normal": pair[0][0], "acting": pair[1][0],
+                        "action": action})),
+    _SMALL_GROUPS.flatmap(lambda base: st.builds(
+        lambda n, c: {"kind": "central_extension", "base": base[0], "n": n, "cocycle": c},
+        _SMALL_INT, _square(base[1], st.integers(0, 2)))),
+    st.fixed_dictionaries({"kind": st.sampled_from(["cayley", "permutation", "semidirect",
+                                                    "central_extension", "matrix"])},
+                          optional={k: _JSON for k in ("table", "degree", "generators",
+                                                       "normal", "acting", "action", "base",
+                                                       "n", "cocycle")}),
+    _JSON)
+_DOCUMENTS = st.one_of(
+    _GROUP_DOCS.map(lambda g: json.dumps({"group": g}).encode()),
+    _GROUP_DOCS.map(lambda g: json.dumps(g).encode()),
+    st.tuples(_GROUP_DOCS.map(lambda g: json.dumps({"group": g}).encode()),
+              st.integers(0, 60)).map(lambda pair: pair[0][:pair[1]]),
+    _JSON.map(lambda v: json.dumps(v).encode()),
+    _JSON.map(lambda v: json.dumps({"verb": "b0", "document": v}).encode()),
+    st.binary(max_size=20),
+    st.text(max_size=20).map(str.encode))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.sampled_from(["group-info", "h2", "b0"]), _DOCUMENTS)
+@example("b0", b"5")
+@example("h2", b'{"verb": "h2", "document": null}')
+@example("group-info", b'{"group": {"kind": "cayley", "table": [[0, 1], [1, 1]]}}')
+def test_malformed_group_documents_exit_with_a_witness(verb, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_bytes(data)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main([verb, str(path), "--json"])
+    if code == 0:  # only a real group goes through
+        doc = json.loads(data)
+        group = doc.get("group", doc)
+        assert group["kind"] != "cayley" or _is_group_table(group["table"])
+        return
+    assert code in (2, 3)
+    err = json.loads(out.getvalue())["error"]
+    assert err.get("witness") is not None, err

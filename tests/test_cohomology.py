@@ -3,7 +3,7 @@ from __future__ import annotations
 import itertools
 import json
 from functools import cache
-from math import gcd
+from math import gcd, prod
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +17,7 @@ from brq.cohomology import (
     _BarH2Solver,
     _d1,
     _d2,
+    _generator_rows,
     connecting_bockstein,
     corestrict_qz_class,
     h1,
@@ -42,7 +43,7 @@ from brq.groups import (
 from brq.iodoc import parse_action_document
 from brq.linalg import HowellAccumulator, kernel, subquotient_structure
 from test_groups import CORPUS_AND_WITNESS
-from test_properties import relabel
+from test_properties import mixed_d4_module, relabel
 
 TORIC_S3 = (Path(__file__).resolve().parent.parent / "src" / "brq" / "fixtures" / "inputs"
             / "toric_s3.json")
@@ -138,7 +139,8 @@ def test_h2_qz_refuses_an_over_limit_group_before_the_bockstein_work(monkeypatch
     monkeypatch.setattr("brq.cohomology.homs_to_cyclic", unreachable)
     with pytest.raises(SizeLimitError) as info:
         h2_qz(corpus.abelian_group([2] * 7))
-    assert info.value.witness == {"order": 128, "unknowns": 7 * 127}
+    # seven generators, (7 - 1) * 127 + 7 = 769 unknowns off the gauge tree
+    assert info.value.witness == {"order": 128, "unknowns": 769}
 
 
 def test_bockstein_zero_and_generator():
@@ -462,7 +464,8 @@ def test_brq_max_order_sets_only_the_finite_coefficient_limit(monkeypatch):
     assert a4.order == 12
     with pytest.raises(SizeLimitError) as info:
         h2_qz(a4)
-    assert info.value.witness == {"order": 12, "unknowns": 2 * 11}
+    # two generators, (2 - 1) * 11 + 2 = 13 unknowns off the gauge tree
+    assert info.value.witness == {"order": 12, "unknowns": 13}
 
 
 def _s3_lattice():
@@ -641,9 +644,7 @@ def _full_build_h2(module, extra_tables=()):
         rows = _d2(solver.mats, solver.t, solver.w, [s])[0, 1:, 1:]
         acc.ingest((rows % L * solver.scale[:, None] % L).reshape(-1, U))
     full = kernel(acc.canonical_rows(), L, U)
-    image = solver.coboundary_gens() + solver.gauge_gens()
-    image += [solver.cocycle_slots(tab).tolist() for tab in extra_tables]
-    return solver, full, subquotient_structure(U, L, full, image)
+    return solver, full, subquotient_structure(U, L, full, solver.image_gens(extra_tables))
 
 
 def _assert_qz_matches_full_build(group):
@@ -665,11 +666,9 @@ def test_generator_edge_rows_give_the_full_build_kernel(name):
 
 
 def test_generator_edge_rows_mixed_factors_with_action():
-    # D4 on Z/4 + Z/2 by matrices that mix the factors, so the rows go
-    # through the scale L / f_i of the Z/2 component
-    g = corpus.dihedral(4)
-    module = GModule.finite(g, [4, 2], {g.generators[0]: [[1, 2], [1, 1]],
-                                        g.generators[1]: [[3, 0], [1, 1]]})
+    # the D4 module on Z/4 + Z/2 mixes the factors, so the rows go through
+    # the scale L / f_i of the Z/2 component
+    module = mixed_d4_module()
     solver, full, structure = _full_build_h2(module)
     assert solver.kernel_gens == full
     assert h2(module).invariant_factors == list(structure.invariant_factors) == [2, 2, 2]
@@ -684,6 +683,73 @@ SMALL_GROUPS = [g for g in EDGE_GROUPS.values() if g.order <= 32]
 def test_generator_edge_rows_under_relabelling(case):
     group, perm = case
     _assert_qz_matches_full_build(relabel(group, perm))
+
+
+# ---------------------------------------------------------------------------
+# the degree-two gauge against the ungauged system
+
+
+class _UngaugedH2Solver(_BarH2Solver):
+    """The degree-two solver with no gauge: every generator-row value is an
+    unknown, and the image holds the coboundaries of all the unit
+    1-cochains, the values that are zero in the module and the extra
+    tables read at the generator rows, unchanged."""
+
+    def _kept_slots(self):
+        return np.arange(prod(self.row_shape))
+
+    def _gauge(self, values):
+        return values.reshape(-1, values.shape[-1]) % self.L
+
+    def _coboundaries(self):
+        return _generator_rows(self.mats, self.t, self.gens, 2)
+
+
+def _gauge_case(name):
+    """(the cohomology under test, its module, the extra image tables)."""
+    if name == "mixed_d4":
+        module = mixed_d4_module()
+        return h2(module), module, []
+    group = EDGE_GROUPS[name]
+    n = group.order
+    bocksteins = [connecting_bockstein(group, chi, n) for chi in homs_to_cyclic(group, n)]
+    return h2_qz(group), GModule(group, "trivial_qz", factors=[n], rank=1), bocksteins
+
+
+@pytest.mark.parametrize("name", [*EDGE_GROUPS, "mixed_d4"])
+def test_gauge_agrees_with_the_ungauged_system(name):
+    coh, module, bocksteins = _gauge_case(name)
+    group, r = module.group, module.rank
+    solver = _UngaugedH2Solver(group, module.mats, module.factors)
+    assert solver.slots == len(group.generators) * (group.order - 1) * r
+    oracle = subquotient_structure(solver.slots, solver.L, solver.kernel_gens,
+                                   solver.image_gens(bocksteins))
+    assert coh.invariant_factors == list(oracle.invariant_factors)
+    rng = np.random.default_rng(17)
+    classes = list(itertools.product(*map(range, coh.invariant_factors)))
+    if len(classes) > 64:
+        classes = [classes[0]] + [tuple(int(rng.integers(0, f)) for f in coh.invariant_factors)
+                                  for _ in range(40)]
+    for coords in classes:
+        table = coh.expand(coords)
+        assert coh.reduce(table) == coords
+        # the gauged representative is zero in the ungauged H^2 only for
+        # the zero class, so the two groups match class for class
+        assert any(oracle.coords(solver.cocycle_slots(table))) == any(coords)
+        # a full 1-cochain, b(1) and the tree values included
+        b = rng.integers(-9, 10, size=(group.order, r))
+        shifted = table + _d1(module.mats, group._np_table, b, range(group.order))
+        assert coh.reduce(shifted) == coords
+
+
+@pytest.mark.parametrize("group, unknowns", [(cyclic_group(96), 1),
+                                             (corpus.alternating4(), 13)])
+def test_bar_unknowns_are_the_values_off_the_gauge_tree(group, unknowns):
+    module = GModule(group, "trivial_qz", factors=[group.order], rank=1)
+    solver = _BarH2Solver(group, module.mats, module.factors)
+    s, n = len(group.generators), group.order
+    assert solver.slots == (s - 1) * (n - 1) + s == unknowns
+    assert solver.w.shape == (n, n, 1, unknowns)
 
 
 def test_reduce_rejects_a_perturbation_off_the_generator_rows():

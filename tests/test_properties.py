@@ -4,13 +4,15 @@ from __future__ import annotations
 
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from brq import corpus, verify
-from brq.brauer import bogomolov_multiplier, gamma_from_projective_action
-from brq.cohomology import h2_qz
+from brq.brauer import (_tree_matrices, bogomolov_multiplier, br_nr_projective,
+                        gamma_from_projective_action)
+from brq.cohomology import GModule, h2, h2_qz
 from brq.cyclotomic import CycloMatrix, CycloNumber
 from brq.errors import ValidationError
 from brq.groups import direct_product, from_cayley_table
@@ -55,6 +57,57 @@ def test_relabelling_keeps_h2_and_b0(name):
     @given(st.permutations(range(1, group.order)))
     def check(perm):
         assert invariants(relabel(group, perm)) == expected
+
+    check()
+
+
+def mixed_d4_module():
+    """D4 on Z/4 + Z/2 by matrices that mix the factors."""
+    g = corpus.dihedral(4)
+    return GModule.finite(g, [4, 2], {g.generators[0]: [[1, 2], [1, 1]],
+                                      g.generators[1]: [[3, 0], [1, 1]]})
+
+
+def _relabelled_module(module, perm):
+    mats = np.empty_like(module.mats)
+    mats[[0, *perm]] = module.mats
+    return GModule(relabel(module.group, perm), module.kind, factors=module.factors,
+                   element_mats=mats)
+
+
+def _relabelled_action(action, perm):
+    """The action on the relabelled group, through the matrices of the
+    elements that its own generators relabel."""
+    group = relabel(action.group, perm)
+    mats = _tree_matrices(action.group, action.gen_matrices)[0]
+    old = {x: a for a, x in enumerate([0, *perm])}
+    return gamma_from_projective_action(group, {s: mats[old[s]] for s in group.generators})
+
+
+def _br_nr(action):
+    report = br_nr_projective(action)
+    return report.stack_group.invariant_factors, report.unramified_group.invariant_factors
+
+
+RELABELLED = {
+    "mixed_d4": (mixed_d4_module(), _relabelled_module,
+                 lambda module: h2(module).invariant_factors),
+    **{name: (act, _relabelled_action, _br_nr) for name, act in verify.catalog_actions()
+       if name in ("threefold_signs", "c3xc3_clock_shift")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(RELABELLED))
+def test_relabelling_keeps_h2_of_a_module_and_br_nr(name):
+    # each relabelling picks its own generators, so the gauge tree of the
+    # bar solver differs from one draw to the next
+    subject, relabelled, invariants = RELABELLED[name]
+    expected = invariants(subject)
+
+    @settings(max_examples=12, deadline=None, database=None)
+    @given(st.permutations(range(1, subject.group.order)))
+    def check(perm):
+        assert invariants(relabelled(subject, perm)) == expected
 
     check()
 

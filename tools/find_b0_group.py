@@ -29,8 +29,16 @@ would not prove that none exists.  Run from the repository root:
 
     python tools/find_b0_group.py
 
-Progress goes to stdout as the scan runs.  The search is deterministic, so
-running the tool again rewrites the fixture byte for byte.
+Progress goes to stdout as the scan runs.  The search is deterministic for
+a fixed H^2 basis, but its scan order follows that basis: each extension is
+built from ``h2(...).expand(coords)``, so the representative tables the
+solver returns decide which table of each invariant key is kept and in
+which order the candidates come.  A change of the solver's class basis
+therefore makes the tool write another table (the gauge-fixed solver stops
+at candidate 30, with the same ``checks`` as the frozen fixture, where the
+fixture was written at candidate 26).  The frozen fixture is checked on its
+own terms (``tests/test_b0_fixture.py``), not against a rerun of this tool,
+and running the tool overwrites it.
 """
 
 from __future__ import annotations
@@ -156,7 +164,7 @@ def b0(g, subgroup_mode="conj"):
     """Invariant factors of B0 of the group on g's table, loaded as the
     fixture's readers load it.  An extension keeps one generator per level,
     and the bar complex grows with the generator count: on the witness B0
-    takes about 12 s with those six generators and 1.6 s with the three
+    takes about 0.3 s with those six generators and 0.07 s with the three
     that ``from_cayley_table`` picks, on a 2-CPU host."""
     rep = bogomolov_multiplier(from_cayley_table(g.table), subgroup_mode=subgroup_mode)
     return list(rep.unramified_group.invariant_factors)
