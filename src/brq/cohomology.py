@@ -16,6 +16,8 @@ them (proofs at `_BarSolver`).
 Q/Z with trivial action is realized as Z/N for any N divisible by |G|: the
 cohomology in degree two is the quotient of the mod-N cohomology by the
 connecting images of Hom(G, Z/N), and in degree one the two groups agree.
+Hom(G, Z/N) is the group of 1-cocycles of the trivial module Z/N, which has
+no coboundaries, so it is read from the degree-one solver's cocycles.
 Lattice coefficients go through the multiplication-by-|G| sequence
 0 -> M -> M -> M/L -> 0, L = |G|, in both degrees: L kills H^k(G, M) for
 k >= 1, so H^k(M) is the cokernel of H^(k-1)(M) -> H^(k-1)(M/L).  H^1(M) is
@@ -56,7 +58,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DomainError, SizeLimitError, ValidationError
-from .groups import Subgroup, coset_representatives, homs_to_cyclic
+from .groups import Subgroup, coset_representatives
 from .linalg import (
     HowellAccumulator,
     augmented_echelon,
@@ -728,6 +730,8 @@ def h2_qz(group, modulus=None, max_order=None):
 
     A class is stored as a Z/N-valued cocycle whose value a stands for a/N;
     the invariant factors do not depend on the admissible modulus chosen.
+    The mod-N classes are taken modulo the Bockstein images of Hom(G, Z/N):
+    the 1-cocycles of the trivial module Z/N, the degree-one solver's kernel.
     """
     n = group.order
     N = int(modulus) if modulus else n
@@ -738,7 +742,9 @@ def h2_qz(group, modulus=None, max_order=None):
         coh = _trivial_cohomology(group, GModule.trivial_qz(group), 2, N)
     else:
         module = GModule(group, "trivial_qz", factors=[N], rank=1)
-        bocksteins = [connecting_bockstein(group, chi, N) for chi in homs_to_cyclic(group, N)]
+        solver = _BarH1Solver(group, module.mats, module.factors)
+        bocksteins = [connecting_bockstein(group, solver.expand(v)[:, 0], N)
+                      for v in solver.kernel_gens]
         coh = h2(module, max_order=max_order, extra_image_tables=bocksteins)
     coh.qz = True
     return coh

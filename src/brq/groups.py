@@ -9,7 +9,6 @@ impose tighter per-computation limits of their own.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -620,26 +619,3 @@ def coset_representatives(g, sub_elements):
         reps.append(coset[0])
         seen.update(coset)
     return reps
-
-
-def homs_to_cyclic(g, n):
-    """Generators of Hom(G, Z/n) as value tables, via the abelianization."""
-    q, proj = abelianization(g)
-    factors, witnesses = abelian_structure(q)
-    if not factors:
-        return []
-    k = len(factors)
-    # coordinates of every quotient element in the witness decomposition
-    coord = {}
-    for tup in itertools.product(*[range(f) for f in factors]):
-        x = 0
-        for j in range(k):
-            x = q.table[x][q.power(witnesses[j], tup[j])]
-        coord[x] = tup
-    gens = []
-    for j, f in enumerate(factors):
-        step = n // gcd(f, n)
-        chi = [(coord[proj[x]][j] * step) % n for x in range(g.order)]
-        if any(chi):
-            gens.append(chi)
-    return gens

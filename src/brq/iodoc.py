@@ -59,6 +59,21 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _int(value):
+    """An int, for `_field`: a float, a string or a bool is refused, never
+    truncated or coerced."""
+    if not _is_int(value):
+        raise TypeError("not an integer")
+    return value
+
+
+def _int_list(value):
+    """A list of ints, for `_field`."""
+    if not isinstance(value, list):
+        raise TypeError("not a list")
+    return [_int(x) for x in value]
+
+
 def _object(value):
     """A JSON object, for `_field`."""
     if not isinstance(value, dict):
@@ -86,7 +101,7 @@ def _int_rows(value, shape=None):
 def parse_group(doc):
     kind = _field(doc, "kind")
     if kind == "permutation":
-        return from_permutation_generators(_field(doc, "degree", int),
+        return from_permutation_generators(_field(doc, "degree", _int),
                                            _field(doc, "generators", _int_rows))
     if kind == "cayley":
         return from_cayley_table(_field(doc, "table", _int_rows))
@@ -101,7 +116,7 @@ def parse_group(doc):
 
         base = parse_group(_field(doc, "base"))
         shape = (base.order, base.order)
-        return central_extension_from_cocycle(base, _field(doc, "n", int),
+        return central_extension_from_cocycle(base, _field(doc, "n", _int),
                                               _field(doc, "cocycle", lambda v: _int_rows(v, shape)))
     raise ValidationError(f"unknown group kind {kind!r}", witness={"field": "kind", "value": kind})
 
@@ -164,7 +179,8 @@ def parse_module(group, doc):
         return GModule.trivial_qz(group)
     field = {"finite": "factors", "lattice": "rank"}.get(kind)
     if field is None:
-        raise ValidationError(f"unknown module kind {kind!r}")
+        raise ValidationError(f"unknown module kind {kind!r}",
+                              witness={"field": "kind", "value": kind})
     value = _field(doc, field)
     gen_mats = _gen_by_position(group, _field(doc, "action", default={}), lambda m: m)
     if kind == "finite":
@@ -186,13 +202,15 @@ def parse_action_document(doc, max_order=None):
     corr = _block(doc, "correlation")
     if corr is not None:
         if proj is None:
-            raise ValidationError("correlation input needs the collineation block")
+            raise ValidationError("correlation input needs the collineation block",
+                                  witness={"field": "projective"})
         coll = _gen_by_position(group, _field(proj, "matrices", default={}),
                                 parse_cyclo_matrix)
         phi = parse_cyclo_matrix(_field(corr, "phi"))
-        witness_pos = _field(corr, "coset_witness", int)
+        witness_pos = _field(corr, "coset_witness", _int)
         if not 0 <= witness_pos < len(group.generators):
-            raise ValidationError("coset witness position out of range")
+            raise ValidationError("coset witness position out of range",
+                                  witness={"field": "coset_witness", "value": witness_pos})
         witness = group.generators[witness_pos]
         payload["correlation"] = correlation_action(group, coll, phi, witness)
     elif proj is not None:
@@ -200,7 +218,7 @@ def parse_action_document(doc, max_order=None):
                                 parse_cyclo_matrix)
         payload["projective"] = gamma_from_projective_action(group, mats, max_order)
         dimension = payload["projective"].dimension
-        declared = _field(proj, "dimension", int, dimension)
+        declared = _field(proj, "dimension", _int, dimension)
         if declared != dimension:
             raise ValidationError("declared dimension does not match the matrices",
                                   witness={"declared": declared, "dimension": dimension})
@@ -213,8 +231,7 @@ def parse_action_document(doc, max_order=None):
     if "pic" in doc:
         payload["pic"] = parse_module(group, _field(doc, "pic", _object))
     if "grassmannian" in doc:
-        payload["grassmannian_r"] = _field(_field(doc, "grassmannian", _object), "r", int)
+        payload["grassmannian_r"] = _field(_field(doc, "grassmannian", _object), "r", _int)
     if "flag" in doc:
-        payload["flag_r_list"] = _field(_field(doc, "flag", _object), "r_list",
-                                        lambda v: [int(r) for r in v])
+        payload["flag_r_list"] = _field(_field(doc, "flag", _object), "r_list", _int_list)
     return payload

@@ -9,6 +9,10 @@ construction is checked to describe the stored table.
 
 from __future__ import annotations
 
+import importlib.util
+import json
+from pathlib import Path
+
 import pytest
 
 from brq import verify
@@ -123,3 +127,28 @@ def test_order64_witness_matches_its_construction(doc):
     cocycle = [[table[x][y] // m for y in range(m)] for x in range(m)]
     coh = h2(GModule.finite(q, [k]))
     assert list(coh.reduce(cocycle)) == con["h2_coordinates"]
+
+
+def _find_b0_group_tool():
+    path = Path(__file__).resolve().parent.parent / "tools" / "find_b0_group.py"
+    spec = importlib.util.spec_from_file_location("find_b0_group", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def test_search_tool_refuses_to_replace_the_frozen_group(tmp_path, doc):
+    tool = _find_b0_group_tool()
+    dest = tmp_path / "b0_order64.json"
+    tool.freeze(doc, dest)
+    assert json.loads(dest.read_text()) == doc
+    # another group is refused and the file is left as it was
+    other = {**doc, "group": {"kind": "cayley", "table": [[0]]}}
+    with pytest.raises(SystemExit) as info:
+        tool.freeze(other, dest)
+    assert info.value.code == 1
+    assert json.loads(dest.read_text()) == doc
+    # the same group is written again
+    same = {**doc, "description": "re-frozen"}
+    tool.freeze(same, dest)
+    assert json.loads(dest.read_text()) == same

@@ -250,6 +250,24 @@ def test_conductor_above_the_limit_exits_3_at_once(tmp_path, capsys):
     ({"group": KLEIN, "flag": {}}, {"field": "r_list"}),
     ({"group": KLEIN, "grassmannian": {"r": "x"}}, {"field": "r", "value": "x"}),
     ({"group": KLEIN, "flags": [1]}, {"field": "flags", "value": [1]}),
+    # integer fields are neither truncated nor coerced
+    ({"group": KLEIN, "grassmannian": {"r": 2.0}}, {"field": "r", "value": 2.0}),
+    ({"group": KLEIN, "grassmannian": {"r": "2"}}, {"field": "r", "value": "2"}),
+    ({"group": KLEIN, "grassmannian": {"r": True}}, {"field": "r", "value": True}),
+    ({"group": KLEIN, "flag": {"r_list": [1.5, 3.2]}}, {"field": "r_list", "value": [1.5, 3.2]}),
+    ({"group": KLEIN, "flag": {"r_list": "12"}}, {"field": "r_list", "value": "12"}),
+    ({"group": KLEIN, "projective": {"matrices": {}},
+      "correlation": {"phi": [[1]], "coset_witness": 0.9}},
+     {"field": "coset_witness", "value": 0.9}),
+    ({"group": KLEIN, "projective": {"matrices": {}},
+      "correlation": {"phi": [[1]], "coset_witness": 2}},
+     {"field": "coset_witness", "value": 2}),
+    ({"group": KLEIN, "correlation": {"phi": [[1]], "coset_witness": 0}},
+     {"field": "projective"}),
+    ({"group": KLEIN, "projective": {"dimension": 2.5, "matrices": {
+        "0": [[0, 1], [1, 0]], "1": [[1, 0], [0, -1]]}}},
+     {"field": "dimension", "value": 2.5}),
+    ({"group": KLEIN, "pic": {"kind": "torus"}}, {"field": "kind", "value": "torus"}),
 ])
 def test_malformed_document_exits_2_with_the_field(tmp_path, capsys, doc, witness):
     path = write(tmp_path, "doc.json", doc)
@@ -269,6 +287,11 @@ C2 = {"kind": "permutation", "degree": 2, "generators": [[1, 0]]}
     ({"kind": "central_extension", "base": KLEIN, "n": 2, "cocycle": 5}, "cocycle", 5),
     ({"kind": "central_extension", "base": KLEIN, "n": 2, "cocycle": [[0]]}, "cocycle", [[0]]),
     ({"kind": "semidirect", "normal": C2, "acting": C2, "action": 5}, "action", 5),
+    ({"kind": "permutation", "degree": 4.7, "generators": [[1, 0]]}, "degree", 4.7),
+    ({"kind": "permutation", "degree": "2", "generators": [[1, 0]]}, "degree", "2"),
+    ({"kind": "permutation", "degree": True, "generators": [[0]]}, "degree", True),
+    ({"kind": "central_extension", "base": KLEIN, "n": 2.0,
+      "cocycle": [[0] * 4] * 4}, "n", 2.0),
 ])
 def test_malformed_group_field_exits_2(tmp_path, capsys, group, field, value):
     path = write(tmp_path, "doc.json", {"group": group})

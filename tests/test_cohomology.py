@@ -11,9 +11,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from brq import corpus, verify
+from brq import cohomology, corpus, linalg, verify
+from brq.brauer import ToricAction, br_nr_toric
 from brq.cohomology import (
     GModule,
+    _BarH1Solver,
     _BarH2Solver,
     _d1,
     _d2,
@@ -31,6 +33,7 @@ from brq.cohomology import (
 from brq.errors import DomainError, SizeLimitError, ValidationError
 from brq.groups import (
     Subgroup,
+    abelian_invariants,
     abelian_structure,
     abelianization,
     bicyclic_subgroups,
@@ -38,7 +41,6 @@ from brq.groups import (
     cyclic_group,
     direct_product,
     from_permutation_generators,
-    homs_to_cyclic,
 )
 from brq.iodoc import parse_action_document
 from brq.linalg import HowellAccumulator, kernel, subquotient_structure
@@ -136,7 +138,7 @@ def test_h2_qz_refuses_an_over_limit_group_before_the_bockstein_work(monkeypatch
     def unreachable(*args):
         raise AssertionError("Hom(G, Z/N) was built for a group over the limit")
 
-    monkeypatch.setattr("brq.cohomology.homs_to_cyclic", unreachable)
+    monkeypatch.setattr("brq.cohomology._BarH1Solver", unreachable)
     with pytest.raises(SizeLimitError) as info:
         h2_qz(corpus.abelian_group([2] * 7))
     # seven generators, (7 - 1) * 127 + 7 = 769 unknowns off the gauge tree
@@ -167,18 +169,52 @@ def test_bockstein_rejects_non_homomorphism():
     assert info.value.witness == (1, 1)
 
 
+def _bar_homs(group, n):
+    """Hom(G, Z/n) as `h2_qz` reads it: the degree-one solver's cocycles
+    of the trivial module Z/n."""
+    solver = _BarH1Solver(group, np.ones((group.order, 1, 1), dtype=np.int64), [n])
+    return [solver.expand(v)[:, 0] for v in solver.kernel_gens]
+
+
+def _abelianization_homs(group, n):
+    """Hom(G, Z/n) with no bar solver: the coordinate maps of
+    G^ab = sum of the Z/d_i on the witnesses of `abelian_structure`, each
+    scaled into Z/n by n / gcd(d_i, n)."""
+    q, proj = abelianization(group)
+    factors, witnesses = abelian_structure(q)
+    coord = {0: (0,) * len(factors)}
+    frontier = [0]
+    while frontier:
+        x = frontier.pop()
+        for j, w in enumerate(witnesses):
+            y = q.table[x][w]
+            if y not in coord:
+                coord[y] = tuple((c + (i == j)) % factors[i] for i, c in enumerate(coord[x]))
+                frontier.append(y)
+    return [[coord[proj[x]][j] * (n // gcd(f, n)) % n for x in range(group.order)]
+            for j, f in enumerate(factors)]
+
+
+def _span(vectors, n, length):
+    """The subgroup of (Z/n)^length that the vectors generate, by closure."""
+    span = {(0,) * length}
+    for v in vectors:
+        span = {tuple((x + k * int(y)) % n for x, y in zip(s, v)) for s in span for k in range(n)}
+    return span
+
+
 def test_bockstein_classes_span_qz_kernel():
     # exactness: the connecting images are exactly the kernel of
-    # H^2(G, Z/N) -> H^2(G, Q/Z); compare orders
+    # H^2(G, Z/N) -> H^2(G, Q/Z); compare orders, with the homomorphisms
+    # taken from the abelianization rather than from the bar solver
     g = corpus.klein_four()
     n = 4
     m = GModule.finite(g, [n])
     plain = h2(m)
     qz = h2_qz(g, n)
-    from brq.groups import homs_to_cyclic
 
     img_coords = [plain.reduce(connecting_bockstein(g, chi, n))
-                  for chi in homs_to_cyclic(g, n)]
+                  for chi in _abelianization_homs(g, n)]
     # subgroup generated by the images inside plain
     from brq.linalg import quotient_of_structure
 
@@ -608,6 +644,59 @@ def test_shapiro_on_permutation_lattices(degree, copies, want, max_order):
     assert h2(module, max_order=max_order).invariant_factors == want
 
 
+def _lattice_answers(module):
+    """What the lattice path gives for a faithful lattice: the invariant
+    factors of H^1 and H^2, the coordinates of every representative and of
+    an integer coboundary in each degree, and the br_nr_toric report."""
+    n, t = module.group.order, module.group._np_table
+    b = np.random.default_rng(20240118).integers(-5, 6, size=(n, module.rank))
+    b[0] = 0
+    cohs = [h1(module), h2(module)]
+    shifts = [module.mats @ b[1] - b[1], _d1(module.mats, t, b, range(n))]
+    return ([coh.invariant_factors for coh in cohs],
+            [[tuple(coh.reduce(tab)) for tab in coh.rep_tables] for coh in cohs],
+            [tuple(coh.reduce(shift)) for coh, shift in zip(cohs, shifts)],
+            br_nr_toric(ToricAction(module.group, module)).to_json(include_witnesses=True))
+
+
+_S4_PERMS = [[1, 0, 2, 3], [1, 2, 3, 0]]
+# (lattice, whether its solve mod L^2 takes the numpy path at the real
+# bound): the lift of the S4 permutation lattice has (24 - 1) * 4 = 92
+# columns, that of the toric S3 lattice (6 - 1) * 2 = 10
+PURE_LIFT_LATTICES = {
+    "s3_toric": (_s3_lattice(), False),
+    "s4_permutation": (_permutation_lattice(from_permutation_generators(4, _S4_PERMS),
+                                            _S4_PERMS, 1), True),
+}
+
+
+@pytest.mark.parametrize("name", list(PURE_LIFT_LATTICES))
+def test_lattice_lift_on_the_pure_howell_path_matches_the_int64_bound(name, monkeypatch):
+    # with INT64_BOUND = L^2 - 1, `_connecting_lift` reduces its system
+    # mod L^2 with the pure `howell_rows`, as it would above order 1024
+    module, numpy_at_bound = PURE_LIFT_LATTICES[name]
+    L2 = module.group.order ** 2
+    paths = []
+    howell_rows = linalg.howell_rows
+
+    class RecordedAccumulator(linalg.HowellAccumulator):
+        def __init__(self, modulus):
+            paths.append(("numpy", modulus))
+            super().__init__(modulus)
+
+    monkeypatch.setattr(linalg, "howell_rows",
+                        lambda rows, n: paths.append(("pure", n)) or howell_rows(rows, n))
+    monkeypatch.setattr(linalg, "HowellAccumulator", RecordedAccumulator)
+    monkeypatch.setattr(cohomology, "_COHOMOLOGY_CACHE", {})
+    want = _lattice_answers(module)
+    assert (("numpy", L2) in paths) == numpy_at_bound
+    paths.clear()
+    monkeypatch.setattr(linalg, "INT64_BOUND", L2 - 1)
+    monkeypatch.setattr(cohomology, "_COHOMOLOGY_CACHE", {})
+    assert _lattice_answers(module) == want
+    assert ("pure", L2) in paths and ("numpy", L2) not in paths
+
+
 def test_d2_after_d1_vanishes():
     rng = np.random.default_rng(20240116)
     klein = corpus.klein_four()
@@ -650,7 +739,7 @@ def _full_build_h2(module, extra_tables=()):
 def _assert_qz_matches_full_build(group):
     n = group.order
     module = GModule(group, "trivial_qz", factors=[n], rank=1)
-    bocksteins = [connecting_bockstein(group, chi, n) for chi in homs_to_cyclic(group, n)]
+    bocksteins = [connecting_bockstein(group, chi, n) for chi in _bar_homs(group, n)]
     solver, full, structure = _full_build_h2(module, bocksteins)
     assert solver.kernel_gens == full
     assert h2_qz(group).invariant_factors == list(structure.invariant_factors)
@@ -658,6 +747,20 @@ def _assert_qz_matches_full_build(group):
 
 EDGE_GROUPS = dict(corpus.b0_vanishing_corpus())
 EDGE_GROUPS["abelian_2_2_2_4"] = corpus.abelian_group([2, 2, 2, 4])  # four generators
+HOM_GROUPS = {**CORPUS_AND_WITNESS, **EDGE_GROUPS, "symmetric3": corpus.symmetric(3)}
+
+
+@pytest.mark.parametrize("name", list(HOM_GROUPS))
+def test_bockstein_sources_are_all_of_hom_to_cyclic(name):
+    # |Hom(G, Z/N)| = prod gcd(d_i, N) over the invariants d_i of G^ab
+    group = HOM_GROUPS[name]
+    n = group.order
+    homs = _bar_homs(group, n)
+    for chi in homs:
+        assert not ((chi[:, None] + chi[None, :] - chi[group._np_table]) % n).any()
+    span = _span(homs, n, n)
+    assert len(span) == prod(gcd(d, n) for d in abelian_invariants(abelianization(group)[0]))
+    assert _span(_abelianization_homs(group, n), n, n) == span
 
 
 @pytest.mark.parametrize("name", list(EDGE_GROUPS))
@@ -712,7 +815,7 @@ def _gauge_case(name):
         return h2(module), module, []
     group = EDGE_GROUPS[name]
     n = group.order
-    bocksteins = [connecting_bockstein(group, chi, n) for chi in homs_to_cyclic(group, n)]
+    bocksteins = [connecting_bockstein(group, chi, n) for chi in _bar_homs(group, n)]
     return h2_qz(group), GModule(group, "trivial_qz", factors=[n], rank=1), bocksteins
 
 
@@ -832,7 +935,7 @@ def test_bockstein_and_extension_checks_match_the_full_check(name, seed):
     rng = np.random.default_rng(seed)
     trivial = GModule(group, "trivial_qz", factors=[n], rank=1)
     # a homomorphism to Z/n, perturbed at one element
-    homs = homs_to_cyclic(group, n)
+    homs = _bar_homs(group, n)
     chi = np.array(homs[int(rng.integers(0, len(homs)))], dtype=np.int64)
     chi[int(rng.integers(0, n))] += int(rng.integers(0, 3))
     want = _first_cocycle_failure(trivial, chi[:, None], 1)

@@ -16,7 +16,6 @@ from brq.groups import (
     direct_product,
     from_cayley_table,
     from_permutation_generators,
-    homs_to_cyclic,
     quotient_group,
     semidirect_product,
     subgroups_of_index_at_most,
@@ -289,16 +288,6 @@ def test_coset_representatives():
     reps = coset_representatives(g, sub.elements)
     assert len(reps) == 2
     assert reps[0] == 0
-
-
-def test_homs_to_cyclic():
-    g = corpus.symmetric(3)
-    gens = homs_to_cyclic(g, 6)
-    assert len(gens) == 1
-    chi = gens[0]
-    for a in range(6):
-        for b in range(6):
-            assert (chi[a] + chi[b]) % 6 == chi[g.table[a][b]]
 
 
 def test_all_subgroups_s3():

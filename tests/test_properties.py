@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 from brq import corpus, verify
 from brq.brauer import (_tree_matrices, bogomolov_multiplier, br_nr_projective,
                         gamma_from_projective_action)
-from brq.cohomology import GModule, h2, h2_qz
+from brq.cohomology import GModule, h1, h2, h2_qz
 from brq.cyclotomic import CycloMatrix, CycloNumber
 from brq.errors import ValidationError
 from brq.groups import direct_product, from_cayley_table
+from brq.iodoc import parse_action_document
 
 from test_brauer import KLEIN_PERM, all_pairs_table
 
@@ -72,7 +73,7 @@ def _relabelled_module(module, perm):
     mats = np.empty_like(module.mats)
     mats[[0, *perm]] = module.mats
     return GModule(relabel(module.group, perm), module.kind, factors=module.factors,
-                   element_mats=mats)
+                   rank=module.rank, element_mats=mats)
 
 
 def _relabelled_action(action, perm):
@@ -89,9 +90,26 @@ def _br_nr(action):
     return report.stack_group.invariant_factors, report.unramified_group.invariant_factors
 
 
+def _h1(module):
+    return h1(module).invariant_factors
+
+
+_D4, _S3 = corpus.dihedral(4), corpus.symmetric(3)
+_TORIC_S3 = parse_action_document(
+    verify.load_fixture_json("inputs/toric_s3.json")["document"])["toric"].lattice
+
 RELABELLED = {
     "mixed_d4": (mixed_d4_module(), _relabelled_module,
                  lambda module: h2(module).invariant_factors),
+    # H^1 of the trivial Z/8, which is Hom(D4, Z/8), is where h2_qz takes
+    # its Bockstein sources
+    "h1_trivial_z8_d4": (GModule(_D4, "trivial_qz", factors=[8], rank=1), _relabelled_module,
+                         _h1),
+    "h1_mixed_d4": (mixed_d4_module(), _relabelled_module, _h1),
+    "h1_toric_s3": (_TORIC_S3, _relabelled_module, _h1),
+    # S3 on Z through the sign: H^1 = Z/2, where the toric lattice has none
+    "h1_sign_s3": (GModule.lattice(_S3, 1, {_S3.generators[0]: [[-1]], _S3.generators[1]: [[1]]}),
+                   _relabelled_module, _h1),
     **{name: (act, _relabelled_action, _br_nr) for name, act in verify.catalog_actions()
        if name in ("threefold_signs", "c3xc3_clock_shift")},
 }

@@ -37,8 +37,9 @@ which order the candidates come.  A change of the solver's class basis
 therefore makes the tool write another table (the gauge-fixed solver stops
 at candidate 30, with the same ``checks`` as the frozen fixture, where the
 fixture was written at candidate 26).  The frozen fixture is checked on its
-own terms (``tests/test_b0_fixture.py``), not against a rerun of this tool,
-and running the tool overwrites it.
+own terms (``tests/test_b0_fixture.py``), not against a rerun of this tool.
+So the tool refuses (exit 1) to replace a fixture that holds another group;
+delete the file first to re-freeze the witness on purpose.
 """
 
 from __future__ import annotations
@@ -206,6 +207,17 @@ def checks(g):
     }
 
 
+def freeze(out, dest=DEST):
+    """Write the fixture document to `dest`; exit 1, writing nothing, when
+    `dest` already holds a different group."""
+    if dest.exists() and json.loads(dest.read_text()).get("group") != out["group"]:
+        log(f"{dest} holds another group; delete it to re-freeze the witness on purpose")
+        sys.exit(1)
+    dest.parent.mkdir(parents=True, exist_ok=True)
+    dest.write_text(json.dumps(out, sort_keys=True, indent=1) + "\n")
+    log(f"wrote {dest}")
+
+
 def main():
     t0 = time.monotonic()
     hit = scan(groups_of_order_32(), t0)
@@ -232,9 +244,7 @@ def main():
         "expected_b0": [2],
         "checks": checks(g),
     }
-    DEST.parent.mkdir(parents=True, exist_ok=True)
-    DEST.write_text(json.dumps(out, sort_keys=True, indent=1) + "\n")
-    log(f"wrote {DEST}")
+    freeze(out)
 
 
 if __name__ == "__main__":
