@@ -38,7 +38,16 @@ from .cohomology import (
     h2,
     h2_qz_cached,
 )
-from .cyclotomic import CycloMatrix, as_unit_fraction, exterior_power, hodge_star
+from .cyclotomic import (
+    CycloMatrix,
+    _lowest,
+    _matmul,
+    _proportional,
+    _unit_exponents,
+    as_unit_fraction,
+    exterior_power,
+    hodge_star,
+)
 from .errors import (
     DomainError,
     UnsupportedCaseError,
@@ -76,16 +85,28 @@ class ProjectiveAction:
         return coh.reduce(self.int_table(modulus))
 
 
-def _tree_matrices(group, gen_matrices):
-    """Deterministic matrix lifts for every element along the BFS tree."""
-    mats = [None] * group.order
-    dim = next(iter(gen_matrices.values())).nrows
-    conductor = lcm(group.exponent(), *(m.m for m in gen_matrices.values()))
-    mats[0] = CycloMatrix.identity(dim, conductor)
-    given = {g: m.promote(conductor) for g, m in gen_matrices.items()}
+def _tree_lifts(group, given, m):
+    """Numerators (n, d, d, phi) and denominators (n,) of the matrix lifts
+    along the BFS tree: M_1 = I and M_g = M_p M_x for each tree edge
+    (g, p, x), one batched product per (depth, generator).  The numerators
+    turn to dtype=object when a product needs it; the denominators are
+    Python ints throughout, so their products are exact."""
+    first = given[group.generators[0]]
+    dim, phi = first.nrows, first.num.shape[-1]
+    num = np.zeros((group.order, dim, dim, phi), dtype=np.int64)
+    num[0] = CycloMatrix.identity(dim, m).num
+    den = np.ones(group.order, dtype=object)
+    depth, levels = {0: 0}, {}
     for g, p, x in bfs_tree(group):
-        mats[g] = mats[p] * given[x]
-    return mats, conductor
+        depth[g] = depth[p] + 1
+        levels.setdefault((depth[g], x), []).append((g, p))
+    for (_, x), edges in levels.items():
+        children, parents = (list(t) for t in zip(*edges))
+        prod, d = _lowest(_matmul(m, num[parents], given[x].num), den[parents] * given[x].den)
+        if prod.dtype == object:
+            num = num.astype(object)
+        num[children], den[children] = prod, d
+    return num, den
 
 
 def gamma_from_projective_action(group, matrices, max_order=None):
@@ -93,15 +114,14 @@ def gamma_from_projective_action(group, matrices, max_order=None):
 
     `matrices` maps each group generator to an invertible CycloMatrix.  The
     defect c(g, h) with M_g M_h = c(g, h) M_{gh} must be a scalar and a root
-    of unity at the working conductor (the lcm of the input conductors and
+    of unity at the working conductor m (the lcm of the input conductors and
     the group exponent); anything else is rejected with the witness pair.
     `max_order` is the order limit of the H^2 used to check the class.
 
     Only the generator edges go through the matrix check: M_a M_x against
-    M_{ax} for each element a (ascending) and generator x (in
-    `group.generators` order); the first failing pair (a, x) is the witness.
-    `_tree_matrices` builds M_b = M_p M_x exactly along the BFS tree (M_x is
-    the given matrix: each generator is a child of the root), so
+    M_{ax} for each element a and generator x.  `_tree_lifts` builds
+    M_b = M_p M_x exactly along the BFS tree (M_x is the given matrix: each
+    generator is a child of the root), so
 
         M_a M_b = M_a M_p M_x = c(a, p) M_{ap} M_x = c(a, p) c(ap, x) M_{ab},
 
@@ -112,6 +132,22 @@ def gamma_from_projective_action(group, matrices, max_order=None):
     fractions are again such fractions.  The edges are among the pairs, so
     this accepts exactly what a check of all n^2 pairs accepts, with the
     same table.
+
+    Batch order.  The lifts are built level by level, one batched product
+    per (depth, generator), and each generator's n edges are checked at
+    once: one batched product M_a M_x over all a, one proportionality test
+    against M_{ax} (`cyclotomic._proportional`), and one comparison of the
+    pivot entries with the t = lcm(2, m) unit multiples
+    (`cyclotomic._unit_exponents`).  The first failing pair in the order
+    a ascending, then x in `group.generators` order, is the witness, as if
+    the pairs were checked one at a time in that order.
+
+    Singular input.  The generators' determinants are computed only when
+    some edge fails, before that edge is reported.  This is safe: when
+    every edge passes, every defect is a root of unity, and M_1 = I, so
+    M_a M_{a^-1} = c(a, a^-1) I with c(a, a^-1) != 0, and every M_a is
+    invertible.  So a singular generator always makes some edge fail, and
+    is reported as singular, as when the determinants come first.
     """
     gen_matrices = {int(g): m for g, m in dict(matrices).items()}
     if set(gen_matrices) != set(group.generators):
@@ -124,35 +160,38 @@ def gamma_from_projective_action(group, matrices, max_order=None):
         if shape != [dim, dim]:
             raise ValidationError("matrices must be square of a common dimension",
                                   witness={"generator": g, "shape": shape})
-    for g, m in gen_matrices.items():
-        if m.determinant().is_zero():
-            raise ValidationError("matrix for a generator is singular", witness=g)
-    mats, conductor = _tree_matrices(group, gen_matrices)
-
-    def edge_defect(a, x):
-        ratio = (mats[a] * mats[x]).scalar_ratio(mats[group.table[a][x]])
-        if ratio is None:
-            raise ValidationError(
-                "matrix defect is not scalar: input is not a projective action",
-                witness=(a, x))
-        frac = as_unit_fraction(ratio)
-        if frac is None:
-            raise ValidationError(
-                "scalar defect is not a root of unity at the working conductor",
-                witness=(a, x))
-        return frac
-
-    edges = [{x: edge_defect(a, x) for x in group.generators} for a in range(group.order)]
-    tree = bfs_tree(group)
-    table = []
-    for a in range(group.order):
-        row = [Fraction(0)] * group.order
-        for b, p, x in tree:
-            row[b] = (row[p] + edges[group.table[a][p]][x]) % 1
-        table.append(tuple(row))
-    action = ProjectiveAction(group, dim,
-                              {g: m.promote(conductor) for g, m in gen_matrices.items()},
-                              tuple(table), conductor)
+    conductor = lcm(group.exponent(), *(m.m for m in gen_matrices.values()))
+    given = {g: m.promote(conductor) for g, m in gen_matrices.items()}
+    num, den = _tree_lifts(group, given, conductor)
+    # edges[a, i]: exponent of the defect of (a, generator i), -1 when it is
+    # not a root of unity, -2 when it is not a scalar
+    edges = np.empty((group.order, len(group.generators)), dtype=np.int64)
+    for i, x in enumerate(group.generators):
+        target = group._np_table[:, x]
+        ok, a_p, b_p = _proportional(conductor, _matmul(conductor, num, given[x].num),
+                                     num[target])
+        exps = _unit_exponents(conductor, a_p, den[target], b_p, den * given[x].den)
+        edges[:, i] = np.where(ok, exps, -2)
+    failed = np.flatnonzero(edges.ravel() < 0)
+    if failed.size:
+        for g, m in gen_matrices.items():
+            if m.determinant().is_zero():
+                raise ValidationError("matrix for a generator is singular", witness=g)
+        a, i = divmod(int(failed[0]), len(group.generators))
+        raise ValidationError(
+            "matrix defect is not scalar: input is not a projective action"
+            if edges[a, i] == -2 else
+            "scalar defect is not a root of unity at the working conductor",
+            witness=(a, group.generators[i]))
+    t = lcm(2, conductor)
+    position = {x: i for i, x in enumerate(group.generators)}
+    table = np.zeros((group.order, group.order), dtype=np.int64)
+    for b, p, x in bfs_tree(group):
+        table[:, b] = (table[:, p] + edges[group._np_table[:, p], position[x]]) % t
+    fracs = [Fraction(e, t) for e in range(t)]
+    action = ProjectiveAction(group, dim, given,
+                              tuple(tuple(fracs[e] for e in row) for row in table.tolist()),
+                              conductor)
     # torsion bound: the class is killed by the matrix dimension
     N = lcm(group.order, action.cocycle_denominator())
     coh = h2_qz_cached(group, N, max_order)

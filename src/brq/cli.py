@@ -33,7 +33,6 @@ from .groups import abelian_structure, bicyclic_subgroups
 from .iodoc import (_field, _object, load_document, parse_action_document, parse_group,
                     parse_module)
 from .reports import BrauerReport, describe_factors
-from .verify import SUITES, run_suite
 
 
 def _render(doc_or_report, options):
@@ -226,6 +225,9 @@ def main(argv=None):
     options = parser.parse_args(argv)
     try:
         if options.verb == "verify":
+            # the suites load the catalogs and their fixtures; no other verb needs them
+            from .verify import SUITES, run_suite
+
             suite = options.target
             if suite is None or (suite not in SUITES and suite != "all"):
                 raise ValidationError(

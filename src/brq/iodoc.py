@@ -155,7 +155,10 @@ def parse_cyclo_matrix(rows):
 
 
 def _gen_by_position(group, action_doc, parse_entry):
-    """Maps generator-position keys ('0', '1', ...) to parsed values."""
+    """Maps generator-position keys ('0', '1', ...) to parsed values.  A key
+    is the canonical decimal of a position: '00', '+1', ' 1', '1_0' and '-0'
+    are refused, as int() would read them as positions that another key may
+    also name."""
     if not isinstance(action_doc, dict):
         raise ValidationError("an action block maps generator positions to matrices",
                               witness={"value": action_doc})
@@ -165,9 +168,9 @@ def _gen_by_position(group, action_doc, parse_entry):
             pos = int(key)
         except (TypeError, ValueError):
             pos = -1
-        if not 0 <= pos < len(group.generators):
-            raise ValidationError(f"generator position {key} out of range",
-                                  witness={"position": key})
+        if str(pos) != key or not 0 <= pos < len(group.generators):
+            raise ValidationError(f"generator position {key!r} is not a canonical decimal "
+                                  f"below {len(group.generators)}", witness={"position": key})
         out[group.generators[pos]] = parse_entry(value)
     return out
 

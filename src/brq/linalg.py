@@ -706,7 +706,12 @@ class HowellAccumulator:
         chunk = np.asarray(chunk, dtype=np.int64) % self.n
         chunk = chunk[chunk.any(axis=1)]
         if chunk.size:
-            chunk = np.unique(chunk, axis=0)
+            # the distinct rows in ascending lexicographic order, as
+            # np.unique(chunk, axis=0) gives them, without importing numpy.ma
+            chunk = chunk[np.lexsort(chunk.T[::-1])]
+            keep = np.ones(len(chunk), dtype=bool)
+            keep[1:] = (chunk[1:] != chunk[:-1]).any(axis=1)
+            chunk = chunk[keep]
         while chunk.size:
             # After the first pass only the unit pivots that the last batch
             # found or changed meet nonzero entries here.  The insertion

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -9,7 +10,6 @@ from brq import corpus
 from brq.brauer import (
     CorrelationAction,
     ToricAction,
-    _tree_matrices,
     bogomolov_multiplier,
     br_nr_flag,
     br_nr_grassmannian,
@@ -23,7 +23,7 @@ from brq.brauer import (
     plucker_beta,
     tensor_product_matrices,
 )
-from brq.cohomology import CohomologyGroup, GModule, h2, h2_qz_cached
+from brq.cohomology import CohomologyGroup, GModule, bfs_tree, h2, h2_qz_cached
 from brq.cyclotomic import CycloMatrix, CycloNumber, as_unit_fraction, plucker_vector
 from brq.errors import DomainError, SizeLimitError, UnsupportedCaseError, ValidationError
 from brq.groups import cyclic_group, from_cayley_table, from_permutation_generators
@@ -106,11 +106,22 @@ def test_gamma_rejects_non_projective_input():
         gamma_from_projective_action(g, {2: bad, 1: CycloMatrix([[1, 0], [0, -1]])})
 
 
+def tree_matrices(group, matrices):
+    """The lifts M_1 = I and M_g = M_p M_x along the BFS tree, one product
+    at a time, at the working conductor."""
+    given = {int(g): m for g, m in matrices.items()}
+    conductor = lcm(group.exponent(), *(m.m for m in given.values()))
+    mats = [CycloMatrix.identity(next(iter(given.values())).nrows, conductor)] * group.order
+    for g, p, x in bfs_tree(group):
+        mats[g] = mats[p] * given[x].promote(conductor)
+    return mats
+
+
 def all_pairs_table(group, matrices):
     """The scalar-defect table by its definition: every product M_a M_b of
     the tree lifts compared with M_ab.  An entry is None where the defect is
     not a scalar or not a root of unity at the working conductor."""
-    mats, _ = _tree_matrices(group, {int(g): m for g, m in matrices.items()})
+    mats = tree_matrices(group, matrices)
 
     def defect(a, b):
         ratio = (mats[a] * mats[b]).scalar_ratio(mats[group.table[a][b]])
@@ -137,6 +148,24 @@ def test_catalog_tables_equal_the_all_pairs_oracle():
 
 def test_correlation_plucker_table_equals_the_all_pairs_oracle():
     assert_table_is_the_oracle(plucker_beta(correlation_klein_gr24(), 2))
+
+
+def _shear(n, s):
+    """[[1, s], [0, 1]] + I_(n-2)."""
+    return CycloMatrix([[1 if i == j else (s if (i, j) == (0, 1) else 0) for j in range(n)]
+                        for i in range(n)])
+
+
+@pytest.mark.parametrize("name", ["pauli_klein", "c3xc3_clock_shift", "clock_shift_5"])
+def test_conjugation_by_a_matrix_with_large_entries_keeps_the_table(name):
+    """P M_x P^-1 for P = [[1, 2^40], [0, 1]] + I has entries near 2^80, so
+    the lifts and edge checks run on dtype=object numerators; the defects
+    of P M_g P^-1 are those of M_g."""
+    act = clock_shift_action(5) if name == "clock_shift_5" else dict(catalog_actions())[name]
+    p, p_inv = _shear(act.dimension, 2 ** 40), _shear(act.dimension, -(2 ** 40))
+    conj = {g: p * m * p_inv for g, m in act.gen_matrices.items()}
+    assert any(m.num.dtype == object for m in conj.values())
+    assert gamma_from_projective_action(act.group, conj).frac_table == act.frac_table
 
 
 KLEIN_PERM = from_permutation_generators(4, [[1, 0, 3, 2], [2, 3, 0, 1]])

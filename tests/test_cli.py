@@ -3,6 +3,9 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import brq
 from brq.cli import main, run_document_for_fixture
 
 
@@ -332,6 +336,78 @@ def test_brq_max_order_must_be_a_positive_integer(tmp_path, capsys, monkeypatch,
     err = json.loads(capsys.readouterr().out)["error"]
     assert err["type"] == "ValidationError"
     assert err["witness"] == {"field": "BRQ_MAX_ORDER", "value": value}
+
+
+# An action block of each kind on the Klein four group: (verb, document with
+# the given generator-position keys, each mapped to an identity matrix).
+_ACTION_BLOCKS = {
+    "projective": ("brnr", lambda keys: {
+        "group": KLEIN, "projective": {"matrices": {k: [[1, 0], [0, 1]] for k in keys}}}),
+    "toric": ("brnr", lambda keys: {
+        "group": KLEIN, "toric": {"rank": 2, "matrices": {k: [[1, 0], [0, 1]] for k in keys}}}),
+    "module": ("h1", lambda keys: {
+        "group": KLEIN, "module": {"kind": "lattice", "rank": 1,
+                                   "action": {k: [[1]] for k in keys}}}),
+}
+_NON_CANONICAL = ["00", "+1", " 1", "1_0", "-0"]
+
+
+def _run_json(verb, doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps(doc))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main([verb, str(path), "--json"])
+    return code, json.loads(out.getvalue()) if code else None
+
+
+@pytest.mark.parametrize("block", sorted(_ACTION_BLOCKS))
+@pytest.mark.parametrize("key", _NON_CANONICAL)
+def test_generator_position_keys_must_be_canonical(block, key):
+    verb, make_doc = _ACTION_BLOCKS[block]
+    code, out = _run_json(verb, make_doc(["0", "1", key]))
+    assert code == 2
+    assert out["error"]["type"] == "ValidationError"
+    assert out["error"]["witness"] == {"position": key}
+
+
+def test_a_second_spelling_of_a_position_does_not_replace_the_first():
+    # "00" used to overwrite the matrix at "0", and "+1" was read as position 1
+    matrices = {"0": [[5, 0], [0, 5]], "00": [[0, 1], [1, 0]], "+1": [[1, 0], [0, -1]]}
+    code, out = _run_json("brnr", {"group": KLEIN, "projective": {"matrices": matrices}})
+    assert code == 2
+    assert out["error"]["witness"] == {"position": "00"}
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(st.sampled_from(sorted(_ACTION_BLOCKS)),
+       st.lists(st.sampled_from(["0", "1", "2", "01", "x", "", *_NON_CANONICAL]),
+                unique=True, max_size=4))
+def test_action_blocks_refuse_the_first_key_that_is_not_a_position(block, keys):
+    verb, make_doc = _ACTION_BLOCKS[block]
+    code, out = _run_json(verb, make_doc(keys))
+    bad = [k for k in keys if k not in ("0", "1")]
+    if bad:
+        assert code == 2 and out["error"]["witness"] == {"position": bad[0]}
+    elif code:
+        assert "position" not in (out["error"].get("witness") or {})
+
+
+def test_h2_and_brnr_load_neither_the_verify_suites_nor_numpy_ma():
+    fixtures = Path(PAULI).parent
+    script = ("import contextlib, io, json, sys\n"
+              "from brq.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    codes = [main(['h2', {str(fixtures / 'a4_h2.json')!r}]),\n"
+              f"             main(['brnr', {str(fixtures / 'pauli_brnr.json')!r}])]\n"
+              "print(json.dumps([codes, [m in sys.modules for m in ('numpy.ma', 'brq.verify')]]))\n")
+    src = str(Path(brq.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, timeout=120, check=True)
+    assert json.loads(run.stdout) == [[0, 0], [False, False]]
 
 
 GR24 = str(Path(PAULI).parent / "gr24_correlation.json")

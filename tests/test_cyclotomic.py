@@ -4,13 +4,22 @@ import random
 from fractions import Fraction
 from math import lcm
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brq.cyclotomic import (
     CycloMatrix,
     CycloNumber,
+    _dot,
+    _lowest,
+    _matmul,
+    _proportional,
+    _unit_exponents,
     as_unit_fraction,
     cyclotomic_polynomial,
+    euler_phi,
     exterior_power,
     hodge_star,
     is_root_of_unity,
@@ -229,3 +238,81 @@ def test_numbers_and_matrices_are_unhashable_so_no_hash_can_disagree_with_eq():
     assert a == CycloMatrix([[minus_one]])
     with pytest.raises(TypeError):
         hash(a)
+
+
+# ---------------------------------------------------------------------------
+# the integer array core against a per-entry reference
+
+
+def _reference_product(a, b):
+    """a @ b entry by entry, each entry one `_dot` of CycloNumbers."""
+    cols = list(zip(*b.entries))
+    return [[_dot(a.m, row, col) for col in cols] for row in a.entries]
+
+
+def _reference_ratio(a, b):
+    """c with a = c b by field arithmetic on the entries, or None."""
+    pairs = [(x, y) for row_a, row_b in zip(a.entries, b.entries) for x, y in zip(row_a, row_b)]
+    pivot = next(((x, y) for x, y in pairs if not y.is_zero()), None)
+    if pivot is None:
+        return None
+    c = pivot[0] * pivot[1].inverse()
+    return c if all(x == c * y for x, y in pairs) else None
+
+
+_COEFF = (st.integers(-3, 3) | st.integers(-2 ** 70, 2 ** 70)
+          | st.sampled_from([2 ** 31, 2 ** 62, 2 ** 63 - 1, 2 ** 63, -(2 ** 63), -(2 ** 63) - 1]))
+
+
+@pytest.mark.parametrize("x, y", [(2 ** 62, 2), (-(2 ** 62), 2), (2 ** 63, Fraction(1, 2 ** 63)),
+                                  (2 ** 40, 2 ** 40), (2 ** 63 - 1, -1)])
+def test_products_cross_the_int64_limit_exactly(x, y):
+    got = CycloMatrix([[x]]) * CycloMatrix([[y]])
+    assert got.entries == ((CycloNumber.from_rational(Fraction(x) * y),),)
+    assert got.num.dtype == (object if abs(Fraction(x) * y) >= 2 ** 63 else np.int64)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.data())
+def test_batched_products_and_ratios_equal_the_per_entry_reference(data):
+    """Products of a batch of matrices, single products and scalar ratios,
+    on int64 and on dtype=object numerators (entries up to 2^70), equal a
+    reference that multiplies one entry at a time; the unit exponent of a
+    ratio is its torsion-table value."""
+    m = data.draw(st.sampled_from([1, 3, 4, 5, 8, 12]))
+    phi = euler_phi(m)
+
+    def number():
+        coeffs = data.draw(st.lists(_COEFF, min_size=1, max_size=phi))
+        return CycloNumber(m, [Fraction(c, data.draw(st.integers(1, 4))) for c in coeffs])
+
+    def matrix(rows, cols):
+        return CycloMatrix([[number() for _ in range(cols)] for _ in range(rows)], m)
+
+    r, k, c, batch = (data.draw(st.integers(1, 3)) for _ in range(4))
+    lefts, right = [matrix(r, k) for _ in range(batch)], matrix(k, c)
+    products = _matmul(m, np.stack([a.num for a in lefts]), right.num)
+    for a, num in zip(lefts, products):
+        want = CycloMatrix(_reference_product(a, right), m)
+        assert CycloMatrix._from_array(m, *_lowest(num, a.den * right.den)) == want
+        assert a * right == want
+        assert (a * right).entries == want.entries
+
+    b = matrix(r, c)
+    if data.draw(st.booleans()):  # a multiple of b, often by a root of unity
+        scalar = (CycloNumber.zeta(m, data.draw(st.integers(0, m - 1)))
+                  * data.draw(st.sampled_from([1, -1, 2])) if data.draw(st.booleans())
+                  else number())
+        a = CycloMatrix([[scalar * y for y in row] for row in b.entries], m)
+    else:
+        a = matrix(r, c)
+    want = _reference_ratio(a, b)
+    got = a.scalar_ratio(b)
+    assert (got is None) == (want is None) and (want is None or got == want)
+    ok, a_p, b_p = _proportional(m, a.num, b.num)
+    assert bool(ok) == (want is not None)
+    if ok:
+        e = int(_unit_exponents(m, a_p, a.den, b_p, b.den))
+        unit = as_unit_fraction(want)
+        assert (e == -1) == (unit is None)
+        assert unit is None or Fraction(e, lcm(2, m)) == unit

@@ -6,19 +6,18 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brq import corpus, verify
-from brq.brauer import (_tree_matrices, bogomolov_multiplier, br_nr_projective,
-                        gamma_from_projective_action)
+from brq.brauer import bogomolov_multiplier, br_nr_projective, gamma_from_projective_action
 from brq.cohomology import GModule, h1, h2, h2_qz
 from brq.cyclotomic import CycloMatrix, CycloNumber
 from brq.errors import ValidationError
 from brq.groups import direct_product, from_cayley_table
 from brq.iodoc import parse_action_document
 
-from test_brauer import KLEIN_PERM, all_pairs_table
+from test_brauer import KLEIN_PERM, all_pairs_table, tree_matrices
 
 # group and its Schur multiplier H^2(G, Q/Z); B0 is zero for all of them
 GROUPS = {
@@ -80,7 +79,7 @@ def _relabelled_action(action, perm):
     """The action on the relabelled group, through the matrices of the
     elements that its own generators relabel."""
     group = relabel(action.group, perm)
-    mats = _tree_matrices(action.group, action.gen_matrices)[0]
+    mats = tree_matrices(action.group, action.gen_matrices)
     old = {x: a for a, x in enumerate([0, *perm])}
     return gamma_from_projective_action(group, {s: mats[old[s]] for s in group.generators})
 
@@ -215,24 +214,33 @@ PAULI_X, PAULI_Z = ("full", [2, 3, 3, 2]), ("diagonal", [3, 0, 0, 1])
 @example(PAULI_X, PAULI_Z)
 @example(("full", [3, 3, 2, 3]), PAULI_Z)
 @example(("anti-diagonal", [0, 4, 4, 0]), PAULI_Z)
+@example(PAULI_X, ("diagonal", [3, 0, 0, 2]))
+@example(("full", [1, 2, 2, 1]), ("full", [3, 3, 3, 3]))
 def test_gamma_accepts_exactly_what_the_all_pairs_oracle_accepts(first, second):
     """Random 2 x 2 matrices on the Klein four: the generator-edge check
     accepts exactly when every pair's defect is a root of unity, with the
-    oracle's table, and a rejection names a pair (element, generator) that
-    fails in the oracle."""
+    oracle's table, and a rejection names the first pair (element,
+    generator) that fails in the oracle.  A draw with a singular matrix is
+    refused as singular, with the first singular generator as witness."""
     g = KLEIN_PERM
     mats = {}
     for x, (shape, picks) in zip(g.generators, (first, second)):
         entries = [ENTRIES[i] if keep else ENTRIES[2] for i, keep in zip(picks, SHAPES[shape])]
         mats[x] = CycloMatrix([entries[:2], entries[2:]])
-        assume(not mats[x].determinant().is_zero())
+    singular = [x for x in g.generators if mats[x].determinant().is_zero()]
+    if singular:
+        with pytest.raises(ValidationError) as info:
+            gamma_from_projective_action(g, mats)
+        assert info.value.message == "matrix for a generator is singular"
+        assert info.value.witness == singular[0]
+        return
     oracle = all_pairs_table(g, mats)
     accepted = all(v is not None for row in oracle for v in row)
     try:
         act = gamma_from_projective_action(g, mats)
     except ValidationError as err:
         assert not accepted
-        a, x = err.witness
-        assert x in g.generators and oracle[a][x] is None
+        assert err.witness == next((a, x) for a in range(g.order) for x in g.generators
+                                   if oracle[a][x] is None)
     else:
         assert accepted and act.frac_table == oracle
