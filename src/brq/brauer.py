@@ -170,7 +170,8 @@ def gamma_from_projective_action(group, matrices, max_order=None):
         target = group._np_table[:, x]
         ok, a_p, b_p = _proportional(conductor, _matmul(conductor, num, given[x].num),
                                      num[target])
-        exps = _unit_exponents(conductor, a_p, den[target], b_p, den * given[x].den)
+        # a_p is over den_a den_x (the product M_a M_x), b_p over den_ax
+        exps = _unit_exponents(conductor, a_p, den * given[x].den, b_p, den[target])
         edges[:, i] = np.where(ok, exps, -2)
     failed = np.flatnonzero(edges.ravel() < 0)
     if failed.size:

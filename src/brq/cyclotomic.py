@@ -332,13 +332,8 @@ def _exact(bound, *arrays):
 def _reduction(m):
     """(R, norm): the (phi^2, phi) integer matrix whose row s * phi + t
     holds x^(s+t) mod Phi_m, and the largest column sum of |R|."""
-    phi, poly = euler_phi(m), cyclotomic_polynomial(m)
-    powers, c = [], [1] + [0] * (phi - 1)
-    for _ in range(2 * phi - 1):
-        powers.append(c)
-        top, c = c[-1], [0] + c[:-1]
-        c = [x - top * p for x, p in zip(c, poly)]
-    rows = [powers[s + t] for s in range(phi) for t in range(phi)]
+    phi = euler_phi(m)
+    rows = [_number(m, [0] * (s + t) + [1]).num for s in range(phi) for t in range(phi)]
     return _array(rows), max(sum(abs(r[j]) for r in rows) for j in range(phi))
 
 

@@ -168,6 +168,39 @@ def test_conjugation_by_a_matrix_with_large_entries_keeps_the_table(name):
     assert gamma_from_projective_action(act.group, conj).frac_table == act.frac_table
 
 
+
+def _diagonal(n, s):
+    """diag(1, s) + I_(n-2)."""
+    return CycloMatrix([[(s if i == 1 else 1) if i == j else 0 for j in range(n)]
+                        for i in range(n)])
+
+
+def _hadamard():
+    """[[1, 1], [1, -1]] / sqrt 2 over Q(zeta_8): 1/sqrt 2 = (zeta_8 - zeta_8^3) / 2."""
+    c = (CycloNumber.zeta(8) - CycloNumber.zeta(8, 3)) * CycloNumber.from_rational(Fraction(1, 2))
+    return CycloMatrix([[c, c], [c, -c]])
+
+
+@pytest.mark.parametrize("name, conjugator", [
+    ("pauli_klein", "diagonal"), ("pauli_klein", "hadamard"),
+    ("c3xc3_clock_shift", "diagonal"), ("clock_shift_5", "diagonal"),
+])
+def test_conjugation_by_a_matrix_with_fractional_entries_keeps_the_table(name, conjugator):
+    """P M_x P^-1 for P = diag(1, 2) + I, or diag(1, 2) H with H the
+    Hadamard matrix over Q(zeta_8), has entries with denominator 2 (Pauli X
+    becomes [[0, 2], [1/2, 0]]), so the product M_a M_x and the lift M_ax of
+    an edge have different denominators; the defects of P M_g P^-1 are
+    those of M_g."""
+    act = clock_shift_action(5) if name == "clock_shift_5" else dict(catalog_actions())[name]
+    p = _diagonal(act.dimension, 2)
+    p_inv = _diagonal(act.dimension, Fraction(1, 2))
+    if conjugator == "hadamard":
+        p, p_inv = p * _hadamard(), _hadamard() * p_inv
+    assert p * p_inv == CycloMatrix.identity(act.dimension)
+    conj = {g: p * m * p_inv for g, m in act.gen_matrices.items()}
+    assert any(m.den != 1 for m in conj.values())
+    assert gamma_from_projective_action(act.group, conj).frac_table == act.frac_table
+
 KLEIN_PERM = from_permutation_generators(4, [[1, 0, 3, 2], [2, 3, 0, 1]])
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd
 
 import numpy as np
@@ -199,10 +200,12 @@ def test_b0_of_the_order64_witness_times_c2_is_z2():
     assert report.unramified_group.invariant_factors == (2,)
 
 
-# entries of the random Klein-four matrices: -2..2 and i = zeta_4.  A draw
-# keeps all four entries, or only the diagonal or the anti-diagonal ones, so
-# that projective (monomial) pairs are common.
-ENTRIES = [CycloNumber.from_rational(v) for v in range(-2, 3)] + [CycloNumber.zeta(4)]
+# entries of the random Klein-four matrices: -2..2, i = zeta_4 and +-1/2,
+# so that products and lifts carry different denominators.  A draw keeps
+# all four entries, or only the diagonal or the anti-diagonal ones, so that
+# projective (monomial) pairs are common.
+ENTRIES = ([CycloNumber.from_rational(v) for v in range(-2, 3)] + [CycloNumber.zeta(4)]
+           + [CycloNumber.from_rational(Fraction(v, 2)) for v in (1, -1)])
 SHAPES = {"full": (1, 1, 1, 1), "diagonal": (1, 0, 0, 1), "anti-diagonal": (0, 1, 1, 0)}
 klein_matrix = st.tuples(st.sampled_from(sorted(SHAPES)),
                          st.lists(st.integers(0, len(ENTRIES) - 1), min_size=4, max_size=4))
@@ -216,6 +219,7 @@ PAULI_X, PAULI_Z = ("full", [2, 3, 3, 2]), ("diagonal", [3, 0, 0, 1])
 @example(("anti-diagonal", [0, 4, 4, 0]), PAULI_Z)
 @example(PAULI_X, ("diagonal", [3, 0, 0, 2]))
 @example(("full", [1, 2, 2, 1]), ("full", [3, 3, 3, 3]))
+@example(("anti-diagonal", [0, 4, 6, 0]), PAULI_Z)
 def test_gamma_accepts_exactly_what_the_all_pairs_oracle_accepts(first, second):
     """Random 2 x 2 matrices on the Klein four: the generator-edge check
     accepts exactly when every pair's defect is a root of unity, with the
