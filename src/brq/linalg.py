@@ -6,11 +6,12 @@ routine is deterministic: identical inputs give identical outputs, including
 all witness data.  Integer work uses arbitrary-precision Python ints; no
 floating point anywhere.
 
-One Howell engine serves every kernel and solve: `augmented_echelon` reduces
-[M^T | I] (Storjohann and Mulders, "Fast algorithms for linear algebra modulo
-N", 1998) and `kernel`, `solve` and the cohomology solvers read their answers
-from its (image, transform) pairs.  Its output is the canonical Howell (or
-Hermite) form of the span, so it is the same whichever path computes it:
+One Howell engine serves every kernel and solve over Z/N: `augmented_echelon`
+reduces [M^T | I] (Storjohann and Mulders, "Fast algorithms for linear
+algebra modulo N", 1998) and `kernel`, `solve` and the cohomology solvers
+read their answers from its (image, transform) pairs.  Its output is the
+canonical Howell form of the span, so it is the same whichever path
+computes it:
 
 - Over Z/N with at least NUMPY_MIN_ROWS rows to reduce and N <= INT64_BOUND,
   the numpy sweep `HowellAccumulator` reduces the rows.  It keeps them
@@ -22,13 +23,18 @@ Hermite) form of the span, so it is the same whichever path computes it:
   pivots.  Its `canonical_rows` closes the non-unit rows under annihilators
   with the same insertion, then reduces the entries above the non-unit
   pivots one pivot column at a time.
-- Otherwise the pure-Python loop `howell_rows` (`hnf_rows` over Z) runs
-  alone: on fewer rows (most of the many small solves of B0), and as the
-  one fallback above INT64_BOUND.  It is also the reference the tests hold
-  the sweep to.
+- Otherwise the pure-Python loop `howell_rows` runs alone: on fewer rows
+  (most of the many small solves of B0), and as the one fallback above
+  INT64_BOUND.  It is also the reference the tests hold the sweep to.
 
-The cohomology solvers work mod N; the Z path (modulus None) serves only the
-`small_complex_h` oracle and the r-column kernel of lattice invariants M^G.
+One integer Smith form serves every computation over Z (modulus None):
+`smith_transforms` returns U*M*V = D with both transforms and W = U^-1,
+carried through one reduction.  The Z kernel is the columns of V past the
+rank, `solve` returns x = V y with D y = U b, and the Z branch of
+`subquotient_structure` reads its basis and coordinates off the Smith form
+of its kernel generators.  The cohomology solvers work mod N; the Z path
+serves only the `small_complex_h` oracle and the r-column kernel of lattice
+invariants M^G.
 
 `subquotient_structure` over Z/N canonicalises its kernel generators with
 `canonical_howell` (so on the same path choice) and solves every image
@@ -44,8 +50,9 @@ grow: on C_96 (95 x 191) its transforms reached 184-digit entries, though
 every use of them was mod N (the growth that Domich, Kannan and
 Trotter, "Hermite normal form computation using modulo determinant
 arithmetic", 1987, avoid by working mod N).  Over Z (the lattice case of
-`small_complex_h`, at most 4r coordinates) the SNF still runs on the image
-coordinates in the kernel lattice.
+`small_complex_h`, at most 4r coordinates) the SNF of the kernel generators
+gives the kernel lattice its basis, and a second SNF runs on the image
+coordinates in that basis.
 
 INT64_BOUND = 2^20 keeps residue products below 2^40, so the sweep's row
 operations, extended-gcd combinations and sums of fewer than 2^23 products,
@@ -187,7 +194,7 @@ class ModMatrix:
 
 
 def _identity(k):
-    return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+    return [[0] * i + [1] + [0] * (k - i - 1) for i in range(k)]
 
 
 def pivot_columns(rows):
@@ -200,15 +207,13 @@ def pivot_columns(rows):
 
 
 def smith_transforms(matrix):
-    """Smith normal form core: (U, D, column_ops, W), U, D and W as lists
-    of rows.
+    """Smith normal form core: (U, D, V, W) as lists of rows.
 
     U*M*V = D with U and V unimodular and D diagonal with d1 | d2 | ... >= 0.
-    W = U^-1 is carried through the reduction: every row operation applied
-    to U is matched by the inverse column operation on W, so no inverse is
-    ever computed.  V is not built: `column_ops` records the column
-    operations in order, (i, j) for a swap and (dst, src, q) for adding q
-    times column src to column dst, and `smith_normal_form` replays them.
+    Both transforms are carried through the one reduction: every column
+    operation on M is applied to V in place, and every row operation applied
+    to U is matched by the inverse column operation on W, so W = U^-1 with
+    no inverse ever computed.
     Pivot choice: smallest nonzero absolute value, ties broken row-major.
     """
     if isinstance(matrix, IntMatrix):
@@ -218,8 +223,8 @@ def smith_transforms(matrix):
     m = len(a)
     n = len(a[0]) if a else 0
     u = _identity(m)
+    v = _identity(n)
     w = _identity(m)
-    column_ops = []
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -230,7 +235,8 @@ def smith_transforms(matrix):
     def swap_cols(i, j):
         for r in a:
             r[i], r[j] = r[j], r[i]
-        column_ops.append((i, j))
+        for r in v:
+            r[i], r[j] = r[j], r[i]
 
     def add_row(dst, src, q):
         # row_dst += q * row_src
@@ -247,7 +253,8 @@ def smith_transforms(matrix):
     def add_col(dst, src, q):
         for r in a:
             r[dst] += q * r[src]
-        column_ops.append((dst, src, q))
+        for r in v:
+            r[dst] += q * r[src]
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
@@ -316,28 +323,22 @@ def smith_transforms(matrix):
             negate_row(t)
         t += 1
 
-    return u, a, column_ops, w
+    return u, a, v, w
+
+
+def _rank(d):
+    """The number of nonzero diagonal entries of a Smith form D."""
+    return sum(1 for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i])
 
 
 def smith_normal_form(matrix):
     """Smith normal form with transforms.
 
     Returns (U, D, V) as IntMatrix with U*M*V = D, U and V unimodular, D
-    diagonal with d1 | d2 | ... >= 0.  U^-1 is carried through the same
-    reduction, not computed afterwards; `smith_transforms` returns it too.
-    V is the identity with the recorded column operations replayed on it.
+    diagonal with d1 | d2 | ... >= 0: the transforms of `smith_transforms`,
+    which also returns U^-1.
     """
-    u, d, column_ops, _ = smith_transforms(matrix)
-    v = _identity(len(d[0]) if d else 0)
-    for op in column_ops:
-        if len(op) == 2:
-            i, j = op
-            for r in v:
-                r[i], r[j] = r[j], r[i]
-        else:
-            dst, src, q = op
-            for r in v:
-                r[dst] += q * r[src]
+    u, d, v, _ = smith_transforms(matrix)
     return IntMatrix.from_rows(u), IntMatrix.from_rows(d), IntMatrix.from_rows(v)
 
 
@@ -352,86 +353,6 @@ def invariant_presentation(relation_cols):
     u, d, _, w = smith_transforms(relation_cols)
     width = len(d[0]) if d else 0
     return [d[i][i] if i < width else 0 for i in range(k)], u, w
-
-
-def invariant_factors_of(matrix):
-    """Diagonal of the SNF, zeros dropped, unit factors dropped."""
-    _, d, _ = smith_normal_form(matrix)
-    out = []
-    for i in range(min(d.rows, d.cols)):
-        x = d.entries[i][i]
-        if x > 1:
-            out.append(x)
-        elif x == 0:
-            out.append(0)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Hermite form over Z (the small-complex oracle and lattice invariants)
-
-
-def hnf_rows(rows):
-    """Canonical row Hermite form of the lattice spanned by the given rows.
-
-    Returns a list of nonzero rows with strictly increasing pivot columns,
-    positive pivots, and entries above each pivot reduced to [0, pivot).
-    """
-    rows = [[int(x) for x in r] for r in rows]
-    basis = {}  # pivot col -> row (list)
-
-    def insert(vec):
-        vec = list(vec)
-        while True:
-            p = next((j for j, x in enumerate(vec) if x != 0), None)
-            if p is None:
-                return
-            if p not in basis:
-                if vec[p] < 0:
-                    vec = [-x for x in vec]
-                basis[p] = vec
-                return
-            cur = basis[p]
-            if vec[p] % cur[p] == 0:
-                q = vec[p] // cur[p]
-                vec = [x - q * y for x, y in zip(vec, cur)]
-            else:
-                g, s, t = xgcd(cur[p], vec[p])
-                new_cur = [s * x + t * y for x, y in zip(cur, vec)]
-                vec = [-(vec[p] // g) * x + (cur[p] // g) * y for x, y in zip(cur, vec)]
-                basis[p] = new_cur
-
-    for r in rows:
-        insert(r)
-    # reduce entries above pivots; ascending column order per row
-    pivots = sorted(basis)
-    for qi, q in enumerate(pivots):
-        row = basis[q]
-        for p in pivots[qi + 1 :]:
-            f = row[p] // basis[p][p]
-            if f:
-                row = [x - f * y for x, y in zip(row, basis[p])]
-        basis[q] = row
-    return [basis[p] for p in pivots]
-
-
-def hnf_solve(basis_rows, target):
-    """Express target as an integer combination of canonical HNF rows.
-
-    Returns the coefficient list or None when target is outside the lattice.
-    """
-    coeffs = [0] * len(basis_rows)
-    res = [int(x) for x in target]
-    for i, (row, p) in enumerate(zip(basis_rows, pivot_columns(basis_rows))):
-        if res[p] % row[p] != 0:
-            return None
-        c = res[p] // row[p]
-        if c:
-            res = [x - c * y for x, y in zip(res, row)]
-        coeffs[i] = c
-    if any(res):
-        return None
-    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -758,8 +679,8 @@ class HowellAccumulator:
 
 def _numpy_path(row_count, modulus):
     """Whether the Howell engine reduces `row_count` rows mod `modulus` with
-    the numpy sweep (module docstring); the Z path (None) never does."""
-    return modulus is not None and row_count >= NUMPY_MIN_ROWS and modulus <= INT64_BOUND
+    the numpy sweep (module docstring)."""
+    return row_count >= NUMPY_MIN_ROWS and modulus <= INT64_BOUND
 
 
 def canonical_howell(rows, n):
@@ -775,14 +696,15 @@ def canonical_howell(rows, n):
 
 
 def augmented_echelon(rows, modulus, cols):
-    """Canonical echelon of [M^T | I] for the matrix M with the given rows.
+    """Canonical Howell form of [M^T | I] over Z/N for the matrix M with the
+    given rows.
 
-    `modulus` is N for Z/N or None for Z; `cols` is the column count of M,
-    so an M without rows is still an r x cols matrix with r = 0.  Returns
-    (image, transform) pairs, one per row of the Howell form (Z/N) or the
-    Hermite form (Z): transform t satisfies M t = image.  The pairs with a
-    zero image are the canonical form of the right kernel of M; the others
-    solve M x = b.  `canonical_howell` chooses the reduction path.
+    `cols` is the column count of M, so an M without rows is still an
+    r x cols matrix with r = 0.  Returns (image, transform) pairs, one per
+    row of the Howell form: transform t satisfies M t = image mod N.  The
+    pairs with a zero image are the canonical form of the right kernel of
+    M; the others solve M x = b.  `canonical_howell` chooses the reduction
+    path.
     """
     r = len(rows)
     if _numpy_path(cols, modulus):
@@ -791,24 +713,33 @@ def augmented_echelon(rows, modulus, cols):
     else:
         columns = zip(*rows) if len(rows) else [()] * cols
         aug = [list(c) + [int(i == j) for j in range(cols)] for i, c in enumerate(columns)]
-    reduced = hnf_rows(aug) if modulus is None else canonical_howell(aug, modulus)
-    return [(row[:r], row[r:]) for row in reduced]
+    return [(row[:r], row[r:]) for row in canonical_howell(aug, modulus)]
 
 
 def kernel(rows, modulus, cols):
-    """Canonical generators of {x : M x = 0} over Z (modulus None) or Z/N.
+    """Generators of {x : M x = 0} over Z (modulus None) or Z/N.
 
-    An M without rows has the identity as its kernel basis (over Z/1 the
-    kernel is zero and has no generators).
+    Over Z/N they are the canonical Howell form of the kernel.  Over Z they
+    are the columns of V past the rank in the Smith form U*M*V = D: a basis
+    of the kernel lattice, deterministic but not canonical.  An M without
+    rows has the identity as its kernel basis (over Z/1 the kernel is zero
+    and has no generators).
     """
-    return [t for image, t in augmented_echelon(rows, modulus, cols) if not any(image)]
+    if modulus is not None:
+        return [t for image, t in augmented_echelon(rows, modulus, cols) if not any(image)]
+    if not len(rows):
+        return _identity(cols)
+    _, d, v, _ = smith_transforms(rows)
+    return [[r[j] for r in v] for j in range(_rank(d), cols)]
 
 
 def solve(matrix, rhs):
-    """Canonical solution x of M x = b over Z or Z/N, or None.
+    """A solution x of M x = b over Z or Z/N, or None.
 
-    Deterministic: the Howell/Hermite pivot walk yields the canonical
-    smallest solution produced by minimal nonnegative coefficients.
+    Deterministic.  Over Z/N the Howell pivot walk yields the canonical
+    smallest solution produced by minimal nonnegative coefficients.  Over Z
+    it is x = V y for the Smith form U*M*V = D, with D y = U b and the
+    entries of y past the rank zero.
     """
     if isinstance(matrix, ModMatrix):
         n = matrix.modulus
@@ -819,16 +750,23 @@ def solve(matrix, rhs):
     rows = matrix.to_lists()
     if len(rhs) != len(rows):
         raise ValidationError("dimension mismatch in solve")
+    if n is None:
+        u, d, v, _ = smith_transforms(rows)
+        ub = [sum(x * int(y) for x, y in zip(row, rhs)) for row in u]
+        rank = _rank(d)
+        if any(ub[rank:]) or any(ub[i] % d[i][i] for i in range(rank)):
+            return None
+        y = [ub[i] // d[i][i] for i in range(rank)]
+        return [sum(a * b for a, b in zip(row, y)) for row in v]
     pairs = [p for p in augmented_echelon(rows, n, matrix.cols) if any(p[0])]
-    span = [image for image, _ in pairs]
-    coeffs = howell_solve(span, rhs, n) if n else hnf_solve(span, rhs)
+    coeffs = howell_solve([image for image, _ in pairs], rhs, n)
     if coeffs is None:
         return None
     x = [0] * matrix.cols
     for c, (_, t) in zip(coeffs, pairs):
         if c:
             x = [xi + c * ti for xi, ti in zip(x, t)]
-    return [xi % n for xi in x] if n else x
+    return [xi % n for xi in x]
 
 
 # ---------------------------------------------------------------------------
@@ -889,10 +827,20 @@ def subquotient_structure(ambient_dim, modulus, kernel_gens, image_gens):
     else:
         n = None
         span = "kernel lattice"
-        basis = hnf_rows(kernel_gens) if kernel_gens else []
+        # the Smith form U*K*V = D of the generator rows K: the nonzero rows
+        # of U*K (d_i times row i of V^-1) are a basis of their lattice, and
+        # a vector v has coordinates (v*V)_i / d_i in it
+        u, d, v, _ = smith_transforms(kernel_gens)
+        rank = _rank(d)
+        basis = [[sum(x * y for x, y in zip(row, col)) for col in zip(*kernel_gens)]
+                 for row in u[:rank]]
+        v_cols = list(zip(*v))
 
-        def solve_in_basis(v):
-            return hnf_solve(basis, v)
+        def solve_in_basis(vec):
+            c = [sum(x * y for x, y in zip(vec, col)) for col in v_cols]
+            if any(c[rank:]) or any(c[i] % d[i][i] for i in range(rank)):
+                return None
+            return [c[i] // d[i][i] for i in range(rank)]
 
     if not basis:
         for v in image_gens:

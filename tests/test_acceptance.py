@@ -115,6 +115,14 @@ def test_criterion_6_moduli_example():
     assert ok
 
 
+def test_m06_lattice_generator_reproduces_the_fixture():
+    root = os.path.dirname(os.path.dirname(__file__))
+    proc = subprocess.run([sys.executable, os.path.join("tools", "gen_m06_lattice.py"), "--check"],
+                          capture_output=True, text=True, cwd=root)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "stored fixture matches" in proc.stdout
+
+
 def test_criterion_7_oracle_equivalence():
     cases = verify.suite_oracle_equivalence()
     assert len(cases) >= 50

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 from math import gcd, prod
 
 import numpy as np
@@ -22,7 +23,6 @@ from brq.linalg import (
     _scaled_unit_structure,
     canonical_howell,
     direct_sum_structure,
-    hnf_rows,
     howell_form,
     howell_rows,
     howell_solve,
@@ -187,7 +187,45 @@ def test_kernel_int_simple():
     assert gens
     for g in gens:
         assert all(sum(g[i] * rows[i][j] for i in range(2)) == 0 for j in range(2))
-    assert hnf_rows(gens) == hnf_rows([[1, -2]])
+    assert gens in ([[1, -2]], [[-1, 2]])
+
+
+def rational_rank(rows):
+    """Rank over Q, by Gaussian elimination on Fractions."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for j in range(len(m[0]) if m else 0):
+        p = next((i for i in range(rank, len(m)) if m[i][j]), None)
+        if p is None:
+            continue
+        m[rank], m[p] = m[p], m[rank]
+        for i in range(rank + 1, len(m)):
+            f = m[i][j] / m[rank][j]
+            m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+int_matrices = st.integers(1, 12).flatmap(
+    lambda cols: st.lists(st.lists(st.integers(-3, 3), min_size=cols, max_size=cols),
+                          min_size=1, max_size=8))
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(int_matrices, st.lists(st.tuples(st.integers(0, 7), st.sampled_from([1, -1])),
+                              max_size=4))
+def test_kernel_over_z_is_annihilated_full_and_saturated(rows, copies):
+    # rank-deficient draws: rows repeated, some of them negated
+    rows = rows + [[s * x for x in rows[i % len(rows)]] for i, s in copies[:8 - len(rows)]]
+    cols = len(rows[0])
+    gens = kernel(rows, None, cols)
+    for g in gens:
+        assert matvec(rows, g) == [0] * len(rows)
+    assert len(gens) == cols - rational_rank(rows)
+    # saturated: a full-rank sublattice of the kernel with all invariant
+    # factors 1 is the whole kernel lattice
+    if gens:
+        assert check_snf(gens) == [1] * len(gens)
 
 
 def test_solve_identity_and_congruences():
@@ -404,22 +442,23 @@ def snf_cases(rng):
 def test_snf_carries_inverse_transform():
     rng = random.Random(20261018)
     for rows in snf_cases(rng):
-        u, d, _, w = smith_transforms(rows)
+        u, d, v, w = smith_transforms(rows)
         m = len(rows)
         n = len(rows[0]) if rows else 0
         assert mul(u, w, m) == identity(m)
         assert mul(w, u, m) == identity(m)
-        # V is the recorded column operations replayed on the identity
+        assert mul(mul(u, rows, n), v, n) == d
+        if n:
+            assert det(v) in (1, -1)
         wrapped = [x.to_lists() for x in smith_normal_form(IntMatrix.from_rows(rows))]
-        assert wrapped[:2] == [u, d]
-        assert mul(mul(u, rows, n), wrapped[2], n) == d
+        assert wrapped == [u, d, v]
         factors, pu, pw = invariant_presentation(rows)
         assert (pu, pw) == (u, w)
         assert factors == [d[i][i] if i < n else 0 for i in range(m)]
 
 
-# (M, U, D, V, W) pinned from a reduction that updated V in place; the V
-# replayed from the recorded column operations must be the same.
+# (M, U, D, V, W) pinned from a reduction that updates V in place, as
+# `smith_transforms` does.
 FROZEN_SNF = [
     ([[2, 4, 4], [-6, 6, 12], [10, -4, -16]],
      [[1, 0, 0], [3, 1, 0], [1, 2, 1]], [[2, 0, 0], [0, 6, 0], [0, 0, 12]],
@@ -581,10 +620,10 @@ def test_kernel_annihilates_and_is_the_canonical_form(n, cols):
         assert gens
 
 
-# Over Z the engine always runs the pure Hermite loop, whose entries grow
-# fast with the width, so the Z case stays narrow.
+# The 51-column Z case catches entry growth in the integer solve and kernel:
+# a Hermite loop that leaves its rows unreduced runs for minutes on it.
 @pytest.mark.parametrize("n, cols", [(n, c) for n in ENGINE_MODULI for c in ENGINE_COLS]
-                         + [(None, 5), (None, 9)])
+                         + [(None, 5), (None, 9), (None, 51)])
 def test_solve_solution_satisfies_the_system(n, cols):
     rng = random.Random(cols * 13 + (n or 0) % 983)
     count = cols // 3 + 1
@@ -599,6 +638,10 @@ def test_solve_solution_satisfies_the_system(n, cols):
     x = solve(matrix, b)
     if n is None:
         assert matvec(rows, x) == b
+        gens = kernel(rows, None, cols)
+        assert len(gens) == cols - rational_rank(rows)
+        for k in gens:
+            assert matvec(rows, k) == [0] * count
     else:
         assert [v % n for v in matvec(rows, x)] == [v % n for v in b]
 

@@ -12,22 +12,31 @@ for distinct i, j, k, l.  The quotient is verified to be free of rank 16,
 the permutation action is verified to descend to a group action, and the
 first cohomology of the alternating group and of its Klein subgroup are
 computed as a cross-check before the fixture is written.
+
+    python3 tools/gen_m06_lattice.py           # rewrite the fixture
+    python3 tools/gen_m06_lattice.py --check   # write nothing; exit 1 on a difference
+
+The relations span a saturated lattice whose Hermite form has unit pivots,
+so its rows are the reduced row echelon rows over Q, asserted integral.
 """
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from brq.cohomology import GModule, h1  # noqa: E402
 from brq.corpus import alternating4  # noqa: E402
-from brq.linalg import hnf_rows, invariant_factors_of  # noqa: E402
+from brq.linalg import invariant_presentation  # noqa: E402
 
 POINTS = list(range(6))
+DEST = Path(__file__).resolve().parent.parent / "src" / "brq" / "fixtures" / "m06_picard_lattice.json"
 
 
 def canonical(s):
@@ -74,17 +83,41 @@ def keel_relations(classes):
     return rels
 
 
-def main():
+def reduced_echelon(rows):
+    """The nonzero rows of the reduced row echelon form over Q."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for j in range(len(m[0])):
+        p = next((i for i in range(rank, len(m)) if m[i][j]), None)
+        if p is None:
+            continue
+        pivot = m[p][j]
+        m[rank], m[p] = [x / pivot for x in m[p]], m[rank]
+        for i in range(len(m)):
+            if i != rank and m[i][j]:
+                f = m[i][j]
+                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return m[:rank]
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare with the stored fixture instead of writing it")
+    args = parser.parse_args(argv)
     classes = boundary_classes()
     assert len(classes) == 25, len(classes)
     rels = keel_relations(classes)
-    basis = hnf_rows(rels)
+    snf, _, _ = invariant_presentation(rels)
+    assert all(f == 1 for f in snf if f), f"relations are not saturated: {snf}"
+    echelon = reduced_echelon(rels)
+    assert all(x.denominator == 1 for row in echelon for x in row), "non-integral echelon row"
+    # saturated with unit pivots: these are the Hermite rows of the lattice
+    basis = [[int(x) for x in row] for row in echelon]
     rank = len(basis)
     assert rank == 9, f"relation rank {rank} != 9"
-    snf = invariant_factors_of(rels)
-    assert all(f == 1 for f in snf if f), f"relations are not saturated: {snf}"
     pivots = [next(j for j, x in enumerate(row) if x != 0) for row in basis]
-    assert all(basis[i][pivots[i]] == 1 for i in range(rank)), "non-unimodular pivot"
     free_cols = [j for j in range(25) if j not in pivots]
     assert len(free_cols) == 16
 
@@ -178,11 +211,16 @@ def main():
             "h1_klein": coh_k.invariant_factors,
         },
     }
-    dest = Path(__file__).resolve().parent.parent / "src" / "brq" / "fixtures" / "m06_picard_lattice.json"
-    dest.parent.mkdir(parents=True, exist_ok=True)
-    dest.write_text(json.dumps(out, sort_keys=True, indent=1) + "\n")
-    print("wrote", dest)
+    text = json.dumps(out, sort_keys=True, indent=1) + "\n"
+    if args.check:
+        same = DEST.exists() and DEST.read_text() == text
+        print("stored fixture matches" if same else f"differs {DEST.name}")
+        return 0 if same else 1
+    DEST.parent.mkdir(parents=True, exist_ok=True)
+    DEST.write_text(text)
+    print("wrote", DEST)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
