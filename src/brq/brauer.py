@@ -4,9 +4,11 @@ Implements the Bogomolov multiplier, the scalar-defect class of a
 projective matrix action, the stack Brauer quotient, and closed-form
 unramified Brauer groups for linear, projective, Grassmannian, flag, and
 toric actions.  Every kernel over the bicyclic family is computed by one
-engine: stack the restriction-then-quotient conditions into a single
-integer matrix on class coordinates and present the solution set through
-`subquotient_structure`.
+engine, `_kernel_report`, which reads each bicyclic subgroup A once: it
+restricts the unit classes, builds Q_A = H^2(A)/<restricted relations>,
+and lets the images of the unit classes in Q_A give both the kernel rows
+on class coordinates and the per-subgroup diagnostics; the solution set is
+presented through `subquotient_structure`.
 
 The engine restricts a Q/Z class to a bicyclic subgroup A = <a, b> through
 the commutator pairing (`CohomologyGroup.restrict_bicyclic`), with no
@@ -76,13 +78,23 @@ class ProjectiveAction:
     def cocycle_denominator(self):
         return lcm(*(v.denominator for row in self.frac_table for v in row))
 
-    def int_table(self, modulus):
-        return np.array([[[v.numerator * (modulus // v.denominator) % modulus] for v in row]
-                         for row in self.frac_table], dtype=np.int64)
+    @property
+    def modulus(self):
+        """lcm(max(|G|, 2), the cocycle denominator): the modulus of this
+        action's class and of its Br_nr reports."""
+        return lcm(max(self.group.order, 2), self.cocycle_denominator())
 
-    def gamma_coords(self, modulus, max_order=None):
-        coh = h2_qz_cached(self.group, modulus, max_order)
-        return coh.reduce(self.int_table(modulus))
+    def gamma_coords(self, modulus=None, max_order=None):
+        """Coordinates of the class in H^2(G, Q/Z) at `modulus` (default
+        `self.modulus`), which the cocycle denominator must divide."""
+        modulus = self.modulus if modulus is None else modulus
+        denominator = self.cocycle_denominator()
+        if modulus % denominator:
+            raise DomainError("the cocycle denominator does not divide the modulus",
+                              witness={"modulus": modulus, "denominator": denominator})
+        table = np.array([[[v.numerator * (modulus // v.denominator) % modulus] for v in row]
+                          for row in self.frac_table], dtype=np.int64)
+        return h2_qz_cached(self.group, modulus, max_order).reduce(table)
 
 
 def _tree_lifts(group, given, m):
@@ -194,9 +206,8 @@ def gamma_from_projective_action(group, matrices, max_order=None):
                               tuple(tuple(fracs[e] for e in row) for row in table.tolist()),
                               conductor)
     # torsion bound: the class is killed by the matrix dimension
-    N = lcm(group.order, action.cocycle_denominator())
-    coh = h2_qz_cached(group, N, max_order)
-    coords = action.gamma_coords(N, max_order)
+    coh = h2_qz_cached(group, action.modulus, max_order)
+    coords = action.gamma_coords(max_order=max_order)
     killed = tuple((action.dimension * c) % f
                    for c, f in zip(coords, coh.invariant_factors))
     if any(killed):
@@ -315,9 +326,8 @@ def plucker_beta(action, r, max_order=None):
     mats = _plucker_generator_matrices(action, r)
     beta_action = gamma_from_projective_action(action.group, mats, max_order)
     if isinstance(action, CorrelationAction):
-        N = lcm(action.group.order, beta_action.cocycle_denominator())
-        coh = h2_qz_cached(action.group, N, max_order)
-        coords = beta_action.gamma_coords(N, max_order)
+        coh = h2_qz_cached(action.group, beta_action.modulus, max_order)
+        coords = beta_action.gamma_coords(max_order=max_order)
         doubled = tuple((2 * c) % f for c, f in zip(coords, coh.invariant_factors))
         if any(doubled):
             raise DomainError("correlation class is not 2-torsion")
@@ -362,32 +372,18 @@ def _restrict_direct(cohs, sub, vec, bar=False):
     return factors, out
 
 
-def _restrictions(cohs, sub, am_coords):
-    """The subgroup's factors, the restriction of each unit class and the
-    restricted relations, all in the concatenated subgroup coordinates."""
-    k = sum(len(coh.invariant_factors) for coh in cohs)
+def _subgroup_quotient(cohs, sub, k, am_coords):
+    """One read of the subgroup A: the quotient Q_A = H^2(A)/<res_A(relations)>
+    and the images in it of the k unit classes.  Only the unit classes are
+    restricted; restriction is a homomorphism, so each restricted relation
+    is the combination of their columns that the relation's coordinates
+    give."""
     factors = _restrict_direct(cohs, sub, [0] * k)[0]
     cols = [_restrict_direct(cohs, sub, [int(i == j) for i in range(k)])[1] for j in range(k)]
-    return factors, cols, [_restrict_direct(cohs, sub, rel)[1] for rel in am_coords]
-
-
-def _kernel_gens(restricted, k, n_rel, modulus):
-    """Coordinates of the classes whose restriction to every subgroup lies
-    in the span of the restricted relations.
-
-    The unknowns are the k class coordinates and n_rel relation slacks per
-    subgroup; one row per subgroup invariant factor d, scaled by modulus/d.
-    """
-    total_cols = k + n_rel * len(restricted)
-    rows = []
-    for si, (factors, cols, rels) in enumerate(restricted):
-        for i, d in enumerate(factors):
-            scale = modulus // d
-            row = [(scale * cols[j][i]) % modulus for j in range(k)] + [0] * (total_cols - k)
-            for t in range(n_rel):
-                row[k + si * n_rel + t] = (-scale * rels[t][i]) % modulus
-            rows.append(row)
-    return [v[:k] for v in kernel(rows, modulus, total_cols)]
+    rels = [[sum(int(r[j]) * cols[j][i] for j in range(k)) % d for i, d in enumerate(factors)]
+            for r in am_coords]
+    quotient = _scaled_unit_structure(factors, rels)
+    return quotient, [[int(c) for c in quotient.coords(col)] for col in cols]
 
 
 def _gauge(factors):
@@ -401,6 +397,14 @@ def _kernel_report(kind, group, cohs, am_coords, modulus, subgroup_mode="conj",
     whose restriction to every bicyclic subgroup lies in the span of the
     restricted relations `am_coords`, modulo those relations.
 
+    Each subgroup A is read once (`_subgroup_quotient`): a class x is
+    unramified on A when sum_j x_j images[j] is zero in Q_A, one row per
+    invariant factor q of Q_A, scaled by modulus/q; the kernel of the rows
+    of all subgroups, over Z/modulus, has one column per class coordinate.
+    A stack generator w survives on A when sum_j w_j images[j] is nonzero
+    there.  Br_nr lies in the stack group, so when that is zero no subgroup
+    is read.
+
     The kernel reads Q/Z blocks from the commutator pairing.  The soundness
     pass, which runs only when the unramified group is nonzero, restricts
     each witness through the bar restriction instead and tests it against
@@ -411,30 +415,34 @@ def _kernel_report(kind, group, cohs, am_coords, modulus, subgroup_mode="conj",
     report, with a lattice block, has none), and with none the test is that
     the witness restricts to zero.
     """
+    if subgroup_mode not in ("conj", "all"):
+        raise ValidationError("subgroup_mode must be 'conj' or 'all'",
+                              witness={"field": "subgroup_mode", "value": subgroup_mode})
     subs = bicyclic_subgroups(group, up_to_conjugacy=(subgroup_mode == "conj"))
     factors = [d for coh in cohs for d in coh.invariant_factors]
     k = len(factors)
     gauge = _gauge(factors)
     relations = gauge + [list(a) for a in am_coords]
     stack = subquotient_structure(k, modulus, _gauge([1] * k), relations)
-    restricted = [_restrictions(cohs, sub, am_coords) for sub in subs]
-    kernel_gens = _kernel_gens(restricted, k, len(am_coords), modulus)
-    unram = subquotient_structure(k, modulus, kernel_gens + gauge, relations)
     # Diagnostics: which stack generators survive in each subgroup quotient.
     # Soundness: every unramified witness, restricted through the bar
-    # complex and not through the columns or the kernel solver, vanishes
-    # there.
-    diagnostics = []
+    # complex and not through the unit images or the kernel solver,
+    # vanishes there.
+    diagnostics = [{"elements": list(sub.elements), "order": sub.order, "survivors": []}
+                   for sub in subs]
     killer = {}
-    for sub, (a_factors, cols, rels) in zip(subs, restricted):
-        survivors = []
-        if stack.witness_generators:  # else the unramified group is zero too
-            quotient = _scaled_unit_structure(a_factors, rels)
+    unram = stack  # Br_nr lies in the stack group: a zero one reads no subgroup
+    if stack.witness_generators:
+        reads = [_subgroup_quotient(cohs, sub, k, am_coords) for sub in subs]
+        rows = [[(modulus // q) * im[i] % modulus for im in images]
+                for quotient, images in reads
+                for i, q in enumerate(quotient.invariant_factors)]
+        unram = subquotient_structure(k, modulus, kernel(rows, modulus, k) + gauge, relations)
+        for sub, row, (quotient, images) in zip(subs, diagnostics, reads):
             for wi, w in enumerate(stack.witness_generators):
-                res = [sum(int(w[j]) * cols[j][i] for j in range(k)) % d
-                       for i, d in enumerate(a_factors)]
-                survives = any(quotient.coords(res))
-                survivors.append(survives)
+                survives = any(sum(int(x) * im[i] for x, im in zip(w, images)) % q
+                               for i, q in enumerate(quotient.invariant_factors))
+                row["survivors"].append(survives)
                 if survives and wi not in killer:
                     killer[wi] = sub.elements
             for w in unram.witness_generators:
@@ -442,11 +450,6 @@ def _kernel_report(kind, group, cohs, am_coords, modulus, subgroup_mode="conj",
                     raise DomainError(
                         "internal soundness failure: witness does not vanish on a subgroup",
                         witness={"subgroup": list(sub.elements)})
-        diagnostics.append({
-            "elements": list(sub.elements),
-            "order": sub.order,
-            "survivors": survivors,
-        })
     gen_desc = []
     for i, w in enumerate(unram.witness_generators):
         gen_desc.append(
@@ -501,8 +504,7 @@ def br_stack_quotient(group, coh, am_coords):
 
 def br_nr_projective(action, subgroup_mode="conj", max_order=None):
     """Unramified Brauer group of a faithful action on projective space."""
-    group = action.group
-    modulus = lcm(max(group.order, 2), action.cocycle_denominator())
+    group, modulus = action.group, action.modulus
     coh = h2_qz_cached(group, modulus, max_order)
     gamma = list(action.gamma_coords(modulus, max_order))
     return _kernel_report("br_nr_projective", group, [coh], [gamma], modulus,
@@ -518,11 +520,11 @@ def br_nr_grassmannian(action, r, subgroup_mode="conj", max_order=None):
         raise DomainError(f"wedge degree {r} out of range 1..{n - 1}")
     if isinstance(action, CorrelationAction):
         beta_action = plucker_beta(action, r, max_order)
-        modulus = lcm(max(group.order, 2), beta_action.cocycle_denominator())
+        modulus = beta_action.modulus
         beta = list(beta_action.gamma_coords(modulus, max_order))
         note = f"correlation Plucker class coordinates {beta}"
     else:
-        modulus = lcm(max(group.order, 2), action.cocycle_denominator())
+        modulus = action.modulus
         coh = h2_qz_cached(group, modulus, max_order)
         gamma = action.gamma_coords(modulus, max_order)
         beta = [(r * c) % f for c, f in zip(gamma, coh.invariant_factors)]
@@ -535,6 +537,8 @@ def br_nr_grassmannian(action, r, subgroup_mode="conj", max_order=None):
 def br_nr_flag(action, r_list, subgroup_mode="conj", max_order=None):
     """Unramified Brauer group of the induced flag-variety action."""
     r_list = [int(r) for r in r_list]
+    if not r_list:
+        raise DomainError("a flag needs at least one dimension", witness={"r_list": []})
     if any(b <= a for a, b in zip(r_list, r_list[1:])):
         raise DomainError("flag dimensions must be strictly increasing")
     n = action.dimension
@@ -548,10 +552,7 @@ def br_nr_flag(action, r_list, subgroup_mode="conj", max_order=None):
         return report
     group = action.group
     if isinstance(action, ProjectiveAction):
-        q = 0
-        for r in r_list:
-            q = gcd(q, r)
-        modulus = lcm(max(group.order, 2), action.cocycle_denominator())
+        q, modulus = gcd(*r_list), action.modulus
         coh = h2_qz_cached(group, modulus, max_order)
         gamma = action.gamma_coords(modulus, max_order)
         am = [[(q * c) % f for c, f in zip(gamma, coh.invariant_factors)]]
@@ -564,9 +565,7 @@ def br_nr_flag(action, r_list, subgroup_mode="conj", max_order=None):
             raise DomainError(
                 "correlation flag actions need the symmetry condition r_i + r_(m+1-i) = n",
                 witness=(r_list[i], r_list[m - 1 - i]))
-    q = 0
-    for r in r_list[: m // 2]:
-        q = gcd(q, r)
+    q = gcd(*r_list[: m // 2])
     sub = action.collineation_subgroup()
     grp_prime, embed = sub.as_group()
     prime_gen_mats = {}
@@ -576,11 +575,12 @@ def br_nr_flag(action, r_list, subgroup_mode="conj", max_order=None):
             raise DomainError("collineation subgroup carries a correlation matrix")
         prime_gen_mats[gidx] = mat
     base_action = gamma_from_projective_action(grp_prime, prime_gen_mats, max_order)
-    denom = base_action.cocycle_denominator()
+    actions = [base_action]
     if m % 2 == 1:
         beta_action = plucker_beta(action, r_list[m // 2], max_order)
-        denom = lcm(denom, beta_action.cocycle_denominator())
-    modulus = lcm(max(group.order, 2), denom)
+        actions.append(beta_action)
+    # lcm(|G|, every denominator): |G'| divides |G|, which is even
+    modulus = lcm(group.order, *(a.modulus for a in actions))
     coh = h2_qz_cached(group, modulus, max_order)
     coh_prime = h2_qz_cached(grp_prime, modulus, max_order)
     gamma_prime = base_action.gamma_coords(modulus, max_order)

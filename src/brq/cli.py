@@ -15,7 +15,6 @@ import json
 import sys
 import time
 from importlib import resources
-from math import lcm
 
 from .brauer import (
     bogomolov_multiplier,
@@ -141,17 +140,12 @@ def cmd_stack(doc, options):
             raise ValidationError("fixed-point stack computations need a pic module")
         return stack_fixed_point_report(group, payload["pic"],
                                         payload["flags"]["fixed_point"], max_order=limit)
-    coh = h2_qz_cached(group, max(group.order, 2), limit)
+    act = payload.get("projective")
+    coh = h2_qz_cached(group, act.modulus if act is not None else max(group.order, 2), limit)
     am = []
     note = "no relations: the stack group is all of H2(G)"
-    if "projective" in payload:
-        act = payload["projective"]
-        modulus = coh.modulus
-        d = act.cocycle_denominator()
-        if modulus % d:
-            modulus = lcm(modulus, d)
-            coh = h2_qz_cached(group, modulus, limit)
-        am = [list(act.gamma_coords(modulus, limit))]
+    if act is not None:
+        am = [list(act.gamma_coords(max_order=limit))]
         note = f"relation: projective class {am[0]}"
     structure = br_stack_quotient(group, coh, am)
     return BrauerReport(

@@ -488,11 +488,8 @@ def suite_plucker_oracle():
     def annihilator_case():
         act = correlation_klein_gr24()
         beta_act = plucker_beta(act, 2)
-        modulus = 4
-        d = beta_act.cocycle_denominator()
-        modulus = modulus * d // gcd(modulus, d)
-        coh = h2_qz_cached(act.group, modulus)
-        beta = beta_act.gamma_coords(modulus)
+        coh = h2_qz_cached(act.group, beta_act.modulus)
+        beta = beta_act.gamma_coords()
         if any((2 * c) % f for c, f in zip(beta, coh.invariant_factors)):
             return False, "correlation class is not 2-torsion"
         k_mat = beta_act.gen_matrices[act.coset_witness]
@@ -540,10 +537,7 @@ def suite_plucker_oracle():
         cases.append(_case(f"degeneracy_flag1_{name}", flag1))
 
         def proj_vs_linear(act=act, name=name):
-            modulus = max(act.group.order, 2)
-            d = act.cocycle_denominator()
-            modulus = modulus * d // gcd(modulus, d)
-            gamma = act.gamma_coords(modulus)
+            gamma = act.gamma_coords()
             if any(gamma):
                 return True, "gamma nonzero; degeneracy not applicable"
             a = br_nr_projective(act)

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 from fractions import Fraction
 from math import lcm
 
 import pytest
 
-from brq import corpus
+from brq import corpus, verify
 from brq.brauer import (
+    _kernel_report,
     CorrelationAction,
     ToricAction,
     bogomolov_multiplier,
@@ -26,7 +29,12 @@ from brq.brauer import (
 from brq.cohomology import CohomologyGroup, GModule, bfs_tree, h2, h2_qz_cached
 from brq.cyclotomic import CycloMatrix, CycloNumber, as_unit_fraction, plucker_vector
 from brq.errors import DomainError, SizeLimitError, UnsupportedCaseError, ValidationError
-from brq.groups import cyclic_group, from_cayley_table, from_permutation_generators
+from brq.groups import (
+    bicyclic_subgroups,
+    cyclic_group,
+    from_cayley_table,
+    from_permutation_generators,
+)
 from brq.verify import (
     catalog_actions,
     clock_shift_action,
@@ -589,3 +597,120 @@ def test_soundness_pass_catches_a_pairing_that_reads_zero(monkeypatch):
     with pytest.raises(DomainError, match="internal soundness failure: witness does not "
                                           "vanish on a subgroup"):
         bogomolov_multiplier(witness)
+
+
+@pytest.mark.parametrize("k1, k2", [(0, 1), (0, 2), (1, 1)])
+def test_gamma_coords_needs_a_modulus_the_denominator_divides(k1, k2):
+    # X = zeta_3^k1 [[0, 1], [1, 0]] and Z = zeta_3^k2 diag(1, -1) on the
+    # Klein four group: the cocycle's denominator is 6, not a divisor of 4
+    g = corpus.klein_four()
+    z3 = CycloNumber.zeta(3)
+    x = CycloMatrix([[0, z3 ** k1], [z3 ** k1, 0]])
+    z = CycloMatrix([[z3 ** k2, 0], [0, -(z3 ** k2)]])
+    act = gamma_from_projective_action(g, {2: x, 1: z})
+    assert act.cocycle_denominator() == 6
+    assert act.modulus == 12
+    with pytest.raises(DomainError) as info:
+        act.gamma_coords(4)
+    assert info.value.witness == {"modulus": 4, "denominator": 6}
+    assert act.gamma_coords() == act.gamma_coords(12)
+
+
+@pytest.mark.parametrize("action", [pauli_action, correlation_klein_gr24])
+def test_br_nr_flag_needs_a_flag_dimension(action):
+    with pytest.raises(DomainError) as info:
+        br_nr_flag(action(), [])
+    assert info.value.witness == {"r_list": []}
+
+
+@pytest.mark.parametrize("run", [
+    lambda mode: bogomolov_multiplier(corpus.dihedral(4), subgroup_mode=mode),
+    lambda mode: br_nr_linear(corpus.dihedral(4), subgroup_mode=mode),
+    lambda mode: br_nr_projective(pauli_action(), subgroup_mode=mode),
+    lambda mode: br_nr_flag(pauli_action(), [1], subgroup_mode=mode),
+    lambda mode: br_nr_toric(ToricAction(*toric_group_from_matrices(
+        corpus.gl2z_bicyclic_cases()[0][1])), subgroup_mode=mode),
+], ids=["b0", "linear", "projective", "flag", "toric"])
+@pytest.mark.parametrize("mode", ["conjugacy", "ALL", None])
+def test_unknown_subgroup_mode_is_rejected(run, mode):
+    with pytest.raises(ValidationError) as info:
+        run(mode)
+    assert info.value.witness == {"field": "subgroup_mode", "value": mode}
+
+
+def test_zero_stack_group_reads_no_subgroup(monkeypatch):
+    # the Pauli class generates H^2 of the Klein four group, so the stack
+    # group and Br_nr are zero, with no restriction computed
+    action = verify.pauli_action()
+
+    def refuse(*args):
+        raise AssertionError("a subgroup was read")
+
+    monkeypatch.setattr(CohomologyGroup, "restrict_bicyclic", refuse)
+    monkeypatch.setattr(CohomologyGroup, "restrict", refuse)
+    rep = br_nr_projective(action)
+    assert rep.stack_group.invariant_factors == ()
+    assert rep.unramified_group.invariant_factors == ()
+    assert len(rep.subgroup_diagnostics) == 5
+    assert all(row["survivors"] == [] for row in rep.subgroup_diagnostics)
+
+
+BRUTE_FORCE_GROUPS = dict(corpus.b0_vanishing_corpus())
+# (group, seed) draws; the last three give a nonzero Br_nr
+BRUTE_FORCE_DRAWS = ([(name, seed) for name in ("extraspecial32_plus", "extraspecial32_minus",
+                                                "abelian_2_2_2", "abelian_2_2_2_2",
+                                                "heisenberg27")
+                      for seed in range(3)]
+                     + [("extraspecial32_plus", 16), ("extraspecial32_minus", 20),
+                        ("abelian_2_2_2_2", 37)])
+
+
+def _span(vectors, factors):
+    """All elements of the subgroup of Z/f_1 + ... + Z/f_n that `vectors` span."""
+    span = {tuple(0 for _ in factors)}
+    for v in vectors:
+        for _ in range(lcm(1, *factors)):
+            span |= {tuple((s + x) % f for s, x, f in zip(t, v, factors)) for t in span}
+    return span
+
+
+@functools.cache
+def _bar_restrictions(name):
+    """The H^2(G, Q/Z) of a corpus group, all of its bicyclic subgroups and
+    the bar restriction of every class to each of them."""
+    group = BRUTE_FORCE_GROUPS[name]
+    coh = h2_qz_cached(group, group.order)
+    subs = bicyclic_subgroups(group, up_to_conjugacy=False)
+    classes = itertools.product(*(range(f) for f in coh.invariant_factors))
+    res = {x: [tuple(int(c) for c in coh.restrict(list(x), sub)[1]) for sub in subs]
+           for x in classes}
+    return group, coh, subs, res
+
+
+@pytest.mark.parametrize("name, seed", BRUTE_FORCE_DRAWS)
+def test_kernel_with_relations_matches_brute_force(name, seed):
+    group, coh, subs, res = _bar_restrictions(name)
+    factors = coh.invariant_factors
+    rng = random.Random(seed)
+    rels = [[rng.randrange(f) for f in factors] for _ in range(rng.randint(1, 3))]
+    # oracle: every class whose bar restriction to every bicyclic subgroup
+    # lies in the span of the bar-restricted relations
+    spans = [_span([res[tuple(r)][i] for r in rels],
+                   coh.subgroup_cohomology(sub).invariant_factors)
+             for i, sub in enumerate(subs)]
+    unramified = {x for x, rows in res.items() if all(t in s for t, s in zip(rows, spans))}
+    rel_span = _span(rels, factors)
+    assert len(unramified) % len(rel_span) == 0
+    if (name, seed) in BRUTE_FORCE_DRAWS[-3:]:
+        assert len(unramified) > len(rel_span)
+    index = {sub.elements: i for i, sub in enumerate(subs)}
+    for mode in ("conj", "all"):
+        rep = _kernel_report("test", group, [coh], rels, coh.modulus, subgroup_mode=mode)
+        assert rep.stack_group.order * len(rel_span) == len(res)
+        assert rep.unramified_group.order * len(rel_span) == len(unramified)
+        for w in rep.witnesses["unramified"]:
+            assert tuple(x % f for x, f in zip(w, factors)) in unramified
+        stack = [tuple(x % f for x, f in zip(w, factors)) for w in rep.witnesses["stack"]]
+        for row in rep.subgroup_diagnostics:
+            i = index[tuple(row["elements"])]
+            assert row["survivors"] == [res[w][i] not in spans[i] for w in stack]

@@ -546,3 +546,14 @@ def test_malformed_group_documents_exit_with_a_witness(verb, data):
     assert code in (2, 3)
     err = json.loads(out.getvalue())["error"]
     assert err.get("witness") is not None, err
+
+
+@pytest.mark.parametrize("fixture", [PAULI, GR24], ids=["projective", "correlation"])
+def test_brnr_flag_without_a_dimension_exits_2(tmp_path, capsys, fixture):
+    doc = json.loads(Path(fixture).read_text())["document"]
+    doc["flag"] = {"r_list": []}
+    path = write(tmp_path, "flag.json", doc)
+    assert main(["brnr", "flag", path, "--json"]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "DomainError"
+    assert err["witness"] == {"r_list": []}

@@ -31,7 +31,14 @@ the names present in only one of the two.  The results, in order:
 - H^2(G, Q/Z) with tables for each of the nine groups of order 49-96 in
   `SCHUR_LARGE` (3 to 5 generators for the abelian ones), first as its
   constructor builds it, then on the Cayley table relabelled by one fixed
-  seeded permutation, with the images of the constructor's generators.
+  seeded permutation, with the images of the constructor's generators;
+- the Br_nr report, projective and Grassmannian at r = 1, of the Pauli
+  action of (Z/2)^3 by X, Z and I, whose class is nonzero and leaves a
+  stack group (Z/2)^2;
+- for each group of `RELATION_GROUPS`, `RELATION_DRAWS` seeded draws of 1
+  to 3 random relation vectors in H^2(G, Q/Z): the kernel-engine report
+  (`brauer._kernel_report`) with witnesses over the conjugacy
+  representatives and over all bicyclic subgroups.
 """
 
 from __future__ import annotations
@@ -39,7 +46,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import random
 import sys
 from pathlib import Path
@@ -50,15 +56,18 @@ sys.path.insert(0, str(SRC))
 from brq import corpus, verify  # noqa: E402
 from brq.brauer import (  # noqa: E402
     ToricAction,
+    _kernel_report,
     bogomolov_multiplier,
     br_nr_flag,
     br_nr_grassmannian,
     br_nr_projective,
     br_nr_toric,
+    gamma_from_projective_action,
     plucker_beta,
 )
 from brq.cli import run_document_for_fixture  # noqa: E402
-from brq.cohomology import GModule, h1, h2, h2_qz  # noqa: E402
+from brq.cohomology import GModule, h1, h2, h2_qz, h2_qz_cached  # noqa: E402
+from brq.cyclotomic import CycloMatrix  # noqa: E402
 from brq.groups import from_cayley_table  # noqa: E402
 
 SCHUR_LARGE = [
@@ -73,6 +82,10 @@ SCHUR_LARGE = [
     ("metacyclic_16_4_3", lambda: corpus.metacyclic(16, 4, 3)),
 ]
 RELABEL_SEED = 9
+RELATION_GROUPS = ["extraspecial32_plus", "extraspecial32_minus", "abelian_2_2_2_2",
+                   "abelian_2_4_4"]
+RELATION_SEED = 24
+RELATION_DRAWS = 4
 
 
 def _relabelled(group, rng):
@@ -108,11 +121,34 @@ def _classes(coh):
 
 
 def _projective_class(action):
-    modulus = math.lcm(max(action.group.order, 2), action.cocycle_denominator())
     return {
         "frac_table": [[[v.numerator, v.denominator] for v in row] for row in action.frac_table],
-        "gamma_coords": _plain(action.gamma_coords(modulus)),
+        "gamma_coords": _plain(action.gamma_coords()),
     }
+
+
+def _pauli_cube():
+    """(Z/2)^3 acting on P^1 by the Pauli matrices X and Z and the identity."""
+    group = corpus.abelian_group([2, 2, 2])
+    mats = [CycloMatrix([[0, 1], [1, 0]]), CycloMatrix([[1, 0], [0, -1]]),
+            CycloMatrix.identity(2)]
+    return gamma_from_projective_action(group, dict(zip(group.generators, mats)))
+
+
+def _relation_reports():
+    groups = dict(corpus.b0_vanishing_corpus())
+    rng = random.Random(RELATION_SEED)
+    for name in RELATION_GROUPS:
+        group = groups[name]
+        coh = h2_qz_cached(group, max(group.order, 2))
+        for draw in range(RELATION_DRAWS):
+            rels = [[rng.randrange(f) for f in coh.invariant_factors]
+                    for _ in range(rng.randint(1, 3))]
+            for mode in ("conj", "all"):
+                report = _kernel_report("relations", group, [coh], rels, coh.modulus,
+                                        subgroup_mode=mode, notes=[f"relations {rels}"])
+                yield (f"relations {name} draw {draw} {mode}",
+                       report.to_json_dict(include_witnesses=True))
 
 
 def results():
@@ -151,6 +187,12 @@ def results():
         group = build()
         yield f"h2_qz {name}", _classes(h2_qz(group))
         yield f"h2_qz relabelled {name}", _classes(h2_qz(_relabelled(group, rng)))
+    pauli_cube = _pauli_cube()
+    yield "projective pauli_2_2_2", br_nr_projective(pauli_cube).to_json_dict(
+        include_witnesses=True)
+    yield "grassmannian r=1 pauli_2_2_2", br_nr_grassmannian(pauli_cube, 1).to_json_dict(
+        include_witnesses=True)
+    yield from _relation_reports()
 
 
 def moved_fields(old, new, path=""):
