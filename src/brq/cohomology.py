@@ -11,7 +11,9 @@ tree of the left Cayley graph: every class has a cocycle that vanishes on
 its n - 1 - |S| edges (s, h), h != 1, so (|S| - 1)(n - 1) + |S| unknowns
 per component remain.  The coboundaries that vanish on the tree are the
 d(b_v), b_v fixed by its values v on S, so |S| of them per component span
-them (proofs at `_BarSolver`).
+them (proofs at `_BarSolver`).  Generator rows are extended to whole
+cochains by a depth-first walk of a BFS tree, so degree two never holds the
+(n, n, r, U) tensor of the unit cochains.
 
 Q/Z with trivial action is realized as Z/N for any N divisible by |G|: the
 cohomology in degree two is the quotient of the mod-N cohomology by the
@@ -30,8 +32,9 @@ inhomogeneous coboundary of the normalized bar complex (Brown, Cohomology
 of Groups, III.1),
     (dc)(g, h)    = g.c(h) - c(gh) + c(g),
     (dc)(g, h, k) = g.c(h, k) - c(gh, k) + c(g, hk) - c(g, h).
-The solvers' constraint rows and coboundary generators, every cocycle
-check, the Bockstein and the lattice d1 system are built from them.
+`_d2_at` is `_d2` read from the rows c[firsts] and the columns c[:, ks]
+alone.  The solvers' constraint rows and coboundary generators, every
+cocycle check, the Bockstein and the lattice d1 system are built from them.
 `small_complex_h` deliberately does not use them: it is the independent
 oracle the bar computations are checked against.
 
@@ -247,18 +250,20 @@ def _d1(mats, t, c, firsts):
     return out
 
 
-def _d2(mats, t, c, firsts, _thirds=None):
+def _d2(mats, t, c, firsts):
     """(dc)(g, h, k) = g.c(h, k) - c(gh, k) + c(g, hk) - c(g, h) for g in
-    `firsts`, every h, and every k (or k in `_thirds` when given).
+    `firsts` and every h and k.
 
     `c` has shape (n, n, r, ...); the result has shape
-    (len(firsts), n, n or len(_thirds), r, ...) and is not reduced by any
-    modulus.
+    (len(firsts), n, n, r, ...) and is not reduced by any modulus.
     """
     firsts = np.asarray(firsts, dtype=np.int64)
-    ks = slice(None) if _thirds is None else np.asarray(_thirds, dtype=np.int64)
-    c_first = c[firsts]
-    c_k = c[:, ks]
+    return _d2_at(mats, t, c[firsts], c, firsts, slice(None))
+
+
+def _d2_at(mats, t, c_first, c_k, firsts, ks):
+    """`_d2` at the thirds k in `ks` only, from the rows c[firsts] and the
+    columns c[:, ks] of c: shape (len(firsts), n, len(ks), r, ...)."""
     out = np.einsum("fij,hkj...->fhki...", mats[firsts], c_k)
     out -= c_k[t[firsts]]
     out += c_first[:, t[:, ks]]
@@ -325,13 +330,15 @@ class _BarSolver:
     (degree 2) or c(s) (degree 1), one per component, in the C-order of
     (generator, [h,] component).  The unknowns ("slots") are the kept ones
     among them (`kept`, their flat indices): all of them in degree one, and
-    in degree two those off the gauge tree (below).  The unit tensor `w`
-    writes every value of the cochain as a combination of the slots.  It
-    holds the units at the kept generator-row values, zero at the others,
-    and is extended along the BFS tree by `_tree_step`: the cocycle
+    in degree two those off the gauge tree (below).  `expand` extends slot
+    vectors, as the kept generator-row values with zero at the others, to
+    whole cochains down the right BFS tree by `_tree_step`: the cocycle
     identity on the tree edge (p, x), solved for c(px, ...).  So z = dc
-    vanishes at every tree edge (p, x, ...).  The modulus L is the lcm of
-    the module's factors.
+    vanishes at every tree edge (p, x, ...).  The walk is depth first and
+    holds only the rows on its path; the degree-two identities read only the
+    generator rows c(s, ...) and columns c(:, y) of the unit cochains,
+    (2|S| + depth) n r U values, not the n^2 r U of all.  The modulus L is
+    the lcm of the module's factors.
 
     In degree one the kernel of the identities z(s, h) = 0, generators s,
     is the group of cocycles.  In degree two the identities z(s, h, y) = 0
@@ -392,16 +399,18 @@ class _BarSolver:
             (slice(1, None),) * (self.degree - 1)
         self.row_shape = (len(self.gens),) + (n - 1,) * (self.degree - 1) + (r,)
         self.kept = self._kept_slots()
-        self.slots = U = len(self.kept)
-        w = np.zeros((n,) * self.degree + (r, U), dtype=np.int64)
-        at = np.unravel_index(self.kept, self.row_shape)
-        w[(self.at_gens[0][at[0]], *(i + 1 for i in at[1:-1]), at[-1], np.arange(U))] = 1
-        gen_set = set(self.gens)
+        self.slots = len(self.kept)
+        # the right BFS tree in depth-first order: (g, parent, generator
+        # index, depth, whether g is the parent's last child to be visited,
+        # that is its first child, which the stack pops last)
+        children, depth = {}, {0: 0}
         for g, p, x in bfs_tree(group):
-            if g in gen_set and p == 0:
-                continue
-            w[g] = self._tree_step(w, p, x) % self.L
-        self.w = w
+            depth[g], last = depth[p] + 1, p not in children
+            children.setdefault(p, []).append((g, p, self.gens.index(x), depth[g], last))
+        self._dfs, stack = [], children[0]
+        while stack:
+            self._dfs.append(stack.pop())
+            stack += children.get(self._dfs[-1][0], [])
         self.kernel_gens = self._cocycle_kernel()
 
     def _kept_slots(self):
@@ -412,19 +421,43 @@ class _BarSolver:
         (slots, m) mod L."""
         return values.reshape(-1, values.shape[-1])[self.kept] % self.L
 
-    def _edge_rows(self, s):
-        """The cocycle identities with s in the first slot, over the slots."""
-        return self._d(self.mats, self.t, self.w, [s])
+    def _generator_values(self, u):
+        """The generator rows c(s, ...), h = 1 included in degree two, whose
+        kept values are the columns of u, shape (slots, m), mod L."""
+        m = np.shape(u)[1]
+        flat = np.zeros((prod(self.row_shape), m), dtype=np.int64)
+        flat[self.kept] = np.asarray(u) % self.L
+        rows = np.zeros((len(self.gens),) + (self.n,) * (self.degree - 1) + (self.r, m),
+                        dtype=np.int64)
+        rows[(slice(None),) + self.at_gens[1:]] = flat.reshape(self.row_shape + (m,))
+        return rows
+
+    def expand(self, u, _seconds=slice(None)):
+        """The cochain tables, along a last axis, whose kept generator-row
+        values are the columns of u, shape (slots, m).  The walk runs depth
+        first and holds only the rows on its path that a child still needs;
+        in degree two, `_seconds` keeps only the columns c(:, y), y in it."""
+        rows = self._generator_values(u)
+        path = [np.zeros_like(rows[0])]
+        out = np.zeros((self.n,) + path[0][_seconds].shape, dtype=np.int64)
+        for g, p, i, depth, last in self._dfs:
+            # the children of 1 are the generators, whose rows are given
+            step = self._tree_step(path[depth - 1], p, rows[i], self.gens[i]) if p else rows[i]
+            path[depth:] = [step % self.L]
+            if last:  # no other child needs the parent's row
+                path[depth - 1] = None
+            out[g] = path[depth][_seconds]
+        return out
 
     def _cocycle_kernel(self):
         """Kernel of the cocycle identities at (s, h) or (s, h, y), h != 1,
         streamed into the Howell form one generator s at a time."""
         U = self.slots
         acc = HowellAccumulator(self.L)
-        for f in (self._edge_rows(s)[0, 1:] for s in self.gens):
+        for f in self._edge_rows(np.eye(U, dtype=np.int64)):
             # component i of the module is Z/f_i, so it vanishes when
             # (L / f_i) times it vanishes mod L
-            acc.ingest((f % self.L * self.scale[:, None] % self.L).reshape(-1, U))
+            acc.ingest((f[1:] % self.L * self.scale[:, None] % self.L).reshape(-1, U))
         return kernel(acc.rows, self.L, U)
 
     def image_gens(self, tables=()):
@@ -445,12 +478,6 @@ class _BarSolver:
                 image.append(vec)
         return image
 
-    def expand(self, uvec):
-        """The cochain table whose kept generator-row values are the slot
-        vector."""
-        u = np.asarray(uvec, dtype=np.int64) % self.L
-        return self.w @ u % self.L
-
     def _checked_rows(self, values):
         """The generator-row values of a cocycle table (reduced and
         validated)."""
@@ -469,9 +496,19 @@ class _BarH1Solver(_BarSolver):
     degree = 1
     _d = staticmethod(_d1)
 
-    def _tree_step(self, w, p, x):
+    def _edge_rows(self, units):
+        # the identities with s first, for each generator s, over the slots;
+        # degree one keeps the whole unit tensor w, which is small
+        self.w = super().expand(units)
+        for s in self.gens:
+            yield _d1(self.mats, self.t, self.w, [s])[0]
+
+    def expand(self, u):
+        return self.w @ (np.asarray(u, dtype=np.int64) % self.L) % self.L
+
+    def _tree_step(self, row_p, p, row_x, x):
         # c(px) = c(p) + p.c(x)
-        return w[p] + np.einsum("ij,j...->i...", self.mats[p], w[x])
+        return row_p + self.mats[p] @ row_x
 
     def _coboundaries(self):
         # d of the unit 0-cochains, at the generator rows
@@ -482,12 +519,17 @@ class _BarH2Solver(_BarSolver):
     degree = 2
     _d = staticmethod(_d2)
 
-    def _edge_rows(self, s):
-        return _d2(self.mats, self.t, self.w, [s], _thirds=self.gens)
+    def _edge_rows(self, units):
+        # the identities with s first and y third, for each generator s,
+        # read from the generator rows and columns of the unit cochains
+        cols = self.expand(units, self.gens)
+        rows = self._generator_values(units)
+        for i, s in enumerate(self.gens):
+            yield _d2_at(self.mats, self.t, rows[i:i + 1], cols, [s], self.gens)[0]
 
-    def _tree_step(self, w, p, x):
+    def _tree_step(self, row_p, p, row_x, x):
         # c(px, h) = p.c(x, h) + c(p, xh) - c(p, x)
-        return np.einsum("ij,kj...->ki...", self.mats[p], w[x]) + w[p][self.t[x]] - w[p, x]
+        return self.mats[p] @ row_x + row_p[self.t[x]] - row_p[x]
 
     def _kept_slots(self):
         """The generator-row values off the left gauge tree; also keeps the
@@ -671,7 +713,10 @@ def _bar_cohomology(module, degree, extra_image_tables=None):
               for tab in extra_image_tables or ()]
     structure = subquotient_structure(solver.slots, solver.L, solver.kernel_gens,
                                       solver.image_gens(tables))
-    rep_tables = [solver.expand(w) for w in structure.witness_generators]
+    witnesses = structure.witness_generators  # expanded in one walk
+    rep_tables = list(np.moveaxis(solver.expand(np.transpose(witnesses)), -1, 0)) \
+        if witnesses else []
+    solver._dfs = None  # the reducer reads the generator rows only, and walks no tree
 
     def reducer(arr):
         return structure.coords(solver.cocycle_slots(arr))

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 from math import lcm
 
+import numpy as np
 import pytest
 
 from brq import corpus, verify
@@ -42,6 +43,7 @@ from brq.verify import (
     load_fixture_json,
     toric_group_from_matrices,
 )
+from test_groups import CORPUS_AND_WITNESS
 
 
 def pauli_action():
@@ -714,3 +716,23 @@ def test_kernel_with_relations_matches_brute_force(name, seed):
         for row in rep.subgroup_diagnostics:
             i = index[tuple(row["elements"])]
             assert row["survivors"] == [res[w][i] not in spans[i] for w in stack]
+
+
+@pytest.mark.parametrize("name", list(CORPUS_AND_WITNESS))
+def test_b0_is_the_kernel_of_the_pairing_on_all_commuting_pairs(name):
+    # For abelian A, H^2(A, Q/Z) = Hom(A ^ A, Q/Z) by c -> c(a, b) - c(b, a),
+    # so a class lies in B0 exactly when rep(a, b) = rep(b, a) mod N for
+    # every commuting pair (a, b): no subgroup enumeration, no kernel engine
+    group = CORPUS_AND_WITNESS[name]
+    coh = h2_qz_cached(group, group.order)
+    t, N, factors = group._np_table, coh.modulus, coh.invariant_factors
+    commuting = t == t.T
+    pairing = np.array([(tab[..., 0] - tab[..., 0].T)[commuting] for tab in coh.rep_tables],
+                       dtype=np.int64).reshape(len(factors), commuting.sum())
+    classes = np.array(list(itertools.product(*map(range, factors))), dtype=np.int64)
+    vanishing = ~(classes.reshape(len(classes), -1) @ pairing % N).any(axis=1)
+    b0 = {tuple(int(x) for x in c) for c in classes[vanishing]}
+    rep = bogomolov_multiplier(group)
+    assert b0 == _span(rep.witnesses["unramified"], factors)
+    assert len(b0) == rep.unramified_group.order
+    assert (len(b0) == 2) == (name == "witness_order64")

@@ -557,3 +557,15 @@ def test_brnr_flag_without_a_dimension_exits_2(tmp_path, capsys, fixture):
     err = json.loads(capsys.readouterr().out)["error"]
     assert err["type"] == "DomainError"
     assert err["witness"] == {"r_list": []}
+
+
+def test_python_m_brq_runs_the_cli(capsys):
+    argv = ["brnr", PAULI, "--json"]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    src = str(Path(brq.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    run = subprocess.run([sys.executable, "-m", "brq", *argv], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert (run.returncode, run.stdout) == (0, want)

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import json
+import tracemalloc
+import types
 from functools import cache
 from math import gcd, prod
 from pathlib import Path
@@ -12,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brq import cohomology, corpus, linalg, verify
-from brq.brauer import ToricAction, br_nr_toric
+from brq.brauer import ToricAction, bogomolov_multiplier, br_nr_toric
 from brq.cohomology import (
     GModule,
     _BarH1Solver,
@@ -20,6 +23,7 @@ from brq.cohomology import (
     _d1,
     _d2,
     _generator_rows,
+    bfs_tree,
     connecting_bockstein,
     corestrict_qz_class,
     h1,
@@ -722,15 +726,31 @@ def test_d2_after_d1_vanishes():
 # the generator-edge rows of the degree-two solver against the full build
 
 
+def _dense_unit_tensor(solver):
+    """The whole (n, n, r, U) unit tensor w of a degree-two solver, built
+    breadth first with no walk: the units at the kept generator-row values,
+    zero at the others, and c(px, h) = p.c(x, h) + c(p, xh) - c(p, x) down
+    the right BFS tree.  w @ u is the cochain whose slots are u."""
+    n, r, U, t, mats = solver.n, solver.r, solver.slots, solver.t, solver.mats
+    w = np.zeros((n, n, r, U), dtype=np.int64)
+    s, h, comp = np.unravel_index(solver.kept, solver.row_shape)
+    w[np.array(solver.gens)[s], h + 1, comp, np.arange(U)] = 1
+    for g, p, x in bfs_tree(solver.group):
+        if p:  # the children of 1 are the generators, whose rows are the units
+            w[g] = (np.einsum("ij,kju->kiu", mats[p], w[x]) + w[p][t[x]] - w[p, x]) % solver.L
+    return w
+
+
 def _full_build_h2(module, extra_tables=()):
     """Kernel and H^2 structure from the cocycle identity at every
     (s, h, k), s a generator and h, k != 1: the |S| (n-1)^2 r rows the
     degree-two solver ingested before it kept only the generator edges."""
     solver = _BarH2Solver(module.group, module.mats, module.factors)
     L, U = solver.L, solver.slots
+    w = _dense_unit_tensor(solver)
     acc = HowellAccumulator(L)
     for s in solver.gens:
-        rows = _d2(solver.mats, solver.t, solver.w, [s])[0, 1:, 1:]
+        rows = _d2(solver.mats, solver.t, w, [s])[0, 1:, 1:]
         acc.ingest((rows % L * solver.scale[:, None] % L).reshape(-1, U))
     full = kernel(acc.canonical_rows(), L, U)
     return solver, full, subquotient_structure(U, L, full, solver.image_gens(extra_tables))
@@ -852,7 +872,102 @@ def test_bar_unknowns_are_the_values_off_the_gauge_tree(group, unknowns):
     solver = _BarH2Solver(group, module.mats, module.factors)
     s, n = len(group.generators), group.order
     assert solver.slots == (s - 1) * (n - 1) + s == unknowns
-    assert solver.w.shape == (n, n, 1, unknowns)
+    assert _dense_unit_tensor(solver).shape == (n, n, 1, unknowns)
+
+
+def _dense_h1_units(solver):
+    """The (n, r, U) unit tensor of a degree-one solver, breadth first:
+    c(px) = c(p) + p.c(x) down the right BFS tree."""
+    w = np.zeros((solver.n, solver.r, solver.slots), dtype=np.int64)
+    s, comp = np.unravel_index(solver.kept, solver.row_shape)
+    w[np.array(solver.gens)[s], comp, np.arange(solver.slots)] = 1
+    for g, p, x in bfs_tree(solver.group):
+        if p:
+            w[g] = (w[p] + np.einsum("ij,ju->iu", solver.mats[p], w[x])) % solver.L
+    return w
+
+
+@pytest.mark.parametrize("name", [*CORPUS_AND_WITNESS, "mixed_d4"])
+def test_expand_walk_matches_the_dense_unit_tensor(name):
+    # the depth-first walk against w @ u mod L, for one slot vector and for
+    # a batch of them, in both degrees (degree one expands with the w it
+    # keeps, built by the walk)
+    if name == "mixed_d4":
+        module = mixed_d4_module()
+    else:
+        group = CORPUS_AND_WITNESS[name]
+        module = GModule(group, "trivial_qz", factors=[group.order], rank=1)
+    rng = np.random.default_rng(26)
+    for solver_class, dense in ((_BarH2Solver, _dense_unit_tensor),
+                                (_BarH1Solver, _dense_h1_units)):
+        solver = solver_class(module.group, module.mats, module.factors)
+        w = dense(solver)
+        u = rng.integers(-solver.L, 2 * solver.L, size=(solver.slots, 3))
+        assert np.array_equal(solver.expand(u), w @ u % solver.L)
+        assert np.array_equal(solver.expand(u[:, 1:2]), w @ u[:, 1:2] % solver.L)
+        assert np.array_equal(solver.expand(np.eye(solver.slots, dtype=np.int64)), w)
+
+
+def test_h2_qz_of_the_hyperoctahedral_group_b4_in_little_memory():
+    # B4 = (Z/2)^4 : S4, order 384, as signed permutations of 4 points (i + 4
+    # stands for -i) on 2 generators; its Schur multiplier is (Z/2)^3 for
+    # n >= 4 (Ihara-Yokonuma 1965).  The whole unit tensor would take
+    # 384^2 * 385 * 8 bytes, about 0.45 GB.
+    group = from_permutation_generators(8, [[1, 2, 3, 4, 5, 6, 7, 0],
+                                            [1, 0, 2, 3, 5, 4, 6, 7]])
+    assert group.order == 384 and len(group.generators) == 2
+    tracemalloc.start()
+    try:
+        coh = h2_qz(group, max_order=384)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert coh.invariant_factors == [2, 2, 2]
+    assert peak < 64 * 2**20, peak
+
+
+def test_h2_qz_of_a_perfect_group_has_no_bocksteins():
+    # A5 is perfect, so Hom(A5, Z/N) = 0 and the degree-one walk expands no
+    # vectors; its Schur multiplier is Z/2
+    a5 = from_permutation_generators(5, [[1, 2, 3, 4, 0], [1, 2, 0, 3, 4]])
+    assert a5.order == 60
+    assert h1(GModule(a5, "trivial_qz", factors=[60])).invariant_factors == []
+    assert h2_qz(a5).invariant_factors == [2]
+
+
+def _reachable_arrays(root):
+    """Every numpy array reachable from `root` through object references,
+    not through module globals or classes."""
+    seen, stack, arrays = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+            stack.append(obj.base)
+        elif isinstance(obj, types.FunctionType):  # its closure, not its globals
+            stack.extend(cell.cell_contents for cell in obj.__closure__ or ())
+        else:
+            stack.extend(gc.get_referents(obj))
+    return arrays
+
+
+def test_no_cached_cohomology_holds_a_dense_unit_tensor(monkeypatch):
+    monkeypatch.setattr(cohomology, "_COHOMOLOGY_CACHE", {})
+    bogomolov_multiplier(CORPUS_AND_WITNESS["witness_order64"])
+    h2_qz_cached(corpus.abelian_group([2, 2, 2, 2, 4]), 64)
+    checked = 0
+    for coh in cohomology._COHOMOLOGY_CACHE.values():
+        group = coh.group
+        if len(group.generators) < 2:
+            continue  # one generator: U = 1, and the Cayley table has n^2 U entries
+        n, unknowns = group.order, cohomology._h2_unknowns(group, 1)
+        sizes = [a.size for a in _reachable_arrays(coh)]
+        assert max(sizes) < n * n * unknowns, (n, unknowns, max(sizes))
+        checked += 1
+    assert checked >= 10
 
 
 def test_reduce_rejects_a_perturbation_off_the_generator_rows():

@@ -6,9 +6,11 @@ one deterministic JSON document, to compare two versions of the code.
 
 Prints the number of results and the sha256 of OUT.json.  A change that
 must keep every report byte-identical keeps this hash.  With --diff, it
-then prints each result whose value differs from the one of the same name
-in OLD.json (a dump of another version), with the fields that moved, and
-the names present in only one of the two.  The results, in order:
+then prints how many results moved and how many are present in only the
+new or only the old dump, then each result whose value differs from the
+one of the same name in OLD.json (a dump of another version), with the
+fields that moved, and the names present in only one of the two.  The
+results, in order:
 
 - for each of the 32 groups of `corpus.b0_vanishing_corpus()`: the B0
   report with witnesses, then H^2(G, Q/Z) and H^1(G, Z/4) (trivial action)
@@ -45,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import random
 import sys
@@ -215,13 +218,21 @@ def moved_fields(old, new, path=""):
 
 
 def diff_lines(old_doc, new_doc):
-    """One line per result that moved, appeared or disappeared."""
+    """One line per result that moved, appeared or disappeared, as three
+    lists: the moved results, those only in the new dump and those only in
+    the old dump."""
     old, new = dict(map(tuple, old_doc)), dict(map(tuple, new_doc))
-    lines = [f"{label}: {', '.join(moved_fields(old[label], value))}"
+    moved = [f"{label}: {', '.join(moved_fields(old[label], value))}"
              for label, value in new.items() if label in old and old[label] != value]
-    lines += [f"{label}: only in the new dump" for label in new if label not in old]
-    lines += [f"{label}: only in the old dump" for label in old if label not in new]
-    return lines
+    only_new = [f"{label}: only in the new dump" for label in new if label not in old]
+    only_old = [f"{label}: only in the old dump" for label in old if label not in new]
+    return moved, only_new, only_old
+
+
+def diff_summary(moved, only_new, only_old):
+    """The count of each kind of line of `diff_lines`."""
+    return (f"{len(moved)} results moved, {len(only_new)} only in the new dump, "
+            f"{len(only_old)} only in the old dump")
 
 
 def main(argv=None):
@@ -236,9 +247,9 @@ def main(argv=None):
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     print(f"{len(doc)} results, sha256 {digest}")
     if args.diff:
-        lines = diff_lines(json.loads(Path(args.diff).read_text(encoding="utf-8")), doc)
-        print(f"{len(lines)} results moved")
-        for line in lines:
+        kinds = diff_lines(json.loads(Path(args.diff).read_text(encoding="utf-8")), doc)
+        print(diff_summary(*kinds))
+        for line in itertools.chain(*kinds):
             print(line)
     return 0
 
