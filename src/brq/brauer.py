@@ -179,7 +179,7 @@ def gamma_from_projective_action(group, matrices, max_order=None):
     # not a root of unity, -2 when it is not a scalar
     edges = np.empty((group.order, len(group.generators)), dtype=np.int64)
     for i, x in enumerate(group.generators):
-        target = group._np_table[:, x]
+        target = group.table[:, x]
         ok, a_p, b_p = _proportional(conductor, _matmul(conductor, num, given[x].num),
                                      num[target])
         # a_p is over den_a den_x (the product M_a M_x), b_p over den_ax
@@ -200,7 +200,7 @@ def gamma_from_projective_action(group, matrices, max_order=None):
     position = {x: i for i, x in enumerate(group.generators)}
     table = np.zeros((group.order, group.order), dtype=np.int64)
     for b, p, x in bfs_tree(group):
-        table[:, b] = (table[:, p] + edges[group._np_table[:, p], position[x]]) % t
+        table[:, b] = (table[:, p] + edges[group.table[:, p], position[x]]) % t
     fracs = [Fraction(e, t) for e in range(t)]
     action = ProjectiveAction(group, dim, given,
                               tuple(tuple(fracs[e] for e in row) for row in table.tolist()),
@@ -267,7 +267,7 @@ def correlation_action(group, collineation_matrices, phi, coset_witness):
     parity[0] = 0
     for g, p, x in bfs_tree(group):
         parity[g] = (parity[p] + (1 if x == w else 0)) % 2
-    _require_cocycle(_d1, np.ones((group.order, 1, 1), dtype=np.int64), group._np_table,
+    _require_cocycle(_d1, np.ones((group.order, 1, 1), dtype=np.int64), group.table,
                      np.array(parity, dtype=np.int64)[:, None], group.generators,
                      "collineation subgroup is not well defined", lambda diff: diff % 2)
     if parity[w] != 1:

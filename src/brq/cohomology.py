@@ -111,7 +111,7 @@ class GModule:
         r = self.rank
         if not np.array_equal(self.mats[0], np.eye(r, dtype=np.int64)):
             raise ValidationError("identity must act as the identity matrix")
-        t = self.group._np_table
+        t = self.group.table
         products = np.einsum("aij,bjk->abik", self.mats, self.mats)
         if self.kind == "lattice":
             if not np.array_equal(products, self.mats[t]):
@@ -216,14 +216,16 @@ def bfs_tree(group, left=False):
     """Deterministic spanning tree of the Cayley graph: (g, parent, gen)
     triples with g = parent * gen (g = gen * parent when `left`), in
     breadth-first discovery order."""
+    t = group.table
+    steps = [(s, (t[s] if left else t[:, s]).tolist()) for s in group.generators]
     out = []
     discovered = {0}
     level = [0]
     while level:
         nxt = []
         for p in level:
-            for s in group.generators:
-                q = group.table[s][p] if left else group.table[p][s]
+            for s, step in steps:
+                q = step[p]
                 if q not in discovered:
                     discovered.add(q)
                     out.append((q, p, s))
@@ -386,7 +388,7 @@ class _BarSolver:
 
     def __init__(self, group, mats, factors):
         self.group = group
-        self.t = group._np_table
+        self.t = group.table
         self.n = n = group.order
         self.r = r = mats.shape[1]
         self.factors = tuple(int(f) for f in factors)
@@ -765,9 +767,9 @@ def connecting_bockstein(group, chi, modulus):
     n = group.order
     lift = np.array([[int(c) % modulus] for c in chi], dtype=np.int64)
     trivial = np.ones((n, 1, 1), dtype=np.int64)
-    _require_cocycle(_d1, trivial, group._np_table, lift, group.generators,
+    _require_cocycle(_d1, trivial, group.table, lift, group.generators,
                      "chi is not a homomorphism to Z/N", lambda diff: diff % modulus)
-    return _d1(trivial, group._np_table, lift, range(n)) // modulus % modulus
+    return _d1(trivial, group.table, lift, range(n)) // modulus % modulus
 
 
 def h2_qz(group, modulus=None, max_order=None):
@@ -819,13 +821,13 @@ def _connecting_lift(module, degree):
 
     @cache
     def span():  # Howell factorization of the generator rows mod L^2
-        rows = _generator_rows(module.mats, group._np_table, list(group.generators), degree)
+        rows = _generator_rows(module.mats, group.table, list(group.generators), degree)
         pairs = [p for p in augmented_echelon(rows.tolist(), L2, rows.shape[1]) if any(p[0])]
         images = [image for image, _ in pairs]
         return images, pivot_columns(images), [carry for _, carry in pairs]
 
     def lift(table):
-        _require_cocycle(d, module.mats, group._np_table, table, group.generators,
+        _require_cocycle(d, module.mats, group.table, table, group.generators,
                          f"table is not an integer {degree}-cocycle")
         target = [L * int(x) % L2 for x in table[at_gens].reshape(-1)]
         images, pivots, carries = span()
@@ -848,7 +850,7 @@ def _h1_lattice(module):
     """H^1(G, M) of a lattice as (M/L)^G / (M^G mod L): x in (M/L)^G goes
     to the cocycle g -> (A_g x - x)/L, and M^G mod L is the kernel."""
     group, L, r = module.group, module.group.order, module.rank
-    rows = _generator_rows(module.mats, group._np_table, list(group.generators), 1).tolist()
+    rows = _generator_rows(module.mats, group.table, list(group.generators), 1).tolist()
     invariants = [[x % L for x in v] for v in kernel(rows, None, r)]
     structure = subquotient_structure(r, L, kernel(rows, L, r), invariants)
     rep_tables = [(module.mats @ x - x) // L
@@ -866,7 +868,7 @@ def _h2_lattice(module, max_order):
     h1_mod = h1(finite, max_order=max_order)
     image = [h1_mod.reduce(tab % L) for tab in _h1_lattice(module).rep_tables]
     structure = quotient_of_structure(h1_mod.structure, image)
-    rep_tables = [_d1(module.mats, group._np_table, h1_mod.expand(w), range(L)) // L
+    rep_tables = [_d1(module.mats, group.table, h1_mod.expand(w), range(L)) // L
                   for w in structure.witness_generators]
     lift = _connecting_lift(module, 2)
     return CohomologyGroup(group, module, 2, structure, None, rep_tables,
@@ -884,7 +886,7 @@ def _cached_h2_qz(group, modulus, max_order):
     # The order limit is checked before the lookup, so a class computed
     # under a higher limit is not handed to a caller with a lower one.
     _order_limit_check(group, max_order, _h2_unknowns(group, 1))
-    key = ("h2qz", group.cayley_key(), modulus)
+    key = ("h2qz", (group.order, group.table.tobytes()), modulus)
     if key not in _COHOMOLOGY_CACHE:
         _COHOMOLOGY_CACHE[key] = h2_qz(group, modulus, max_order=max_order)
     return _COHOMOLOGY_CACHE[key]
@@ -913,31 +915,22 @@ def corestrict_qz_table(group, sub, table, modulus):
     class of the output is independent of that choice.
     """
     arr = np.asarray(table, dtype=np.int64)
-    els = list(sub.elements)
-    pos = {g: i for i, g in enumerate(els)}
-    el_set = set(els)
-    reps = coset_representatives(group, els)
-    rep_of = {}
-    for t in reps:
-        for h in els:
-            rep_of[group.table[h][t]] = t
-    n = group.order
-    out = np.zeros((n, n, 1), dtype=np.int64)
-    for g1 in range(n):
-        for g2 in range(n):
-            acc = 0
-            for t in reps:
-                tg1 = group.table[t][g1]
-                t1 = rep_of[tg1]
-                hpart1 = group.table[tg1][group.inverse[t1]]
-                tg2 = group.table[t1][g2]
-                t2 = rep_of[tg2]
-                hpart2 = group.table[tg2][group.inverse[t2]]
-                if hpart1 not in el_set or hpart2 not in el_set:
-                    raise DomainError("transfer decomposition left the subgroup")
-                acc += arr[pos[hpart1], pos[hpart2], 0]
-            out[g1, g2, 0] = acc % modulus
-    return out
+    t, inv = group.table, group.inverse
+    els = np.array(sub.elements, dtype=np.int64)
+    pos = np.full(group.order, -1, dtype=np.int64)
+    pos[els] = np.arange(len(els))
+    reps = np.array(coset_representatives(group, els), dtype=np.int64)
+    rep_of = np.empty(group.order, dtype=np.int64)
+    rep_of[t[np.ix_(els, reps)]] = reps
+    # for each representative r and g1, g2: r g1 = h1 t1 and t1 g2 = h2 t2
+    rg1 = t[reps]                                   # [r, g1]
+    t1 = rep_of[rg1]
+    h1 = pos[t[rg1, inv[t1]]]
+    t1g2 = t[t1]                                    # [r, g1, g2]
+    h2 = pos[t[t1g2, inv[rep_of[t1g2]]]]
+    if (h1 < 0).any() or (h2 < 0).any():
+        raise DomainError("transfer decomposition left the subgroup")
+    return (arr[h1[:, :, None], h2, 0].sum(axis=0) % modulus)[:, :, None]
 
 
 def corestrict_qz_class(sub_coh, coords, sub, parent_coh):

@@ -191,7 +191,7 @@ def elementary_abelian_semidirect():
     def action(y):
         if y == 0:
             return list(range(9))
-        return [a.inverse[x] for x in range(9)]
+        return list(a.inverse)
 
     return semidirect_product(a, cyclic_group(2), action)
 

@@ -3,8 +3,9 @@
 Exit-code contract for the CLI: ValidationError/DomainError and friends map
 to exit 2, SizeLimitError to exit 3.  The size limits, and what sets each:
 
-- group construction: at most `groups.MAX_ORDER` (4096) elements, a
-  constant;
+- group construction: every constructor in `groups` refuses a group of
+  more than `groups.MAX_ORDER` (4096) elements, a constant, before it
+  builds a table; witness {max_order};
 - cohomology, with any coefficients: group order at most 96, or the value
   of the environment variable `BRQ_MAX_ORDER`; witness {order, unknowns},
   the unknowns of the first linear system the computation would solve:

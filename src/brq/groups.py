@@ -2,15 +2,15 @@
 
 Element 0 is always the identity and all orderings are deterministic
 (breadth-first generation with lexicographic tie-breaks), so downstream
-reports are byte-reproducible.  Construction is capped at MAX_ORDER
-elements, a constant that every constructor applies; cohomology routines
+reports are byte-reproducible.  Every constructor refuses a group of more
+than MAX_ORDER elements before it builds a table; cohomology routines
 impose tighter per-computation limits of their own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
+from math import lcm
 
 import numpy as np
 
@@ -19,53 +19,69 @@ from .linalg import invariant_presentation
 
 MAX_ORDER = 4096
 
+# largest number of entries one gather of the permutation constructor
+# builds at a time
+_GATHER_ENTRIES = 1 << 15
+
+
+def _check_order(n):
+    """The construction limit, applied to the order a constructor is about
+    to build."""
+    if n > MAX_ORDER:
+        raise SizeLimitError(f"a group of {n} or more elements exceeds the maximum order "
+                             f"{MAX_ORDER}",
+                             witness={"max_order": MAX_ORDER})
+
 
 class FiniteGroup:
-    """Finite group on elements 0..order-1 given by a multiplication table."""
+    """Finite group on elements 0..order-1 given by a multiplication table.
 
-    __slots__ = ("order", "table", "inverse", "generators", "labels",
-                 "_np_table", "_abelian", "_orders", "_key")
+    `table` (order x order, table[a, b] = ab) and `inverse` are read-only
+    int64 arrays, the group's one copy of its table.  The scalar accessors
+    (`generators`, `closure`, `element_order`, `conj`, `power` and the
+    element lists of subgroups) return Python ints.
+    """
 
-    def __init__(self, table, generators=None, labels=None, _validated=False):
-        rows = [tuple(int(x) for x in r) for r in table]
-        self.order = len(rows)
-        self.table = tuple(rows)
-        self._np_table = np.array(rows, dtype=np.int64) if rows else np.zeros((0, 0), dtype=np.int64)
+    __slots__ = ("order", "table", "inverse", "generators", "_abelian", "_orders")
+
+    def __init__(self, table, generators=None, _validated=False):
+        self.table = np.array(table, dtype=np.int64)
+        self.table.flags.writeable = False
+        self.order = len(self.table)
         self._abelian = None
         self._orders = None
-        self._key = None
+        if self.order == 0:
+            raise ValidationError("empty table")
+        _check_order(self.order)
         if not _validated:
             self._validate()
-        self.inverse = tuple(self._find_inverses())
+        self.inverse = self._find_inverses()
         if generators is None:
-            generators = self._greedy_generators()
+            self.generators = tuple(self._greedy_generators())
+            return
         self.generators = tuple(dict.fromkeys(int(g) for g in generators if int(g) != 0))
         if not self.generators and self.order > 1:
             raise ValidationError("empty generating set for nontrivial group")
-        gen_span = self.closure(self.generators) if self.order > 1 else [0]
-        if len(gen_span) != self.order:
+        if self.order > 1 and len(self.closure(self.generators)) != self.order:
             raise ValidationError("generators do not generate the group")
-        self.labels = tuple(labels) if labels else None
 
     # -- construction helpers ------------------------------------------------
 
     def _validate(self):
-        n = self.order
-        t = self._np_table
-        if n == 0:
-            raise ValidationError("empty table")
+        n, t = self.order, self.table
         outside = np.argwhere((t < 0) | (t >= n))
         if t.shape != (n, n) or len(outside):
             raise ValidationError("table is not a square over 0..n-1",
                                   witness=tuple(int(x) for x in outside[0]) if len(outside) else None)
-        if list(t[0]) != list(range(n)) or list(t[:, 0]) != list(range(n)):
+        ar = np.arange(n)
+        if (t[0] != ar).any() or (t[:, 0] != ar).any():
             raise ValidationError("element 0 is not an identity")
-        for a in range(n):
-            if sorted(t[a]) != list(range(n)) or sorted(t[:, a]) != list(range(n)):
-                raise ValidationError(f"row or column {a} is not a permutation", witness=a)
+        bad = (np.sort(t, axis=1) != ar).any(axis=1) | (np.sort(t, axis=0) != ar[:, None]).any(axis=0)
+        if bad.any():
+            a = int(bad.argmax())
+            raise ValidationError(f"row or column {a} is not a permutation", witness=a)
         # Light's associativity test over a generating set
-        gens = self._greedy_generators()
-        for g in gens:
+        for g in self._greedy_generators():
             left = t[t[g]]           # (a,b) -> (g*a)*b
             right = t[g][t]          # (a,b) -> g*(a*b)
             if not np.array_equal(left, right):
@@ -77,13 +93,14 @@ class FiniteGroup:
                 )
 
     def _find_inverses(self):
-        n = self.order
-        inv = [None] * n
-        for a in range(n):
-            hits = [b for b in range(n) if self.table[a][b] == 0]
-            if len(hits) != 1 or self.table[hits[0]][a] != 0:
-                raise ValidationError(f"element {a} has no two-sided inverse", witness=a)
-            inv[a] = hits[0]
+        t = self.table
+        hits = t == 0
+        inv = hits.argmax(axis=1)
+        bad = (hits.sum(axis=1) != 1) | (t[inv, np.arange(self.order)] != 0)
+        if bad.any():
+            a = int(bad.argmax())
+            raise ValidationError(f"element {a} has no two-sided inverse", witness=a)
+        inv.flags.writeable = False
         return inv
 
     def _greedy_generators(self):
@@ -97,59 +114,52 @@ class FiniteGroup:
                     break
         return gens
 
+    def _element_orders(self):
+        if self._orders is None:
+            ar = np.arange(self.order)
+            orders = np.zeros(self.order, dtype=np.int64)
+            y, k = ar, 1
+            while not orders.all():
+                orders[(y == 0) & (orders == 0)] = k
+                y = self.table[y, ar]
+                k += 1
+            self._orders = tuple(orders.tolist())
+        return self._orders
+
     # -- basic operations ----------------------------------------------------
 
     def conj(self, g, a):
         """g * a * g^-1"""
-        return self.table[self.table[g][a]][self.inverse[g]]
+        return int(self.table[self.table[g, a], self.inverse[g]])
 
     def power(self, a, k):
-        if k < 0:
-            a, k = self.inverse[a], -k
-        out = 0
-        while k:
-            if k & 1:
-                out = self.table[out][a]
-            a = self.table[a][a]
-            k >>= 1
-        return out
+        return _powers(self.table[:, a].tolist(), int(a))[k % self.element_order(a)]
 
     def element_order(self, a):
-        if self._orders is None:
-            orders = []
-            for x in range(self.order):
-                k, y = 1, x
-                while y != 0:
-                    y = self.table[y][x]
-                    k += 1
-                orders.append(k)
-            self._orders = tuple(orders)
-        return self._orders[a]
+        return self._element_orders()[a]
 
     def exponent(self):
-        e = 1
-        for a in range(self.order):
-            o = self.element_order(a)
-            e = e * o // gcd(e, o)
-        return e
+        return lcm(*set(self._element_orders()))
 
     def is_abelian(self):
         if self._abelian is None:
-            self._abelian = bool(np.array_equal(self._np_table, self._np_table.T))
+            self._abelian = bool(np.array_equal(self.table, self.table.T))
         return self._abelian
 
     def closure(self, seed):
         """Subgroup generated by seed elements, as a sorted list."""
+        t = self.table
+        seed = [int(s) for s in seed]
+        steps = [t[:, s].tolist() for s in seed] + [t[s].tolist() for s in seed]  # x s, s x
         members = {0}
         frontier = [0]
-        seed = [int(s) for s in seed]
         while frontier:
             x = frontier.pop()
-            for s in seed:
-                for y in (self.table[x][s], self.table[s][x]):
-                    if y not in members:
-                        members.add(y)
-                        frontier.append(y)
+            for step in steps:
+                y = step[x]
+                if y not in members:
+                    members.add(y)
+                    frontier.append(y)
         return sorted(members)
 
     def subgroup(self, elements):
@@ -159,23 +169,15 @@ class FiniteGroup:
         return Subgroup(self, tuple(self.closure(seed)))
 
     def center(self):
-        t = self._np_table
+        t = self.table
         mask = (t == t.T).all(axis=1)
         return [int(i) for i in np.flatnonzero(mask)]
 
     def commutator_subgroup(self):
-        comms = set()
-        for a in range(self.order):
-            for b in range(self.order):
-                ab = self.table[a][b]
-                ba = self.table[b][a]
-                comms.add(self.table[ab][self.inverse[ba]])
-        return self.generated_subgroup(comms)
-
-    def cayley_key(self):
-        if self._key is None:
-            self._key = (self.order, self.table)
-        return self._key
+        t = self.table
+        commutators = np.zeros(self.order, dtype=bool)
+        commutators[t[t, self.inverse[t.T]]] = True  # ab (ba)^-1
+        return self.generated_subgroup(np.flatnonzero(commutators))
 
     def __repr__(self):
         return f"FiniteGroup(order={self.order}, generators={list(self.generators)})"
@@ -194,30 +196,41 @@ class Subgroup:
     pair: tuple = field(default=None, compare=False)
 
     def __post_init__(self):
-        els = set(self.elements)
-        if 0 not in els:
-            raise ValidationError("subgroup must contain the identity")
-        for a in self.elements:
-            if self.parent.inverse[a] not in els:
-                raise ValidationError("subgroup not closed under inverse", witness=a)
-            for b in self.elements:
-                if self.parent.table[a][b] not in els:
-                    raise ValidationError("subgroup not closed under product", witness=(a, b))
+        g = self.parent
+        els = np.array(self.elements, dtype=np.int64)
+        inside = np.zeros(g.order, dtype=bool)
+        inside[els] = True
+        closed = inside[g.table.take(els, axis=0).take(els, axis=1)]
+        # a finite set closed under products holds every inverse, a power
+        if not (inside[0] and closed.all()):
+            if not inside[0]:
+                raise ValidationError("subgroup must contain the identity")
+            for a, row in zip(self.elements, closed):
+                if not inside[g.inverse[a]]:
+                    raise ValidationError("subgroup not closed under inverse", witness=a)
+                if not row.all():
+                    raise ValidationError("subgroup not closed under product",
+                                          witness=(a, self.elements[row.argmin()]))
         if self.pair is not None:
-            self._check_pair(els)
+            self._check_pair()
 
-    def _check_pair(self, els):
+    def _check_pair(self):
         """The pair commutes, lies in the subgroup and generates it: <a><b>
         is a subgroup of order |a| |b| / |<a> n <b>|, inside this one."""
         g = self.parent
         a, b = self.pair
-        if a not in els or b not in els or g.table[a][b] != g.table[b][a]:
+        if a not in self.elements or b not in self.elements or g.table[a, b] != g.table[b, a]:
             raise ValidationError("generating pair does not commute inside the subgroup",
                                   witness=(a, b))
-        powers_a = set(_powers(g, a))
-        meet = sum(1 for y in _powers(g, b) if y in powers_a)
-        if len(powers_a) * g.element_order(b) != meet * self.order:
+        meet = len(set(_powers(g.table[:, a].tolist(), a)).intersection(
+            _powers(g.table[:, b].tolist(), b)))
+        if g.element_order(a) * g.element_order(b) != meet * self.order:
             raise ValidationError("pair does not generate the subgroup", witness=(a, b))
+
+    def _products(self):
+        """The parent's table on the rows and columns of the elements."""
+        els = np.array(self.elements, dtype=np.int64)
+        return self.parent.table[els[:, None], els]
 
     @property
     def order(self):
@@ -228,18 +241,14 @@ class Subgroup:
 
     def as_group(self):
         """Relabelled copy of this subgroup plus the embedding element list."""
-        pos = {g: i for i, g in enumerate(self.elements)}
-        table = [[pos[self.parent.table[a][b]] for b in self.elements] for a in self.elements]
-        grp = FiniteGroup(table, _validated=True)
+        pos = np.zeros(self.parent.order, dtype=np.int64)
+        pos[list(self.elements)] = np.arange(self.order)
+        grp = FiniteGroup(pos[self._products()], _validated=True)
         return grp, list(self.elements)
 
     def is_abelian(self):
-        t = self.parent.table
-        for a in self.elements:
-            for b in self.elements:
-                if t[a][b] != t[b][a]:
-                    return False
-        return True
+        products = self._products()
+        return bool(np.array_equal(products, products.T))
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +262,12 @@ def _perm_tuple(perm, degree):
     return p
 
 
+def _row_keys(rows):
+    """One opaque, sortable key per row (last axis) of an array."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[-1])))[..., 0]
+
+
 def from_permutation_generators(degree, perms):
     """Closure of the given permutations under composition.
 
@@ -263,36 +278,30 @@ def from_permutation_generators(degree, perms):
     gens = [_perm_tuple(p, degree) for p in perms]
     ident = tuple(range(degree))
     gens = [g for g in dict.fromkeys(gens) if g != ident]
-
-    def compose(p, q):
-        # (p*q)(i) = p(q(i))
-        return tuple(p[q[i]] for i in range(degree))
-
-    elems = [ident]
-    index = {ident: 0}
-    level = [ident]
+    if degree < 1:
+        return cyclic_group(1)  # the empty permutation alone
+    # breadth-first over the words: one composition per element and
+    # generator, so it stays a loop; the table below is the n^2 part
+    elems, seen, level = [ident], {ident}, [ident]
     while level:
-        found = set()
-        for x in level:
-            for g in gens:
-                y = compose(x, g)
-                if y not in index and y not in found:
-                    found.add(y)
-        new_level = sorted(found)
-        for y in new_level:
-            index[y] = len(elems)
-            elems.append(y)
-            if len(elems) > MAX_ORDER:
-                raise SizeLimitError(
-                    f"closure exceeds the maximum order {MAX_ORDER}",
-                    witness={"max_order": MAX_ORDER},
-                )
-        level = new_level
+        # (p*q)(i) = p(q(i))
+        level = sorted({tuple(map(p.__getitem__, q)) for p in level for q in gens} - seen)
+        seen.update(level)
+        elems += level
+        _check_order(len(elems))
 
     n = len(elems)
-    table = [[index[compose(elems[a], elems[b])] for b in range(n)] for a in range(n)]
-    gen_ids = [index[g] for g in gens]
-    return FiniteGroup(table, generators=gen_ids)
+    elems = np.array(elems, dtype=np.int64)
+    gen_perms = np.array(gens, dtype=np.int64).reshape(len(gens), degree)
+    keys = _row_keys(elems)
+    by_key = np.argsort(keys)
+    table = np.empty((n, n), dtype=np.int64)
+    step = max(1, _GATHER_ENTRIES // (n * degree))
+    for lo in range(0, n, step):
+        composed = _row_keys(elems[lo:lo + step][:, elems])  # [a, b] = elems[a] o elems[b]
+        table[lo:lo + step] = by_key[np.searchsorted(keys[by_key], composed)]
+    gen_ids = by_key[np.searchsorted(keys[by_key], _row_keys(gen_perms))]
+    return FiniteGroup(table, generators=gen_ids.tolist())
 
 
 def from_cayley_table(table, generators=None):
@@ -301,61 +310,54 @@ def from_cayley_table(table, generators=None):
     The identity may sit anywhere in the input; it is relabelled to index 0
     by a deterministic swap.
     """
-    rows = [list(map(int, r)) for r in table]
-    n = len(rows)
-    short = next((a for a, r in enumerate(rows) if len(r) != n), None)
+    n = len(table)
+    short = next((a for a, r in enumerate(table) if len(r) != n), None)
     if n == 0 or short is not None:
         raise ValidationError("table must be square and nonempty",
                               witness={"rows": n, "row": short})
-    if n > MAX_ORDER:
-        raise SizeLimitError(f"table larger than the maximum order {MAX_ORDER}",
-                             witness={"max_order": MAX_ORDER})
-    ident = None
-    for e in range(n):
-        if all(rows[e][x] == x and rows[x][e] == x for x in range(n)):
-            ident = e
-            break
-    if ident is None:
+    _check_order(n)
+    try:
+        t = np.array(table, dtype=np.int64)
+    except OverflowError:
+        raise ValidationError("table is not a square over 0..n-1", witness={"order": n}) from None
+    ar = np.arange(n)
+    ident = np.flatnonzero((t == ar).all(axis=1) & (t == ar[:, None]).all(axis=0))
+    if not ident.size:
         raise ValidationError("table has no identity element", witness={"order": n})
-    if ident != 0:
-        # the swap is an involution, so it is its own relabelling inverse
-        swap = list(range(n))
-        swap[0], swap[ident] = ident, 0
-        rows = [[swap[rows[swap[a]][swap[b]]] for b in range(n)] for a in range(n)]
+    e = int(ident[0])
+    if e:
+        # the swap of 0 and e is an involution, so it is its own relabelling
+        # inverse; entries outside 0..n-1 are left for the validation
+        swap = ar.copy()
+        swap[[0, e]] = e, 0
+        t = t[np.ix_(swap, swap)]
+        t = np.where(t == 0, e, np.where(t == e, 0, t))
         if generators is not None:
             generators = [swap[g] for g in generators]
-    return FiniteGroup(rows, generators=generators)
+    return FiniteGroup(t, generators=generators)
 
 
 def cyclic_group(n):
-    table = [[(a + b) % n for b in range(n)] for a in range(n)]
-    return FiniteGroup(table, generators=[1] if n > 1 else [], _validated=True)
+    _check_order(n)
+    ar = np.arange(n)
+    return FiniteGroup((ar[:, None] + ar) % max(n, 1), generators=[1] if n > 1 else [],
+                       _validated=True)
+
+
+def _product(a, b, perms, _validated):
+    """A x| B with element (x, y) at index x*|B| + y, where
+    (x1, y1)(x2, y2) = (x1 perms[y1][x2], y1 y2)."""
+    na, nb = a.order, b.order
+    table = (a.table[np.arange(na)[:, None, None, None], perms[None, :, :, None]] * nb
+             + b.table[None, :, None, :])
+    gens = [g * nb for g in a.generators] + list(b.generators)
+    return FiniteGroup(table.reshape(na * nb, na * nb), generators=gens, _validated=_validated)
 
 
 def direct_product(a, b):
     """Direct product with element (x, y) at index x*|B| + y."""
-    nb = b.order
-
-    def enc(x, y):
-        return x * nb + y
-
-    table = [
-        [enc(a.table[x1][x2], b.table[y1][y2]) for x2 in range(a.order) for y2 in range(nb)]
-        for x1 in range(a.order)
-        for y1 in range(nb)
-    ]
-    gens = [enc(g, 0) for g in a.generators] + [enc(0, g) for g in b.generators]
-    return FiniteGroup(table, generators=gens, _validated=True)
-
-
-def _check_automorphism(a, perm):
-    if perm[0] != 0 or sorted(perm) != list(range(a.order)):
-        return False
-    for x in range(a.order):
-        for y in range(a.order):
-            if perm[a.table[x][y]] != a.table[perm[x]][perm[y]]:
-                return False
-    return True
+    _check_order(a.order * b.order)
+    return _product(a, b, np.broadcast_to(np.arange(a.order), (b.order, a.order)), True)
 
 
 def semidirect_product(a, b, action):
@@ -365,32 +367,25 @@ def semidirect_product(a, b, action):
     validated to consist of automorphisms and to be a homomorphism.  Element
     (x, y) sits at index x*|B| + y, making A the normal factor.
     """
+    _check_order(a.order * b.order)
+    t = a.table
     if not a.is_abelian():
-        raise DomainError("normal factor must be abelian", witness=next(
-            (x, y) for x in range(a.order) for y in range(x) if a.table[x][y] != a.table[y][x]))
-    perms = [tuple(int(v) for v in action(y)) if callable(action) else tuple(action[y])
+        x, y = np.argwhere(np.tril(t != t.T))[0]
+        raise DomainError("normal factor must be abelian", witness=(int(x), int(y)))
+    ar = list(range(a.order))
+    perms = [[int(v) for v in (action(y) if callable(action) else action[y])]
              for y in range(b.order)]
-    for y, p in enumerate(perms):
-        if not _check_automorphism(a, p):
-            raise ValidationError("action image is not an automorphism", witness=y)
-    for y1 in range(b.order):
-        for y2 in range(b.order):
-            composed = tuple(perms[y1][perms[y2][x]] for x in range(a.order))
-            if composed != perms[b.table[y1][y2]]:
-                raise ValidationError("action is not a homomorphism", witness=(y1, y2))
-    nb = b.order
-
-    def enc(x, y):
-        return x * nb + y
-
-    table = [
-        [enc(a.table[x1][perms[y1][x2]], b.table[y1][y2])
-         for x2 in range(a.order) for y2 in range(nb)]
-        for x1 in range(a.order)
-        for y1 in range(nb)
-    ]
-    gens = [enc(g, 0) for g in a.generators] + [enc(0, g) for g in b.generators]
-    return FiniteGroup(table, generators=gens)
+    valid = np.array([p[0] == 0 and sorted(p) == ar for p in perms])
+    p = np.array([q if ok else ar for q, ok in zip(perms, valid)], dtype=np.int64)
+    automorphic = (p[:, t] == t[p[:, :, None], p[:, None, :]]).all(axis=(1, 2))
+    bad = np.flatnonzero(~(valid & automorphic))
+    if bad.size:
+        raise ValidationError("action image is not an automorphism", witness=int(bad[0]))
+    broken = np.argwhere((p[:, p] != p[b.table]).any(axis=2))  # p[y1] p[y2] vs p[y1 y2]
+    if len(broken):
+        raise ValidationError("action is not a homomorphism",
+                              witness=(int(broken[0][0]), int(broken[0][1])))
+    return _product(a, b, p, False)
 
 
 def central_extension_from_cocycle(g, n, cocycle):
@@ -403,28 +398,24 @@ def central_extension_from_cocycle(g, n, cocycle):
     if n < 1:
         raise ValidationError("cyclic kernel order must be positive", witness={"n": n})
     m = g.order
-    c = [[int(cocycle[x][y]) % n for y in range(m)] for x in range(m)]
-    for x in range(m):
-        if c[0][x] or c[x][0]:
-            raise ValidationError("cocycle is not normalized", witness=x)
+    _check_order(n * m)
+    c = np.array(cocycle, dtype=object)
+    if c.shape != (m, m):
+        raise ValidationError("cocycle must be a table over the group", witness={"order": m})
+    c = (c % n).astype(np.int64)
+    unnormalized = np.flatnonzero(c[0] | c[:, 0])
+    if unnormalized.size:
+        raise ValidationError("cocycle is not normalized", witness=int(unnormalized[0]))
     from .cohomology import _d2, _require_cocycle  # cohomology imports this module
 
-    _require_cocycle(_d2, np.ones((m, 1, 1), dtype=np.int64), g._np_table,
-                     np.array(c, dtype=np.int64)[:, :, None], g.generators,
-                     "cocycle identity fails", lambda diff: diff % n)
-
-    def enc(z, x):
-        return z * m + x
-
-    table = [
-        [enc((z1 + z2 + c[x1][x2]) % n, g.table[x1][x2])
-         for z2 in range(n) for x2 in range(m)]
-        for z1 in range(n)
-        for x1 in range(m)
-    ]
-    gens = [enc(1, 0)] if n > 1 else []
-    gens += [enc(0, x) for x in g.generators]
-    return FiniteGroup(table, generators=gens)
+    _require_cocycle(_d2, np.ones((m, 1, 1), dtype=np.int64), g.table, c[:, :, None],
+                     g.generators, "cocycle identity fails", lambda diff: diff % n)
+    z = np.arange(n)
+    table = ((z[:, None, None, None] + z[None, None, :, None] + c[None, :, None, :]) % n * m
+             + g.table[None, :, None, :])
+    gens = [m] if n > 1 else []
+    gens += list(g.generators)
+    return FiniteGroup(table.reshape(n * m, n * m), generators=gens)
 
 
 def quotient_group(g, normal):
@@ -432,24 +423,19 @@ def quotient_group(g, normal):
 
     Cosets are ordered by their smallest member.
     """
-    els = set(normal.elements)
-    for x in range(g.order):
-        for a in normal.elements:
-            if g.conj(x, a) not in els:
-                raise DomainError("subgroup is not normal", witness=(x, a))
-    coset_of = [None] * g.order
-    reps = []
-    for x in range(g.order):
-        if coset_of[x] is None:
-            members = sorted(g.table[x][a] for a in normal.elements)
-            idx = len(reps)
-            reps.append(members[0])
-            for y in members:
-                coset_of[y] = idx
-    k = len(reps)
-    table = [[coset_of[g.table[reps[i]][reps[j]]] for j in range(k)] for i in range(k)]
-    grp = FiniteGroup(table, _validated=True)
-    return grp, coset_of
+    t = g.table
+    els = np.array(normal.elements, dtype=np.int64)
+    inside = np.zeros(g.order, dtype=bool)
+    inside[els] = True
+    outside = np.argwhere(~inside[t[t[:, els], g.inverse[:, None]]])  # x a x^-1
+    if len(outside):
+        x, i = outside[0]
+        raise DomainError("subgroup is not normal", witness=(int(x), normal.elements[i]))
+    smallest = t[:, els].min(axis=1)  # of the coset xH
+    reps = np.flatnonzero(smallest == np.arange(g.order))
+    coset_of = np.searchsorted(reps, smallest)
+    grp = FiniteGroup(coset_of[t[np.ix_(reps, reps)]], _validated=True)
+    return grp, coset_of.tolist()
 
 
 def abelianization(g):
@@ -461,12 +447,12 @@ def abelianization(g):
 # subgroup enumeration
 
 
-def _powers(g, a):
-    """[1, a, a^2, ..., a^(|a| - 1)]."""
+def _powers(right, a):
+    """[1, a, a^2, ..., a^(|a| - 1)], where right[x] = x a."""
     out, y = [0], a
     while y != 0:
         out.append(y)
-        y = g.table[y][a]
+        y = right[y]
     return out
 
 
@@ -483,11 +469,14 @@ def bicyclic_subgroups(g, up_to_conjugacy=True):
     nor commutation.  So the pairs of the smallest generators of the cyclic
     subgroups give every such subgroup; a pair with one member in the
     other's cyclic subgroup gives a cyclic one, which its own (c, c) gives.
+
+    The pairs are read off one local list of the table: on the groups of
+    the benchmark, which are small, the loop beats array operations.
     """
-    t = g.table
+    t, columns = g.table.tolist(), g.table.T.tolist()
     cyclic = {}
     for a in range(g.order):
-        cyclic.setdefault(frozenset(_powers(g, a)), a)
+        cyclic.setdefault(frozenset(_powers(columns[a], a)), a)
     seen = {tuple(sorted(members)): (a, a) for members, a in cyclic.items()}
     gens = sorted((a, members) for members, a in cyclic.items())
     for i, (a, in_a) in enumerate(gens):
@@ -498,7 +487,7 @@ def bicyclic_subgroups(g, up_to_conjugacy=True):
             seen.setdefault(members, (a, b))
     ordered = sorted(seen, key=lambda members: (len(members), members))
     if up_to_conjugacy:
-        conj = g._np_table[g._np_table, np.array(g.inverse)[:, None]]  # [x, a] -> x a x^-1
+        conj = g.table[g.table, g.inverse[:, None]]  # [x, a] -> x a x^-1
         reps = []
         claimed = set()
         for members in ordered:
@@ -549,23 +538,23 @@ def abelian_structure(s):
     """
     if isinstance(s, FiniteGroup):
         s = s.subgroup(range(s.order))
-    p = s.parent
-    for a in s.elements:
-        for b in s.elements:
-            if p.table[a][b] != p.table[b][a]:
-                raise DomainError("subgroup is not abelian", witness=(a, b))
+    products = s._products()
+    apart = np.argwhere(products != products.T)
+    if len(apart):
+        i, j = apart[0]
+        raise DomainError("subgroup is not abelian", witness=(s.elements[i], s.elements[j]))
     grp, embed = s.as_group()
     if grp.order == 1:
         return [], []
     gens = list(grp.generators)
     k = len(gens)
+    steps = grp.table[:, gens].tolist()  # [x][i] = x s_i
     # relation lattice of Z^k -> grp: Cayley-graph relations plus orders
     coords = {0: tuple([0] * k)}
     frontier = [0]
     while frontier:
         x = frontier.pop()
-        for i, s_i in enumerate(gens):
-            y = grp.table[x][s_i]
+        for i, y in enumerate(steps[x]):
             if y not in coords:
                 c = list(coords[x])
                 c[i] += 1
@@ -573,8 +562,7 @@ def abelian_structure(s):
                 frontier.append(y)
     rels = []
     for x in range(grp.order):
-        for i, s_i in enumerate(gens):
-            y = grp.table[x][s_i]
+        for i, y in enumerate(steps[x]):
             diff = [coords[x][j] + (1 if j == i else 0) - coords[y][j] for j in range(k)]
             if any(diff):
                 rels.append(diff)
@@ -590,7 +578,7 @@ def abelian_structure(s):
             continue
         w = 0
         for j in range(k):
-            w = grp.table[w][grp.power(gens[j], uinv[j][i] % (grp.element_order(gens[j])))]
+            w = int(grp.table[w, grp.power(gens[j], uinv[j][i])])
         factors.append(f)
         witnesses.append(embed[w])
     return factors, witnesses
@@ -609,13 +597,5 @@ def coset_representatives(g, sub_elements):
 
     Cosets H*t; returns reps sorted by their smallest element.
     """
-    els = list(sub_elements)
-    seen = set()
-    reps = []
-    for x in range(g.order):
-        if x in seen:
-            continue
-        coset = sorted(g.table[h][x] for h in els)
-        reps.append(coset[0])
-        seen.update(coset)
-    return reps
+    smallest = g.table[list(sub_elements)].min(axis=0)  # of the coset Hx
+    return np.flatnonzero(smallest == np.arange(g.order)).tolist()

@@ -718,14 +718,16 @@ def test_kernel_with_relations_matches_brute_force(name, seed):
             assert row["survivors"] == [res[w][i] not in spans[i] for w in stack]
 
 
-@pytest.mark.parametrize("name", list(CORPUS_AND_WITNESS))
-def test_b0_is_the_kernel_of_the_pairing_on_all_commuting_pairs(name):
-    # For abelian A, H^2(A, Q/Z) = Hom(A ^ A, Q/Z) by c -> c(a, b) - c(b, a),
-    # so a class lies in B0 exactly when rep(a, b) = rep(b, a) mod N for
-    # every commuting pair (a, b): no subgroup enumeration, no kernel engine
-    group = CORPUS_AND_WITNESS[name]
+def assert_b0_is_the_commuting_pair_kernel(group):
+    """B0(G) from all commuting pairs agrees with `bogomolov_multiplier`;
+    returns B0 as a set of coordinate tuples.
+
+    For abelian A, H^2(A, Q/Z) = Hom(A ^ A, Q/Z) by c -> c(a, b) - c(b, a),
+    so a class lies in B0 exactly when rep(a, b) = rep(b, a) mod N for
+    every commuting pair (a, b): no subgroup enumeration, no kernel engine.
+    """
     coh = h2_qz_cached(group, group.order)
-    t, N, factors = group._np_table, coh.modulus, coh.invariant_factors
+    t, N, factors = group.table, coh.modulus, coh.invariant_factors
     commuting = t == t.T
     pairing = np.array([(tab[..., 0] - tab[..., 0].T)[commuting] for tab in coh.rep_tables],
                        dtype=np.int64).reshape(len(factors), commuting.sum())
@@ -735,4 +737,10 @@ def test_b0_is_the_kernel_of_the_pairing_on_all_commuting_pairs(name):
     rep = bogomolov_multiplier(group)
     assert b0 == _span(rep.witnesses["unramified"], factors)
     assert len(b0) == rep.unramified_group.order
+    return b0
+
+
+@pytest.mark.parametrize("name", list(CORPUS_AND_WITNESS))
+def test_b0_is_the_kernel_of_the_pairing_on_all_commuting_pairs(name):
+    b0 = assert_b0_is_the_commuting_pair_kernel(CORPUS_AND_WITNESS[name])
     assert (len(b0) == 2) == (name == "witness_order64")

@@ -89,6 +89,15 @@ def test_exit_code_3_on_size_limit(tmp_path, capsys):
     assert main(["h2", path, "--max-order", "5"]) == 3
 
 
+def test_exit_code_3_on_a_central_extension_above_the_construction_limit(tmp_path, capsys):
+    trivial = {"kind": "cayley", "table": [[0]]}
+    path = write(tmp_path, "big.json", {"group": {"kind": "central_extension", "base": trivial,
+                                                  "n": 5000, "cocycle": [[0]]}})
+    assert main(["h2", path, "--json"]) == 3
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "SizeLimitError" and err["witness"] == {"max_order": 4096}
+
+
 def test_brnr_toric_variant_mismatch(tmp_path):
     path = write(tmp_path, "k.json", {"group": KLEIN})
     assert main(["brnr", "toric", path]) == 2

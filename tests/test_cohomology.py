@@ -6,7 +6,7 @@ import json
 import tracemalloc
 import types
 from functools import cache
-from math import gcd, prod
+from math import gcd, lcm, prod
 from pathlib import Path
 
 import numpy as np
@@ -579,7 +579,7 @@ def test_lattice_reduce_is_constant_on_classes(name):
     # z by an integer coboundary must not move its coordinates: by
     # g -> A_g b - b in degree one, by d1(b) in degree two
     module = LATTICES[name]
-    n, t = module.group.order, module.group._np_table
+    n, t = module.group.order, module.group.table
     rng = np.random.default_rng(20240117)
     for coh in (h1(module), h2(module)):
         for _ in range(4):
@@ -652,7 +652,7 @@ def _lattice_answers(module):
     """What the lattice path gives for a faithful lattice: the invariant
     factors of H^1 and H^2, the coordinates of every representative and of
     an integer coboundary in each degree, and the br_nr_toric report."""
-    n, t = module.group.order, module.group._np_table
+    n, t = module.group.order, module.group.table
     b = np.random.default_rng(20240118).integers(-5, 6, size=(n, module.rank))
     b[0] = 0
     cohs = [h1(module), h2(module)]
@@ -712,7 +712,7 @@ def test_d2_after_d1_vanishes():
         GModule.lattice(corpus.alternating4(), 1),
     ]
     for module in cases:
-        n, t = module.group.order, module.group._np_table
+        n, t = module.group.order, module.group.table
         for _ in range(3):
             c = rng.integers(-9, 10, size=(n, module.rank, 2))
             dc = _d1(module.mats, t, c, range(n))
@@ -777,7 +777,7 @@ def test_bockstein_sources_are_all_of_hom_to_cyclic(name):
     n = group.order
     homs = _bar_homs(group, n)
     for chi in homs:
-        assert not ((chi[:, None] + chi[None, :] - chi[group._np_table]) % n).any()
+        assert not ((chi[:, None] + chi[None, :] - chi[group.table]) % n).any()
     span = _span(homs, n, n)
     assert len(span) == prod(gcd(d, n) for d in abelian_invariants(abelianization(group)[0]))
     assert _span(_abelianization_homs(group, n), n, n) == span
@@ -861,7 +861,7 @@ def test_gauge_agrees_with_the_ungauged_system(name):
         assert any(oracle.coords(solver.cocycle_slots(table))) == any(coords)
         # a full 1-cochain, b(1) and the tree values included
         b = rng.integers(-9, 10, size=(group.order, r))
-        shifted = table + _d1(module.mats, group._np_table, b, range(group.order))
+        shifted = table + _d1(module.mats, group.table, b, range(group.order))
         assert coh.reduce(shifted) == coords
 
 
@@ -1019,7 +1019,7 @@ def _random_cocycle(coh, rng):
     if coh.degree == 1:
         return table + np.einsum("gij,j->gi", module.mats, b) - b
     b[0] = 0
-    return table + _d1(module.mats, module.group._np_table, b, range(n))
+    return table + _d1(module.mats, module.group.table, b, range(n))
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -1103,7 +1103,7 @@ def test_reduce_is_constant_on_classes_of_non_normalised_cocycles(name, seed):
     table = coh.expand([int(rng.integers(0, f)) for f in coh.invariant_factors])
     b = rng.integers(-5, 6, size=(n, r))
     b[0, 0] = 1 + 2 * int(rng.integers(0, 3))  # odd, so nonzero in every factor
-    shifted = table + _d1(module.mats, module.group._np_table, b, range(n))
+    shifted = table + _d1(module.mats, module.group.table, b, range(n))
     assert tuple(coh.reduce(shifted)) == tuple(coh.reduce(table))
 
 
@@ -1113,3 +1113,54 @@ def test_cocycle_check_on_the_trivial_group_reads_the_row_of_1():
     with pytest.raises(ValidationError) as info:
         connecting_bockstein(cyclic_group(1), [1], 4)
     assert info.value.witness == (0, 0)
+
+
+def _prime_factors(n):
+    return [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
+
+
+def _p_power(n, p):
+    """Whether n is a power of p."""
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
+def _sylow(group, p):
+    """A maximal p-subgroup, grown greedily: each element is joined when the
+    join is still a p-group.  An element refused once stays refused, since
+    the subgroup only grows, so no element extends the result and it is a
+    Sylow p-subgroup."""
+    members = [0]
+    for x in range(group.order):
+        joined = group.closure(members + [x])
+        if _p_power(len(joined), p):
+            members = joined
+    return group.subgroup(members)
+
+
+SYLOW_GROUPS = {name: g for name, g in corpus.b0_vanishing_corpus()
+                if len(_prime_factors(g.order)) > 1}
+SYLOW_GROUPS["cyclic_96"] = corpus.cyclic_group(96)
+SYLOW_GROUPS["metacyclic_13_4_5"] = corpus.metacyclic(13, 4, 5)
+
+
+@pytest.mark.parametrize("name", sorted(SYLOW_GROUPS))
+def test_restriction_to_a_sylow_subgroup_is_injective_on_the_p_part(name):
+    # Brown, Cohomology of Groups III.10: res to a Sylow p-subgroup P is
+    # injective on the p-primary part of H^2(G, Q/Z)
+    group = SYLOW_GROUPS[name]
+    coh = h2_qz_cached(group, group.order)
+    factors = coh.invariant_factors
+    classes = list(itertools.product(*map(range, factors)))
+    for p in _prime_factors(group.order):
+        sylow = _sylow(group, p)
+        assert _p_power(sylow.order, p) and (group.order // sylow.order) % p
+        primary = [x for x in classes
+                   if _p_power(lcm(*(f // gcd(c, f) for c, f in zip(x, factors))), p)]
+        coh_p = coh.subgroup_cohomology(sylow)
+        assert prod(coh_p.invariant_factors) % len(primary) == 0
+        for x in primary:
+            if any(x):
+                _, restricted = coh.restrict(list(x), sylow)
+                assert any(int(r) % f for r, f in zip(restricted, coh_p.invariant_factors))

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "dump_reports.py"
@@ -28,3 +30,15 @@ def test_diff_summary_counts_each_kind_apart():
         "0 results moved, 2 only in the new dump, 0 only in the old dump"
     assert dump_reports.diff_summary(*dump_reports.diff_lines(OLD, OLD)) == \
         "0 results moved, 0 only in the new dump, 0 only in the old dump"
+
+
+# The report dump of the fixed inputs, pinned.  A change that means to move
+# results updates the hash and shows the moves with --diff.
+DUMP_RESULTS = 215
+DUMP_SHA256 = "95506a1ece78fea7148210cc7b83bb91fc755a3b072046607ec6c96a3e16d260"
+
+
+def test_the_report_dump_is_pinned(tmp_path):
+    run = subprocess.run([sys.executable, str(_PATH), str(tmp_path / "dump.json")],
+                         capture_output=True, text=True, timeout=600, check=True)
+    assert run.stdout.splitlines()[-1] == f"{DUMP_RESULTS} results, sha256 {DUMP_SHA256}"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from brq import corpus, verify
@@ -44,6 +45,20 @@ def test_perm_closure_size_limit():
     # stops at the constant construction cap
     with pytest.raises(SizeLimitError) as info:
         from_permutation_generators(8, [[1, 2, 3, 4, 5, 6, 7, 0], [1, 0, 2, 3, 4, 5, 6, 7]])
+    assert info.value.witness == {"max_order": 4096}
+
+
+@pytest.mark.parametrize("build", [
+    lambda: cyclic_group(4097),
+    lambda: direct_product(cyclic_group(64), cyclic_group(65)),
+    lambda: semidirect_product(cyclic_group(64), cyclic_group(65), lambda y: range(64)),
+    lambda: central_extension_from_cocycle(cyclic_group(1), 5000, [[0]]),
+    lambda: central_extension_from_cocycle(cyclic_group(2), 2049, [[0, 0], [0, 0]]),
+])
+def test_every_constructor_refuses_an_order_above_the_limit_before_building(build):
+    # each of these would allocate a table of more than 16 million entries
+    with pytest.raises(SizeLimitError) as info:
+        build()
     assert info.value.witness == {"max_order": 4096}
 
 
@@ -202,7 +217,7 @@ def test_semidirect_trivial_action_is_direct():
     b = cyclic_group(4)
     sd = semidirect_product(a, b, lambda y: list(range(3)))
     dp = direct_product(a, b)
-    assert sd.table == dp.table
+    assert np.array_equal(sd.table, dp.table)
 
 
 def test_semidirect_inversion_s3():
@@ -246,7 +261,7 @@ def test_central_extension_pauli_types():
 def test_central_extension_n1_returns_same_table():
     base = corpus.symmetric(3)
     g = central_extension_from_cocycle(base, 1, [[0] * 6 for _ in range(6)])
-    assert g.table == base.table
+    assert np.array_equal(g.table, base.table)
 
 
 def test_central_extension_bad_cocycle_witness():
@@ -272,7 +287,7 @@ def test_central_extension_quotient_recovers_base():
     g = central_extension_from_cocycle(base, 2, corpus.pauli_cocycle_klein())
     centre_factor = g.subgroup(g.closure([4]))  # (1, identity) sits at index 1*4+0
     q, _ = quotient_group(g, centre_factor)
-    assert q.table == base.table
+    assert np.array_equal(q.table, base.table)
 
 
 def test_quotient_and_abelianization():
@@ -314,3 +329,19 @@ def test_corpus_has_thirty_groups():
     entries = corpus.b0_vanishing_corpus()
     assert len(entries) >= 30
     assert all(g.order <= 64 for _, g in entries)
+
+
+def test_scalar_accessors_return_python_ints():
+    # the table is an int64 array; what reaches reports and keys stays int
+    from brq.cohomology import bfs_tree
+
+    g = corpus.symmetric(4)
+    values = [*g.generators, *g.closure([1, 2]), g.element_order(3), g.conj(1, 2),
+              g.power(3, 5), g.exponent(), *g.center(), *coset_representatives(g, [0, 1])]
+    for s in bicyclic_subgroups(g):
+        values += [*s.elements, *s.pair]
+    for triple in bfs_tree(g) + bfs_tree(g, left=True):
+        values += triple
+    q, proj = quotient_group(g, g.commutator_subgroup())
+    values += [*proj, *q.generators, *abelian_structure(corpus.abelian_group([2, 4]))[1]]
+    assert {type(v) for v in values} == {int}

@@ -18,7 +18,8 @@ from brq.errors import ValidationError
 from brq.groups import direct_product, from_cayley_table
 from brq.iodoc import parse_action_document
 
-from test_brauer import KLEIN_PERM, all_pairs_table, tree_matrices
+from test_brauer import (KLEIN_PERM, all_pairs_table, assert_b0_is_the_commuting_pair_kernel,
+                         tree_matrices)
 
 # group and its Schur multiplier H^2(G, Q/Z); B0 is zero for all of them
 GROUPS = {
@@ -57,7 +58,11 @@ def test_relabelling_keeps_h2_and_b0(name):
     @settings(max_examples=8, deadline=None, database=None)
     @given(st.permutations(range(1, group.order)))
     def check(perm):
-        assert invariants(relabel(group, perm)) == expected
+        relabelled = relabel(group, perm)
+        assert invariants(relabelled) == expected
+        # the conj-mode kernel engine agrees with the pairing on every
+        # commuting pair, which no conjugacy reduction touches
+        assert assert_b0_is_the_commuting_pair_kernel(relabelled) == {(0,) * len(schur)}
 
     check()
 

@@ -53,6 +53,8 @@ import random
 import sys
 from pathlib import Path
 
+import numpy as np
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
@@ -96,11 +98,10 @@ def _relabelled(group, rng):
     permutation, generated by the images of its generators."""
     perm = list(range(group.order))
     rng.shuffle(perm)
-    table = [[0] * group.order for _ in range(group.order)]
-    for a, row in enumerate(group.table):
-        for b, ab in enumerate(row):
-            table[perm[a]][perm[b]] = perm[ab]
-    return from_cayley_table(table, generators=[perm[g] for g in group.generators])
+    perm = np.array(perm)
+    table = np.empty_like(group.table)
+    table[np.ix_(perm, perm)] = perm[group.table]
+    return from_cayley_table(table, generators=perm[list(group.generators)])
 
 
 def _plain(value):

@@ -76,16 +76,14 @@ def census(g):
     return tuple(sorted(counts.items()))
 
 
-def commutator(g, a, b):
-    return g.table[g.table[a][b]][g.inverse[g.table[b][a]]]
-
-
 def nilpotency_class(g):
     """Length of the lower central series; every group here is a 2-group."""
+    t = g.table
     gamma = list(range(g.order))
     c = 0
     while len(gamma) > 1:
-        gamma = g.closure({commutator(g, x, y) for x in gamma for y in range(g.order)})
+        # the commutators xy (yx)^-1 of x in gamma with every y
+        gamma = g.closure(np.unique(t[t[gamma], g.inverse[t[:, gamma].T]]))
         c += 1
     return c
 
@@ -101,7 +99,7 @@ def invariants(g):
     census of G, Z(G) and G' and the number of conjugacy classes.  These
     keys separate the 51 groups of order 32.
     """
-    t = np.asarray(g.table)
+    t = g.table
     n = g.order
     centralizer = (t == t.T).sum(axis=1)
     roots = np.bincount(t[np.arange(n), np.arange(n)], minlength=n)
@@ -235,12 +233,12 @@ def main():
                        "central extension by Z/2 of an order-32 group, found by "
                        "scanning iterated central extensions by Z/2",
         "construction": {
-            "quotient": {"kind": "cayley", "table": [list(r) for r in q.table],
+            "quotient": {"kind": "cayley", "table": q.table.tolist(),
                          "generators": list(q.generators)},
             "kernel_order": 2,
             "h2_coordinates": list(coords),
         },
-        "group": {"kind": "cayley", "table": [list(r) for r in g.table]},
+        "group": {"kind": "cayley", "table": g.table.tolist()},
         "expected_b0": [2],
         "checks": checks(g),
     }
