@@ -413,7 +413,8 @@ def _kernel_report(kind, group, cohs, am_coords, modulus, subgroup_mode="conj",
     subgroup of it, the span of the restricted relations included: the
     relations live in the one Q/Z block whenever there are any (the toric
     report, with a lattice block, has none), and with none the test is that
-    the witness restricts to zero.
+    the witness restricts to zero.  A subgroup whose Q_A is zero is not
+    restricted to: every class vanishes there, so the test cannot fail.
     """
     if subgroup_mode not in ("conj", "all"):
         raise ValidationError("subgroup_mode must be 'conj' or 'all'",
@@ -445,6 +446,8 @@ def _kernel_report(kind, group, cohs, am_coords, modulus, subgroup_mode="conj",
                 row["survivors"].append(survives)
                 if survives and wi not in killer:
                     killer[wi] = sub.elements
+            if not quotient.invariant_factors:
+                continue  # every class vanishes in a zero Q_A
             for w in unram.witness_generators:
                 if any(quotient.coords(_restrict_direct(cohs, sub, w, bar=True)[1])):
                     raise DomainError(

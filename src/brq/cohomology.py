@@ -434,21 +434,25 @@ class _BarSolver:
         rows[(slice(None),) + self.at_gens[1:]] = flat.reshape(self.row_shape + (m,))
         return rows
 
-    def expand(self, u, _seconds=slice(None)):
+    def expand(self, u):
         """The cochain tables, along a last axis, whose kept generator-row
-        values are the columns of u, shape (slots, m).  The walk runs depth
-        first and holds only the rows on its path that a child still needs;
-        in degree two, `_seconds` keeps only the columns c(:, y), y in it."""
-        rows = self._generator_values(u)
+        values are the columns of u, shape (slots, m)."""
+        return self._walk(self._generator_values(u))
+
+    def _walk(self, rows, seconds=slice(None)):
+        """The cochain tables with the given generator rows
+        (`_generator_values`).  The walk runs depth first and holds only the
+        rows on its path that a child still needs; in degree two, `seconds`
+        keeps only the columns c(:, y), y in it."""
         path = [np.zeros_like(rows[0])]
-        out = np.zeros((self.n,) + path[0][_seconds].shape, dtype=np.int64)
+        out = np.zeros((self.n,) + path[0][seconds].shape, dtype=np.int64)
         for g, p, i, depth, last in self._dfs:
             # the children of 1 are the generators, whose rows are given
             step = self._tree_step(path[depth - 1], p, rows[i], self.gens[i]) if p else rows[i]
             path[depth:] = [step % self.L]
             if last:  # no other child needs the parent's row
                 path[depth - 1] = None
-            out[g] = path[depth][_seconds]
+            out[g] = path[depth][seconds]
         return out
 
     def _cocycle_kernel(self):
@@ -460,7 +464,7 @@ class _BarSolver:
             # component i of the module is Z/f_i, so it vanishes when
             # (L / f_i) times it vanishes mod L
             acc.ingest((f[1:] % self.L * self.scale[:, None] % self.L).reshape(-1, U))
-        return kernel(acc.rows, self.L, U)
+        return acc.kernel(U)  # read off the unit pivots, with no [M^T | I]
 
     def image_gens(self, tables=()):
         """Generators of the image over the slots: the coboundaries and the
@@ -524,8 +528,8 @@ class _BarH2Solver(_BarSolver):
     def _edge_rows(self, units):
         # the identities with s first and y third, for each generator s,
         # read from the generator rows and columns of the unit cochains
-        cols = self.expand(units, self.gens)
         rows = self._generator_values(units)
+        cols = self._walk(rows, self.gens)
         for i, s in enumerate(self.gens):
             yield _d2_at(self.mats, self.t, rows[i:i + 1], cols, [s], self.gens)[0]
 

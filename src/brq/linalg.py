@@ -16,13 +16,18 @@ computes it:
 - Over Z/N with at least NUMPY_MIN_ROWS rows to reduce and N <= INT64_BOUND,
   the numpy sweep `HowellAccumulator` reduces the rows.  It keeps them
   unit-reduced: each kept row is zero at the unit-pivot columns (pivot
-  entry 1) of the others.  So one scattered product clears a chunk at every
-  unit pivot, a chunk cleared there stays clear, and after the first sweep
-  only the pivots that the last batch of inserted rows found or changed
-  meet it again; the insertion of each row reduces it at the few non-unit
-  pivots.  Its `canonical_rows` closes the non-unit rows under annihilators
-  with the same insertion, then reduces the entries above the non-unit
-  pivots one pivot column at a time.
+  entry 1) of the others.  So one scattered product clears each block of
+  32 rows at every unit pivot found before it, just before the block is
+  inserted; the insertion of each row clears it at the units that its own
+  block placed and reduces it at the few non-unit pivots.  Its
+  `canonical_rows` closes the non-unit rows under annihilators with the
+  same insertion, then reduces the entries above the non-unit pivots one
+  pivot column at a time.  Its `kernel` reads the right kernel of the kept
+  rows off the unit pivots: the bar solvers of `cohomology` stream their
+  cocycle identities into an accumulator and take their kernel from it, so
+  `augmented_echelon` reduces only the non-unit rows on the columns that
+  are not unit pivots (10 x 15 for H^2 of (Z/2)^4 x Z/4, where [M^T | I] of
+  all the kept rows is 257 x 509).
 - Otherwise the pure-Python loop `howell_rows` runs alone: on fewer rows
   (most of the many small solves of B0), and as the one fallback above
   INT64_BOUND.  It is also the reference the tests hold the sweep to.
@@ -512,8 +517,9 @@ class HowellAccumulator:
     `canonical_rows` turns them into its canonical Howell form.  Every kept
     row is zero at the unit-pivot columns (pivot entry 1) other than its
     own, so the unit rows clear a chunk at those columns in one step and in
-    any order, and a row once cleared at a unit column stays clear there.
-    Valid only for N <= INT64_BOUND.
+    any order, a row once cleared at a unit column stays clear there, and
+    `kernel` reads the right kernel off them.  Valid only for
+    N <= INT64_BOUND.
     """
 
     def __init__(self, modulus):
@@ -522,8 +528,7 @@ class HowellAccumulator:
         self._k = 0  # rows kept
         self._units = 0  # of which unit rows
         self._row_at = {}  # pivot column -> index of its row
-        self._m = np.zeros((0, 0), dtype=np.int64)  # the first _place sizes it
-        self._piv = np.zeros(0, dtype=np.int64)
+        self._grow(0, 0)  # the first _place sizes the rows
 
     def _grow(self, width, cap):
         """Room for `cap` rows of the given width, keeping the rows so far."""
@@ -633,17 +638,45 @@ class HowellAccumulator:
             keep = np.ones(len(chunk), dtype=bool)
             keep[1:] = (chunk[1:] != chunk[:-1]).any(axis=1)
             chunk = chunk[keep]
-        while chunk.size:
-            # After the first pass only the unit pivots that the last batch
-            # found or changed meet nonzero entries here.  The insertion
-            # reduces each row at the non-unit pivots, which are few: a
-            # sweep over them as well changed no output and was slower.
-            self._clear_units(chunk)
-            chunk = chunk[chunk.any(axis=1)]
-            take = min(len(chunk), 32)
-            for i in range(take):
-                self._insert(chunk[i].copy())
-            chunk = chunk[take:]
+        for lo in range(0, len(chunk), 32):
+            # Each block of 32 rows is cleared at the unit pivots found so
+            # far just before it is inserted; the insertion clears each row
+            # at the units that the rows before it in the block placed, and
+            # reduces it at the non-unit pivots, which are few: a sweep over
+            # them as well changed no output and was slower.
+            block = chunk[lo:lo + 32]
+            self._clear_units(block)
+            for row in block[block.any(axis=1)]:
+                self._insert(row)
+
+    def kernel(self, cols):
+        """Canonical Howell form of the right kernel {x : M x = 0} of the
+        kept rows M, which have `cols` columns: `kernel(self.rows, N, cols)`
+        read off the unit pivots.
+
+        A unit row is 1 at its pivot and zero at the other unit-pivot
+        columns, and the non-unit rows are zero at all of them.  So x is in
+        the kernel exactly when x on the other columns R is in the kernel
+        of the non-unit rows on R, and x at each unit pivot is minus the
+        unit row's product with x on R.  Only the non-unit rows on R go
+        through `augmented_echelon`; each generator of their kernel is
+        extended by that product, whose sums of fewer than 2^23 residue
+        products fit int64, and the extensions span the kernel.
+        """
+        n, k, units = self.n, self._k, self._units
+        m = self._m[:k] if k else np.zeros((0, cols), dtype=np.int64)
+        unit_cols, unit_rows = self._unit_cols[:units], self._unit_rows[:units]
+        rest = np.ones(cols, dtype=bool)
+        rest[unit_cols] = False
+        others = np.ones(k, dtype=bool)
+        others[unit_rows] = False
+        width = int(rest.sum())
+        gens = kernel(m[others][:, rest].tolist(), n, width)
+        gens = np.array(gens, dtype=np.int64).reshape(len(gens), width)
+        x = np.zeros((len(gens), cols), dtype=np.int64)
+        x[:, rest] = gens
+        x[:, unit_cols] = -(gens @ m[unit_rows][:, rest].T) % n
+        return canonical_howell(x.tolist(), n)
 
     def canonical_rows(self):
         """Exact canonical Howell form of everything ingested so far.

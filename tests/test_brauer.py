@@ -9,7 +9,7 @@ from math import lcm
 import numpy as np
 import pytest
 
-from brq import corpus, verify
+from brq import cohomology, corpus, verify
 from brq.brauer import (
     _kernel_report,
     CorrelationAction,
@@ -599,6 +599,24 @@ def test_soundness_pass_catches_a_pairing_that_reads_zero(monkeypatch):
     with pytest.raises(DomainError, match="internal soundness failure: witness does not "
                                           "vanish on a subgroup"):
         bogomolov_multiplier(witness)
+
+
+def test_soundness_pass_reads_only_subgroups_with_a_nonzero_quotient(monkeypatch):
+    # the witness's B0 = Z/2 is restricted through the bar complex only to
+    # the subgroups A whose Q_A = H^2(A, Q/Z) is nonzero: 7 subgroup solves,
+    # where reading every subgroup solved 13
+    solved = []
+    h2_qz = cohomology.h2_qz
+
+    def counting(group, *args, **kwargs):
+        solved.append(group.order)
+        return h2_qz(group, *args, **kwargs)
+
+    monkeypatch.setattr(cohomology, "_COHOMOLOGY_CACHE", {})
+    monkeypatch.setattr(cohomology, "h2_qz", counting)
+    witness = from_cayley_table(load_fixture_json("b0_order64.json")["group"]["table"])
+    assert bogomolov_multiplier(witness).unramified_group.invariant_factors == (2,)
+    assert solved[0] == 64 and len(solved[1:]) == 7 and max(solved[1:]) < 64
 
 
 @pytest.mark.parametrize("k1, k2", [(0, 1), (0, 2), (1, 1)])

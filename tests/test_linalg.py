@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brq.cohomology import GModule, _BarH1Solver, _BarH2Solver
 from brq.errors import ContainmentError, DomainError, SizeLimitError
 from brq.groups import abelian_structure, cyclic_group, direct_product, from_cayley_table
 from brq.linalg import (
@@ -36,6 +37,8 @@ from brq.linalg import (
     solve,
     subquotient_structure,
 )
+from test_group_oracle import SCHUR_LARGE, _relabelled
+from test_groups import CORPUS_AND_WITNESS
 
 
 def mat_mul(a, b):
@@ -747,3 +750,92 @@ def test_subquotient_reports_the_first_image_generator_outside_the_span(n):
     with pytest.raises(ContainmentError) as info:
         subquotient_structure(cols, n, gens, image)
     assert info.value.witness == first
+
+
+# ---------------------------------------------------------------------------
+# the kernel read off the accumulator's unit pivots, against [M^T | I]
+
+KERNEL_MODULI = [2, 8, 12, 49, 52, 64, 96]
+
+
+def uniform_rows(rng, count, cols, n):
+    """Rows mod n with uniform entries, so nearly all their pivots are units."""
+    return [[rng.randrange(n) for _ in range(cols)] for _ in range(count)]
+
+
+def assert_kernel_is_the_augmented_kernel(acc, cols):
+    # the augmented reduction that the accumulator's kernel replaces
+    want = kernel(acc.rows.tolist(), acc.n, cols)
+    assert acc.kernel(cols) == want
+    return want
+
+
+# Up to 2 * NUMPY_MIN_ROWS + 8 rows and columns, so the augmented reduction
+# of the oracle, the one over the non-unit rows and the canonical form of the
+# extended generators each run on both sides of NUMPY_MIN_ROWS.
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.sampled_from(KERNEL_MODULI), st.integers(1, 2 * NUMPY_MIN_ROWS + 8),
+       st.integers(0, 2 * NUMPY_MIN_ROWS + 8), st.booleans(), st.integers(1, 3),
+       st.integers(0, 2**32 - 1))
+def test_accumulator_kernel_equals_the_augmented_kernel(n, cols, count, divisors, parts, seed):
+    rng = random.Random(seed)
+    rows = (divisor_rows if divisors else uniform_rows)(rng, count, cols, n)
+    acc = HowellAccumulator(n)
+    cuts = sorted(rng.randrange(count + 1) for _ in range(parts - 1))
+    for lo, hi in zip([0] + cuts, cuts + [count]):
+        acc.ingest(np.array(rows[lo:hi], dtype=np.int64).reshape(hi - lo, cols))
+    gens = assert_kernel_is_the_augmented_kernel(acc, cols)
+    for x in gens:
+        assert all(v % n == 0 for v in matvec(rows, x))
+
+
+@pytest.mark.parametrize("n", KERNEL_MODULI[1:])
+@pytest.mark.parametrize("count, cols", [(20, 12), (150, 60), (120, 2 * NUMPY_MIN_ROWS + 8)])
+def test_accumulator_kernel_with_non_unit_pivots(n, count, cols):
+    rng = random.Random(n * 1000 + cols)
+    acc = HowellAccumulator(n)
+    acc.ingest(divisor_rows(rng, count, cols, n))
+    assert non_unit_pivots(acc.rows.tolist()) >= 2
+    assert_kernel_is_the_augmented_kernel(acc, cols)
+
+
+@pytest.mark.parametrize("n", KERNEL_MODULI)
+@pytest.mark.parametrize("cols", [5, NUMPY_MIN_ROWS + 3])
+def test_accumulator_kernel_of_nothing_and_of_zero_rows_is_the_identity(n, cols):
+    acc = HowellAccumulator(n)
+    assert assert_kernel_is_the_augmented_kernel(acc, cols) == identity(cols)
+    acc.ingest(np.zeros((NUMPY_MIN_ROWS + 1, cols), dtype=np.int64))
+    assert assert_kernel_is_the_augmented_kernel(acc, cols) == identity(cols)
+
+
+def _bar_groups():
+    groups = dict(CORPUS_AND_WITNESS)
+    for name, build in SCHUR_LARGE.items():
+        groups[name] = build()
+        table, gens = _relabelled(groups[name], 1)
+        groups[name + "_relabelled"] = from_cayley_table(table, generators=gens)
+    return groups
+
+
+BAR_GROUPS = _bar_groups()
+
+
+@pytest.mark.parametrize("name", list(BAR_GROUPS))
+def test_bar_solver_kernel_is_the_augmented_kernel_of_its_rows(name, monkeypatch):
+    # the rows each H^1 and H^2 solver of H^2(G, Q/Z) ingests, kept as the
+    # accumulator holds them when the solver reads its kernel
+    seen = []
+    read = HowellAccumulator.kernel
+
+    def recording(acc, cols):
+        seen.append((acc.rows.tolist(), acc.n, cols))
+        return read(acc, cols)
+
+    monkeypatch.setattr(HowellAccumulator, "kernel", recording)
+    group = BAR_GROUPS[name]
+    module = GModule(group, "trivial_qz", factors=[group.order], rank=1)
+    for solver_class in (_BarH1Solver, _BarH2Solver):
+        solver = solver_class(group, module.mats, module.factors)
+        (rows, n, cols), = seen
+        seen.clear()
+        assert solver.kernel_gens == kernel(rows, n, cols)
