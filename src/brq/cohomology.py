@@ -64,10 +64,7 @@ from .errors import DomainError, SizeLimitError, ValidationError
 from .groups import Subgroup, coset_representatives
 from .linalg import (
     HowellAccumulator,
-    augmented_echelon,
-    howell_solve,
     kernel,
-    pivot_columns,
     quotient_of_structure,
     subquotient_structure,
 )
@@ -90,11 +87,14 @@ class GModule:
     __slots__ = ("group", "kind", "factors", "rank", "mats")
 
     def __init__(self, group, kind, factors=None, rank=None, element_mats=None):
+        if kind not in ("trivial_qz", "finite", "lattice"):
+            raise ValidationError(f"unknown module kind {kind!r}",
+                                  witness={"field": "kind", "value": kind})
         self.group = group
         self.kind = kind
         if kind == "trivial_qz" and factors is None:
             factors = [group.order if group.order > 0 else 1]
-        self.factors = _checked_factors(factors) if factors is not None else None
+        self.factors = None if kind == "lattice" else _checked_factors(factors)
         self.rank = _positive_int("rank", rank) if rank is not None else \
             (len(self.factors) if self.factors else 1)
         n = group.order
@@ -107,9 +107,7 @@ class GModule:
         self._verify()
 
     def _verify(self):
-        n = self.group.order
-        r = self.rank
-        if not np.array_equal(self.mats[0], np.eye(r, dtype=np.int64)):
+        if not np.array_equal(self.mats[0], np.eye(self.rank, dtype=np.int64)):
             raise ValidationError("identity must act as the identity matrix")
         t = self.group.table
         products = np.einsum("aij,bjk->abik", self.mats, self.mats)
@@ -128,14 +126,13 @@ class GModule:
                 bad = np.argwhere((diff % f[None, None, :, None]).any(axis=(2, 3)))[0]
                 raise ValidationError("action is not a homomorphism",
                                       witness=(int(bad[0]), int(bad[1])))
-            # well-definedness: A[i, j] * factors[j] = 0 mod factors[i]
-            for g in range(n):
-                for i in range(r):
-                    for j in range(r):
-                        if (self.mats[g, i, j] * self.factors[j]) % self.factors[i]:
-                            raise ValidationError(
-                                "action matrix not well defined on the factors",
-                                witness=(g, i, j))
+            # well-definedness: A[i, j] * factors[j] = 0 mod factors[i], with
+            # A[i, j] reduced mod factors[i] first so products stay below 2^40
+            fi = f[None, :, None]
+            bad = np.argwhere((self.mats % fi) * f % fi)
+            if bad.size:
+                raise ValidationError("action matrix not well defined on the factors",
+                                      witness=tuple(int(x) for x in bad[0]))
 
     @classmethod
     def trivial_qz(cls, group):
@@ -824,26 +821,18 @@ def _connecting_lift(module, degree):
     at_gens = (np.array(group.generators),) + (slice(1, None),) * (degree - 1)
 
     @cache
-    def span():  # Howell factorization of the generator rows mod L^2
+    def solve():  # [M^T | I] of the generator rows M, reduced once mod L^2
         rows = _generator_rows(module.mats, group.table, list(group.generators), degree)
-        pairs = [p for p in augmented_echelon(rows.tolist(), L2, rows.shape[1]) if any(p[0])]
-        images = [image for image, _ in pairs]
-        return images, pivot_columns(images), [carry for _, carry in pairs]
+        return linalg.solver(rows.tolist(), L2, rows.shape[1])
 
     def lift(table):
         _require_cocycle(d, module.mats, group.table, table, group.generators,
                          f"table is not an integer {degree}-cocycle")
-        target = [L * int(x) % L2 for x in table[at_gens].reshape(-1)]
-        images, pivots, carries = span()
-        coeffs = howell_solve(images, target, L2, pivots)
-        if coeffs is None:
+        c = solve()([L * int(x) % L2 for x in table[at_gens].reshape(-1)])
+        if c is None:
             raise DomainError(f"{degree}-cocycle is not in the image of the connecting map")
         out = np.zeros((L,) * (degree - 1) + (module.rank,), dtype=np.int64)
         unknowns = out.reshape(-1)[(degree - 1) * module.rank:]  # all but c(1) in degree two
-        c = [0] * len(unknowns)
-        for k, carry in zip(coeffs, carries):
-            if k:
-                c = [x + k * y for x, y in zip(c, carry)]
         unknowns[:] = [x % L for x in c]
         return out
 

@@ -74,6 +74,14 @@ def _int_list(value):
     return [_int(x) for x in value]
 
 
+def _bool(value):
+    """A JSON boolean, for `_field`: 0, 1 and strings such as "false" are
+    refused."""
+    if not isinstance(value, bool):
+        raise TypeError("not a boolean")
+    return value
+
+
 def _object(value):
     """A JSON object, for `_field`."""
     if not isinstance(value, dict):
@@ -196,11 +204,14 @@ def parse_action_document(doc, max_order=None):
 
     The payload may contain: 'projective' (a ProjectiveAction), 'correlation'
     (a CorrelationAction), 'toric' (a ToricAction), 'pic' (a GModule),
-    'grassmannian_r', 'flag_r_list', and 'flags'.  `max_order` is the
-    order limit of the H^2 that checks a projective class.
+    'grassmannian_r', 'flag_r_list', and 'flags', echoed as given except that
+    a `fixed_point` flag must be a JSON boolean.  `max_order` is the order
+    limit of the H^2 that checks a projective class.
     """
     group = parse_group(_field(doc, "group"))
     payload = {"group": group, "flags": _field(doc, "flags", _object, {})}
+    if "fixed_point" in payload["flags"]:
+        _field(payload["flags"], "fixed_point", _bool)
     proj = _block(doc, "projective")
     corr = _block(doc, "correlation")
     if corr is not None:

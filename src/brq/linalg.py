@@ -8,18 +8,17 @@ floating point anywhere.
 
 One Howell engine serves every kernel and solve over Z/N: `augmented_echelon`
 reduces [M^T | I] (Storjohann and Mulders, "Fast algorithms for linear
-algebra modulo N", 1998) and `kernel`, `solve` and the cohomology solvers
-read their answers from its (image, transform) pairs.  Its output is the
-canonical Howell form of the span, so it is the same whichever path
-computes it:
+algebra modulo N", 1998) and `kernel` and `solver` read their answers from
+its (image, transform) pairs; `solver` is the one Z/N solve, behind `solve`
+and the lattice lift of `cohomology`.  Its output is the canonical Howell
+form of the span, so it is the same whichever path computes it:
 
 - Over Z/N with at least NUMPY_MIN_ROWS rows to reduce and N <= INT64_BOUND,
   the numpy sweep `HowellAccumulator` reduces the rows.  It keeps them
   unit-reduced: each kept row is zero at the unit-pivot columns (pivot
-  entry 1) of the others.  So one scattered product clears each block of
-  32 rows at every unit pivot found before it, just before the block is
-  inserted; the insertion of each row clears it at the units that its own
-  block placed and reduces it at the few non-unit pivots.  Its
+  entry 1) of the others.  So the insertion of a row clears it at every
+  unit pivot placed so far in one product, then reduces it at the few
+  non-unit pivots.  Its
   `canonical_rows` closes the non-unit rows under annihilators with the
   same insertion, then reduces the entries above the non-unit pivots one
   pivot column at a time.  Its `kernel` reads the right kernel of the kept
@@ -65,15 +64,15 @@ and the bar-complex sums of the cohomology solvers, stay inside int64.
 Those solvers build their constraints in int64 too, so `GModule` refuses
 coefficients whose lcm exceeds the bound with a SizeLimitError (CLI exit 3).
 NUMPY_MIN_ROWS is measured, not tuned per call.  On 2 CPUs (Python 3.11,
-numpy 2.4), the 1301 nonempty Z/N reductions of one pass of each benchmark
-workload (with the unit-reduced sweep) gave identical output on both paths.
-The pure loop was faster on all 1149 with fewer than 16 rows (means
-0.012-0.12 ms against 0.12-0.38 ms), the paths were level from 16 to 96
-rows, and numpy won every one from 96 rows (means 12-17 ms against
-105-147 ms).
-Over three runs the total was 1.59-2.20 s pure and 0.35-0.48 s numpy from
-8 rows; it was lowest from 24 or 32 rows and within 3% of that from 48
-rows, inside the spread between runs, so NUMPY_MIN_ROWS stays 48.
+numpy 2.4), the 1058 nonempty Z/N reductions of one pass of each benchmark
+workload gave identical output on both paths.  Since the bar solvers keep
+an accumulator of their own, none of them reaches 48 rows; the largest has
+20.  The pure loop was faster on 1026-1027 of the 1027 with fewer than 8
+rows (means 0.016-0.023 ms against 0.060-0.092 ms) and on 22-25 of the 30
+with 8 to 15, so over three runs every threshold from 16 rows gave the
+lowest total (0.023-0.034 s).  Beyond the workloads, the lift of the S4
+permutation lattice reduces 92 rows mod 576 in 2.7-2.8 ms with the sweep
+and 14.1-14.2 ms with the pure loop, so NUMPY_MIN_ROWS stays 48.
 """
 
 from __future__ import annotations
@@ -88,8 +87,6 @@ from .errors import ContainmentError, DomainError, SizeLimitError, ValidationErr
 INT64_BOUND = 1 << 20
 # Rows of [M^T | I] from which the numpy sweep beats the pure loop.
 NUMPY_MIN_ROWS = 48
-# Entries of the largest product array the sweep builds at once (512 KiB).
-_SCATTER_CELLS = 1 << 16
 
 
 def check_int64_modulus(modulus):
@@ -516,8 +513,8 @@ class HowellAccumulator:
     pivots were found; those rows span everything ingested, and
     `canonical_rows` turns them into its canonical Howell form.  Every kept
     row is zero at the unit-pivot columns (pivot entry 1) other than its
-    own, so the unit rows clear a chunk at those columns in one step and in
-    any order, a row once cleared at a unit column stays clear there, and
+    own, so one product with the unit rows clears a new row at all of those
+    columns, a row once cleared at a unit column stays clear there, and
     `kernel` reads the right kernel off them.  Valid only for
     N <= INT64_BOUND.
     """
@@ -578,25 +575,6 @@ class HowellAccumulator:
                 m[nz] = (m[nz] - m[nz, p, None] * vec) % n
         return i
 
-    def _clear_units(self, chunk):
-        """Zero the chunk's entries at the unit-pivot columns (in place):
-        subtract each nonzero entry times its unit row, the products of at
-        most _SCATTER_CELLS // width entries at a time."""
-        units = self._units
-        if not units:
-            return
-        coeff = chunk[:, self._unit_cols[:units]]
-        ri, ci = coeff.nonzero()
-        vals = coeff[ri, ci]
-        rows = self._unit_rows[ci]
-        step = max(1, _SCATTER_CELLS // chunk.shape[1])
-        for lo in range(0, len(ri), step):
-            r = ri[lo:lo + step]
-            starts = np.flatnonzero(np.diff(r, prepend=-1))
-            sums = np.add.reduceat(vals[lo:lo + step, None] * self._m[rows[lo:lo + step]], starts)
-            touched = r[starts]
-            chunk[touched] = (chunk[touched] - sums) % self.n
-
     def _insert(self, vec):
         """Absorb one row (reduced mod N) into the kept rows; returns the
         indices of the rows placed or replaced."""
@@ -628,7 +606,8 @@ class HowellAccumulator:
                 placed.append(self._place(p, new_cur, i))
 
     def ingest(self, chunk):
-        """Reduce and absorb a 2-D int64 array of rows (mod N)."""
+        """Absorb a 2-D int64 array of rows: reduced mod N, without its
+        zero and repeated rows, each row is inserted once (`_insert`)."""
         chunk = np.asarray(chunk, dtype=np.int64) % self.n
         chunk = chunk[chunk.any(axis=1)]
         if chunk.size:
@@ -638,16 +617,8 @@ class HowellAccumulator:
             keep = np.ones(len(chunk), dtype=bool)
             keep[1:] = (chunk[1:] != chunk[:-1]).any(axis=1)
             chunk = chunk[keep]
-        for lo in range(0, len(chunk), 32):
-            # Each block of 32 rows is cleared at the unit pivots found so
-            # far just before it is inserted; the insertion clears each row
-            # at the units that the rows before it in the block placed, and
-            # reduces it at the non-unit pivots, which are few: a sweep over
-            # them as well changed no output and was slower.
-            block = chunk[lo:lo + 32]
-            self._clear_units(block)
-            for row in block[block.any(axis=1)]:
-                self._insert(row)
+        for row in chunk:
+            self._insert(row)
 
     def kernel(self, cols):
         """Canonical Howell form of the right kernel {x : M x = 0} of the
@@ -791,15 +762,33 @@ def solve(matrix, rhs):
             return None
         y = [ub[i] // d[i][i] for i in range(rank)]
         return [sum(a * b for a, b in zip(row, y)) for row in v]
-    pairs = [p for p in augmented_echelon(rows, n, matrix.cols) if any(p[0])]
-    coeffs = howell_solve([image for image, _ in pairs], rhs, n)
-    if coeffs is None:
-        return None
-    x = [0] * matrix.cols
-    for c, (_, t) in zip(coeffs, pairs):
-        if c:
-            x = [xi + c * ti for xi, ti in zip(x, t)]
-    return [xi % n for xi in x]
+    return solver(rows, n, matrix.cols)(rhs)
+
+
+def solver(rows, modulus, cols):
+    """The Z/N solve of M x = b for the matrix M with the given rows and
+    `cols` columns, as a function of b: x in [0, N), or None.
+
+    [M^T | I] is reduced once.  Each b is written in the canonical Howell
+    rows of the image by `howell_solve`, whose minimal nonnegative
+    coefficients are then applied to the transforms, so every b gets the
+    canonical solution of `solve`.
+    """
+    pairs = [p for p in augmented_echelon(rows, modulus, cols) if any(p[0])]
+    images = [image for image, _ in pairs]
+    pivots = pivot_columns(images)
+
+    def solve_rhs(rhs):
+        coeffs = howell_solve(images, rhs, modulus, pivots)
+        if coeffs is None:
+            return None
+        x = [0] * cols
+        for c, (_, t) in zip(coeffs, pairs):
+            if c:
+                x = [xi + c * ti for xi, ti in zip(x, t)]
+        return [xi % modulus for xi in x]
+
+    return solve_rhs
 
 
 # ---------------------------------------------------------------------------

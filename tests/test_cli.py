@@ -328,6 +328,26 @@ def test_action_document_blocks_must_be_objects(tmp_path, capsys, field, value):
     assert err["witness"] == {"field": field, "value": value}
 
 
+@pytest.mark.parametrize("value", ["false", 1, 0, None])
+def test_fixed_point_flag_must_be_a_boolean(tmp_path, capsys, value):
+    doc = {"group": KLEIN, "pic": {"kind": "lattice", "rank": 1},
+           "flags": {"fixed_point": value}}
+    assert main(["stack", write(tmp_path, "doc.json", doc), "--json"]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "ValidationError"
+    assert err["witness"] == {"field": "fixed_point", "value": value}
+
+
+def test_module_action_not_well_defined_on_the_factors_exits_2(tmp_path, capsys):
+    c4 = {"kind": "permutation", "degree": 4, "generators": [[1, 2, 3, 0]]}
+    doc = {"group": c4, "module": {"kind": "finite", "factors": [4, 2],
+                                   "action": {"0": [[1, 1], [0, 1]]}}}
+    assert main(["h2", write(tmp_path, "doc.json", doc), "--json"]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "ValidationError"
+    assert err["witness"] == [1, 0, 1]
+
+
 @pytest.mark.parametrize("limit", [0, -1])
 def test_max_order_below_one_is_refused(tmp_path, capsys, limit):
     path = write(tmp_path, "klein.json", {"group": KLEIN})

@@ -173,6 +173,27 @@ def test_bockstein_rejects_non_homomorphism():
     assert info.value.witness == (1, 1)
 
 
+def test_gmodule_refuses_an_unknown_kind_and_a_finite_module_without_factors():
+    g = cyclic_group(4)
+    with pytest.raises(ValidationError) as info:
+        GModule(g, "bogus")
+    assert info.value.witness == {"field": "kind", "value": "bogus"}
+    with pytest.raises(ValidationError) as info:
+        GModule(g, "finite")
+    assert info.value.witness == {"field": "factors", "value": None}
+
+
+def test_gmodule_refuses_an_action_not_well_defined_on_the_factors():
+    # C4 on Z/4 + Z/2 by [[1, 1], [0, 1]] is a homomorphism mod the factors,
+    # but element k sends the Z/2 generator to (k, 1), and 2 * (k, 1) != 0
+    # for k odd: the first failure is at element 1, entry (0, 1)
+    g = cyclic_group(4)
+    assert g.generators == (1,)
+    with pytest.raises(ValidationError) as info:
+        GModule.finite(g, [4, 2], {1: [[1, 1], [0, 1]]})
+    assert info.value.witness == (1, 0, 1)
+
+
 def _bar_homs(group, n):
     """Hom(G, Z/n) as `h2_qz` reads it: the degree-one solver's cocycles
     of the trivial module Z/n."""

@@ -686,24 +686,49 @@ def assert_unit_reduced(acc):
             assert not np.delete(rows[:, p], i).any()
 
 
+def with_dependent_rows(rng, part, n, extra):
+    """`part` followed by `extra` rows, each a repeat of an earlier row of the
+    part or a combination of up to three of them, so in its span."""
+    out = list(part)
+    for _ in range(extra if out else 0):
+        if rng.random() < 0.5:
+            out.append(list(rng.choice(out)))
+        else:
+            picks = rng.sample(out, min(len(out), rng.randint(1, 3)))
+            out.append([sum(rng.randrange(n) * r[j] for r in picks) % n
+                        for j in range(len(out[0]))])
+    return out
+
+
 @settings(max_examples=40, deadline=None, database=None)
 @given(st.sampled_from(SWEEP_MODULI), st.integers(1, 40), st.integers(1, 90),
-       st.integers(1, 5), st.integers(0, 2**32 - 1))
-def test_accumulator_fed_in_parts_gives_howell_rows(n, cols, count, parts, seed):
+       st.integers(1, 5), st.integers(0, 30), st.integers(0, 2**32 - 1))
+def test_accumulator_fed_in_parts_gives_howell_rows(n, cols, count, parts, extra, seed):
+    # each part carries repeated rows and rows in the span of its earlier rows,
+    # which reduce to zero on insertion
     rng = random.Random(seed)
     rows = divisor_rows(rng, count, cols, n)
     cuts = sorted(rng.randrange(count + 1) for _ in range(parts - 1))
+    fed = [with_dependent_rows(rng, rows[lo:hi], n, extra)
+           for lo, hi in zip([0] + cuts, cuts + [count])]
+    rows = [row for part in fed for row in part]
     acc = HowellAccumulator(n)
-    for lo, hi in zip([0] + cuts, cuts + [count]):
-        acc.ingest(np.array(rows[lo:hi], dtype=np.int64).reshape(hi - lo, cols))
+    for part in fed:
+        acc.ingest(np.array(part, dtype=np.int64).reshape(len(part), cols))
         assert_unit_reduced(acc)
-    assert acc.canonical_rows() == howell_rows(rows, n)
+    want = howell_rows(rows, n)
+    assert acc.canonical_rows() == want
+    one_by_one = HowellAccumulator(n)
+    for row in rows:
+        one_by_one.ingest(np.array([row], dtype=np.int64))
+    assert_unit_reduced(one_by_one)
+    assert one_by_one.canonical_rows() == want
 
 
 @pytest.mark.parametrize("n", SWEEP_MODULI)
 def test_accumulator_with_many_non_unit_pivots(n):
-    # several batches of 32 rows per ingest, so the later sweeps meet pivots
-    # that earlier batches found and refined
+    # three ingests of 50 rows, so the later ones meet pivots that earlier
+    # ones found and refined
     rng = random.Random(n)
     rows = divisor_rows(rng, 150, 60, n)
     acc = HowellAccumulator(n)
